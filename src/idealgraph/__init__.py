@@ -16,8 +16,7 @@ from .errors import (CorpusLoadError, IdealGraphError, NotAPermutationError,
                      TableSyntaxError, TooLargeError, TruncatedFamilyError,
                      UnknownVertexError)
 from .graph import (DenseGraph, InclusionGraph, build_boolean, build_from_family,
-                    dense_from_edges, export_graph, minimal_ideal_coordinates,
-                    vertex_degree)
+                    dense_from_edges, export_graph, minimal_ideal_coordinates)
 from .invariants import (InvariantReport, PlanarityResult, chromatic_number,
                          clique_number, compute_report, connectivity,
                          domination_number, girth, independence_number,

@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theorem-check suite")
     p.add_argument("--boolean", help="n range, e.g. 2..8 or a single n")
     p.add_argument("--corpus", help="directory of Cayley table .txt files")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("-o", "--output", help="also write the JSON report here")
 
@@ -177,8 +176,8 @@ def _cmd_invariants(args) -> int:
         if not res.planar:
             out["kuratowski_kind"] = res.kuratowski_kind
     if "perfect" in selected:
-        n = g.dense().size
-        max_len = args.perfect_max_len or (n if n <= 14 else (11 if n <= 32 else 0))
+        max_len = (args.perfect_max_len
+                   or invariants.default_perfect_max_len(g.dense().size))
         verdict = None
         if max_len > 0:
             verdict, _ = invariants.perfectness(g, max_len)
@@ -193,7 +192,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_aut(args) -> int:
     g = _load_graph(args)
     report = symmetry.automorphism_group(g, cap=args.aut_cap)
-    vt, et = symmetry.transitivity(g, cap=args.aut_cap)
+    vt, et = symmetry.transitivity(g, report)
     doc = {
         "order": report.order,
         "structure": report.structure,
@@ -236,7 +235,7 @@ def _cmd_verify(args) -> int:
         corpus = theorems.load_corpus_dir(args.corpus)
         corpus_label = args.corpus
     result = theorems.run_suite(boolean_ns=boolean_ns, corpus=corpus,
-                                corpus_label=corpus_label, seed=args.seed)
+                                corpus_label=corpus_label)
     if args.format == "json":
         sys.stdout.write(result.to_json())
     else:

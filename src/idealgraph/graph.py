@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import OutOfRangeError, TooLargeError, TruncatedFamilyError, UnknownVertexError
 from .semigroup import IdealFamily
@@ -27,6 +29,38 @@ def vertex_cap() -> int:
     if env:
         return int(env)
     return DEFAULT_VERTEX_CAP
+
+
+class Containment(NamedTuple):
+    """Strict containment among the vertices of an inclusion graph.
+
+    ``below[i]`` and ``above[i]`` are bitsets of the vertices strictly inside
+    and strictly containing vertex i; ``down[i]`` and ``up[i]`` count the
+    vertices of a longest chain ending and starting at i.
+    """
+
+    below: list[int]
+    above: list[int]
+    down: list[int]
+    up: list[int]
+
+
+def _mirsky_levels(rel: list[int]) -> list[int]:
+    """Round in which each element is peeled off when the elements with
+    nothing left in ``rel[i]`` are removed round by round (Mirsky 1971): with
+    rel = below, the length of a longest chain ending at i."""
+    level = [0] * len(rel)
+    rest = list(range(len(rel)))
+    remaining = (1 << len(rel)) - 1
+    k = 0
+    while rest:
+        k += 1
+        peeled = [i for i in rest if not rel[i] & remaining]
+        for i in peeled:
+            level[i] = k
+            remaining ^= 1 << i
+        rest = [i for i in rest if not level[i]]
+    return level
 
 
 @dataclass
@@ -69,9 +103,24 @@ class DenseGraph:
         return out
 
     def complement(self) -> "DenseGraph":
+        """The complement as a raw graph: it is no inclusion graph, so it
+        keeps no masks and the containment solvers never run on it."""
         full = (1 << self.size) - 1
-        return DenseGraph(adj=[full & ~self.adj[i] & ~(1 << i) for i in range(self.size)],
-                          masks=self.masks)
+        return DenseGraph(adj=[full & ~self.adj[i] & ~(1 << i) for i in range(self.size)])
+
+    @cached_property
+    def containment(self) -> Containment:
+        """The containment order of an inclusion graph, built once per graph.
+
+        Vertices are sorted by (popcount, mask), so index order is a linear
+        extension of containment: a neighbour at a lower index is a strict
+        subset, one at a higher index a strict superset.
+        """
+        if self.masks is None:
+            raise ValueError("a raw graph has no containment order")
+        below = [a & ((1 << i) - 1) for i, a in enumerate(self.adj)]
+        above = [a >> (i + 1) << (i + 1) for i, a in enumerate(self.adj)]
+        return Containment(below, above, _mirsky_levels(below), _mirsky_levels(above))
 
 
 def dense_from_edges(n_vertices: int, edges) -> DenseGraph:
@@ -237,10 +286,6 @@ def build_boolean(n: int) -> InclusionGraph:
     if not 2 <= n <= MAX_BOOLEAN_N:
         raise OutOfRangeError(f"n must be in [2, {MAX_BOOLEAN_N}], got {n}")
     return InclusionGraph("boolean", n=n)
-
-
-def vertex_degree(g: InclusionGraph, v: int) -> int:
-    return g.degree(v)
 
 
 def minimal_ideal_coordinates(family: IdealFamily) -> tuple[int, tuple[int, ...]]:

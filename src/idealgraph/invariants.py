@@ -11,7 +11,6 @@ structure.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -140,50 +139,35 @@ def girth(g) -> int | float:
 
 
 # ---------------------------------------------------------------------------
-# chain / antichain machinery (containment order from vertex masks)
+# chain / antichain machinery (containment order from ``DenseGraph.containment``)
 
 
-def _predecessor_lists(dense: DenseGraph) -> list[list[int]]:
-    """For each vertex, the adjacent vertices whose mask is strictly contained."""
-    masks = dense.masks
-    preds: list[list[int]] = []
-    for i in range(dense.size):
-        mi = masks[i]
-        row = []
-        m = dense.adj[i]
-        while m:
-            b = m & -m
-            j = b.bit_length() - 1
-            m ^= b
-            if masks[j] & mi == masks[j] and masks[j] != mi:
-                row.append(j)
-        preds.append(row)
-    return preds
+def _bits(m: int) -> list[int]:
+    out = []
+    while m:
+        b = m & -m
+        out.append(b.bit_length() - 1)
+        m ^= b
+    return out
 
 
-def _chain_dp(dense: DenseGraph):
-    """down[i]: longest chain ending at i; up[i]: longest chain starting at i.
+def _chain(dense: DenseGraph, length: int) -> list[int]:
+    """The chain of ``length`` vertices that is smallest by mask at each step.
 
-    Vertices are sorted by (popcount, mask), so index order is a linear
-    extension of containment.
+    Each step takes the smallest-mask candidate that still starts a chain of
+    the remaining length; the first candidates are all vertices, later ones
+    the strict supersets of the previous step.
     """
-    preds = _predecessor_lists(dense)
-    n = dense.size
-    down = [1] * n
-    for i in range(n):
-        for j in preds[i]:
-            if down[j] + 1 > down[i]:
-                down[i] = down[j] + 1
-    up = [1] * n
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in preds[i]:
-            succs[j].append(i)
-    for i in range(n - 1, -1, -1):
-        for j in succs[i]:
-            if up[j] + 1 > up[i]:
-                up[i] = up[j] + 1
-    return down, up, succs
+    order = dense.containment
+    cands = range(dense.size)
+    chain: list[int] = []
+    while len(chain) < length:
+        need = length - len(chain)
+        cur = min((j for j in cands if order.up[j] >= need),
+                  key=dense.masks.__getitem__)
+        chain.append(cur)
+        cands = _bits(order.above[cur])
+    return chain
 
 
 def clique_number(g) -> tuple[int, tuple]:
@@ -199,17 +183,8 @@ def clique_number(g) -> tuple[int, tuple]:
     if dense.masks is None:
         size, members = _max_clique_bb(dense)
         return size, _labels(dense, sorted(members))
-    down, up, succs = _chain_dp(dense)
-    omega = max(down)
-    # Lexicographically smallest maximum chain: greedy by mask at each level.
-    start = min((i for i in range(dense.size) if up[i] == omega),
-                key=lambda i: dense.masks[i])
-    chain = [start]
-    cur = start
-    while up[cur] > 1:
-        cur = min((j for j in succs[cur] if up[j] == up[cur] - 1),
-                  key=lambda j: dense.masks[j])
-        chain.append(cur)
+    omega = max(dense.containment.down)
+    chain = _chain(dense, omega)
     if dense.size <= CLIQUE_CROSSCHECK_MAX:
         check, _ = _max_clique_bb(dense)
         if check != omega:
@@ -274,7 +249,7 @@ def chromatic_number(g) -> tuple[int, dict]:
     if dense.masks is None:
         k, colors = _exact_chromatic(dense)
         return k, {_label(dense, i): c for i, c in enumerate(colors)}
-    down, _, _ = _chain_dp(dense)
+    down = dense.containment.down
     chi = max(down)
     coloring = {dense.masks[i]: down[i] for i in range(dense.size)}
     if dense.size <= CHROMATIC_CROSSCHECK_MAX:
@@ -360,14 +335,10 @@ def independence_number(g) -> tuple[int, tuple]:
     if n == 0:
         return 0, ()
     if dense.masks is None:
-        size, members = _max_independent_exact(dense)
+        size, members = _max_clique_bb(dense.complement())
         return size, _labels(dense, sorted(members))
-    preds = _predecessor_lists(dense)
     # Left copy u -> right copy v for every comparable pair u < v.
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for u in preds[v]:
-            adj[u].append(v)
+    adj = [_bits(a) for a in dense.containment.above]
     size, match_l, match_r = hopcroft_karp(n, n, adj)
     alpha = n - size
     left_cover, right_cover = koenig_cover(n, n, adj, match_l, match_r)
@@ -379,16 +350,11 @@ def independence_number(g) -> tuple[int, tuple]:
             if (dense.adj[witness[a]] >> witness[b]) & 1:
                 raise RuntimeError("König antichain has comparable members")
     if n <= INDEPENDENCE_CROSSCHECK_MAX:
-        check, _ = _max_independent_exact(dense)
+        check, _ = _max_clique_bb(dense.complement())
         if check != alpha:
             raise RuntimeError(
                 f"independence cross-check failed: Dilworth {alpha}, search {check}")
     return alpha, _labels(dense, witness)
-
-
-def _max_independent_exact(dense: DenseGraph) -> tuple[int, list[int]]:
-    size, members = _max_clique_bb(dense.complement())
-    return size, members
 
 
 def maximum_matching(g) -> tuple[int, tuple, bool]:
@@ -544,19 +510,8 @@ def _kuratowski_edges(dense: DenseGraph, G: "nx.Graph") -> tuple:
     fall back to edge-deletion extraction, which re-tests planarity per
     edge and is only affordable on small graphs.
     """
-    if dense.masks is not None:
-        down, up, succs = _chain_dp(dense)
-        if max(down, default=0) >= 5:
-            start = min((i for i in range(dense.size) if up[i] >= 5),
-                        key=lambda i: dense.masks[i])
-            chain = [start]
-            cur = start
-            while len(chain) < 5:
-                cur = min((j for j in succs[cur] if up[j] >= 5 - len(chain)),
-                          key=lambda j: dense.masks[j])
-                chain.append(cur)
-            return tuple((min(a, b), max(a, b))
-                         for a, b in combinations(sorted(chain), 2))
+    if dense.masks is not None and max(dense.containment.down) >= 5:
+        return tuple(combinations(sorted(_chain(dense, 5)), 2))
     cert = nx.algorithms.planarity.get_counterexample(G)
     return tuple(sorted((min(u, v), max(u, v)) for u, v in cert.edges()))
 
@@ -696,11 +651,9 @@ class InvariantReport:
     perfect: bool | None
     witnesses: dict = field(default_factory=dict)
     methods: dict = field(default_factory=dict)
-    elapsed: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        """Stable-key-order dict; elapsed timings are intentionally omitted
-        so identical runs serialize identically."""
+        """Stable-key-order dict, so identical runs serialize identically."""
         def enc(x):
             if x is INFINITY:
                 return "inf"
@@ -737,6 +690,15 @@ def _jsonify(obj):
     return obj
 
 
+def default_perfect_max_len(n: int) -> int:
+    """Longest odd hole searched by default on n vertices.
+
+    Exhaustive only when cheap; the induced-path enumeration explodes on
+    large dense complements, so big graphs default to "unknown" (0).
+    """
+    return n if n <= 14 else (11 if n <= 32 else 0)
+
+
 def compute_report(g, *, perfect_max_len: int | None = None,
                    domination_cap: int = DOMINATION_CAP) -> InvariantReport:
     """Run every invariant on g and bundle the results."""
@@ -745,41 +707,32 @@ def compute_report(g, *, perfect_max_len: int | None = None,
     edge_count = sum(dense.degree(i) for i in range(n)) // 2
     witnesses: dict = {}
     methods: dict = {}
-    elapsed: dict = {}
 
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        elapsed[name] = time.perf_counter() - t0
-        return out
-
-    components, diameter = timed("connectivity", lambda: connectivity(dense))
+    components, diameter = connectivity(dense)
     methods["connectivity"] = "bitset-bfs"
-    gr = timed("girth", lambda: girth(dense))
+    gr = girth(dense)
     methods["girth"] = "per-vertex-bfs"
-    omega, clique = timed("clique", lambda: clique_number(dense))
+    omega, clique = clique_number(dense)
     methods["clique"] = ("chain-dp" if dense.masks is not None else "branch-and-bound")
     witnesses["clique"] = clique
-    chi, coloring = timed("chromatic", lambda: chromatic_number(dense))
+    chi, coloring = chromatic_number(dense)
     methods["chromatic"] = ("chain-layering" if dense.masks is not None else "exact-search")
     witnesses["coloring"] = coloring
-    alpha, antichain = timed("independence", lambda: independence_number(dense))
+    alpha, antichain = independence_number(dense)
     methods["independence"] = ("dilworth-matching" if dense.masks is not None
                                else "exact-search")
     witnesses["independent_set"] = antichain
-    mnum, pairs, perfect_matching = timed("matching", lambda: maximum_matching(dense))
+    mnum, pairs, perfect_matching = maximum_matching(dense)
     methods["matching"] = "blossom"
     witnesses["matching"] = pairs
     isolated = any(dense.degree(i) == 0 for i in range(n))
     edge_cover = None if (isolated or n == 0) else n - mnum
-    gamma, dom = timed("domination",
-                       lambda: domination_number(dense, cap=domination_cap))
+    gamma, dom = domination_number(dense, cap=domination_cap)
     methods["domination"] = "iterative-deepening-cover"
     witnesses["dominating_set"] = dom
-    eulerian, bipartite_flag, triangulated = timed(
-        "flags", lambda: structural_flags(dense))
+    eulerian, bipartite_flag, triangulated = structural_flags(dense)
     methods["flags"] = "bfs"
-    planar_res = timed("planarity", lambda: planarity(dense))
+    planar_res = planarity(dense)
     methods["planarity"] = "left-right"
     if planar_res.planar:
         witnesses["embedding"] = planar_res.embedding
@@ -789,12 +742,9 @@ def compute_report(g, *, perfect_max_len: int | None = None,
             "edges": planar_res.kuratowski_edges,
         }
     if perfect_max_len is None:
-        # Exhaustive only when cheap; the induced-path enumeration explodes
-        # on large dense complements, so big graphs default to "unknown".
-        perfect_max_len = n if n <= 14 else (11 if n <= 32 else 0)
+        perfect_max_len = default_perfect_max_len(n)
     if perfect_max_len > 0:
-        perfect, hole_witness = timed(
-            "perfectness", lambda: perfectness(dense, perfect_max_len))
+        perfect, hole_witness = perfectness(dense, perfect_max_len)
         methods["perfectness"] = f"odd-hole-search<=({perfect_max_len})"
         if hole_witness is not None:
             witnesses[hole_witness[0]] = hole_witness[1]
@@ -823,7 +773,6 @@ def compute_report(g, *, perfect_max_len: int | None = None,
         perfect=perfect,
         witnesses=witnesses,
         methods=methods,
-        elapsed=elapsed,
     )
     assert report.independence_number + report.vertex_cover_number == n
     assert report.clique_number <= report.chromatic_number

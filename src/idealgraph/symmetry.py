@@ -270,10 +270,10 @@ def _orbits(n_points: int, maps: list[tuple[int, ...]]) -> list[int]:
     return [find(i) for i in range(n_points)]
 
 
-def transitivity(g, cap: int = DEFAULT_AUT_CAP) -> tuple[bool, bool]:
-    """(vertex transitive, edge transitive) under the full automorphism group."""
-    dense = g.dense(cap) if isinstance(g, InclusionGraph) else g
-    report = automorphism_group(g, cap=cap)
+def transitivity(g, report: AutGroupReport) -> tuple[bool, bool]:
+    """(vertex transitive, edge transitive) of g, whose full automorphism
+    group ``report`` holds."""
+    dense = g.dense() if isinstance(g, InclusionGraph) else g
     n = dense.size
     maps = [a.images for a in report.generators]
     vertex_orbits = _orbits(n, maps)

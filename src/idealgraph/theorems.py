@@ -314,7 +314,7 @@ def _boolean_symmetry_checks(n: int, g, em: _Emitter, inst: str) -> None:
     em.emit("boolean-generators-span-group", inst, "theory",
             str(expected_order), str(span))
 
-    vt, et = transitivity(g)
+    vt, et = transitivity(g, report)
     em.emit("boolean-vertex-transitive-iff", inst, "theory",
             str(n in (2, 3)), str(vt))
     em.emit("boolean-edge-transitive-iff", inst, "theory",
@@ -371,15 +371,20 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
     cache: dict[int, tuple] = {}
 
     def data(t: CayleyTable):
+        """(family, graph, (components, diameter, girth)); the graph and its
+        distances are None when the family is truncated."""
         key = id(t)
         if key not in cache:
             fam = enumerate_left_ideals(t)
-            g = build_from_family(fam) if not fam.truncated else None
-            cache[key] = (fam, g)
+            if fam.truncated:
+                cache[key] = (fam, None, None)
+            else:
+                g = build_from_family(fam)
+                cache[key] = (fam, g, (*connectivity(g), girth(g)))
         return cache[key]
 
     def minimals_disjoint(t):
-        fam, _ = data(t)
+        fam, _, _ = data(t)
         if not fam.minimal_masks:
             return False, True, ""
         ms = fam.minimal_masks
@@ -395,7 +400,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
     def closure_vs_bruteforce(t):
         if t.order > 12:
             return False, True, ""
-        fam, _ = data(t)
+        fam, _, _ = data(t)
         brute = sorted(
             m for m in range(1, t.full_mask) if is_left_ideal(t, m))
         return True, sorted(fam.masks) == brute, f"order {t.order}: families differ"
@@ -404,7 +409,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, closure_vs_bruteforce)
 
     def maximality(t):
-        fam, _ = data(t)
+        fam, _, _ = data(t)
         if not fam.ideals:
             return False, True, ""
         masks = fam.masks
@@ -418,7 +423,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, maximality)
 
     def union_closed(t):
-        fam, _ = data(t)
+        fam, _, _ = data(t)
         if not fam.ideals:
             return False, True, ""
         masks = set(fam.masks)
@@ -433,10 +438,10 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, union_closed)
 
     def two_minimal_iff(t):
-        fam, g = data(t)
+        fam, g, dist = data(t)
         if g is None or g.vertex_count == 0:
             return False, True, ""
-        components, _ = connectivity(g)
+        components, _, _ = dist
         disconnected = components >= 2
         minimals = fam.minimal_masks
         union = 0
@@ -455,10 +460,10 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, two_minimal_iff)
 
     def disconnected_edgeless(t):
-        _, g = data(t)
+        _, g, dist = data(t)
         if g is None or g.vertex_count == 0:
             return False, True, ""
-        components, _ = connectivity(g)
+        components, _, _ = dist
         if components >= 2 and g.edge_count() != 0:
             return True, False, f"order {t.order}: disconnected with edges"
         return True, True, ""
@@ -467,10 +472,10 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, disconnected_edgeless)
 
     def diameter_bound(t):
-        _, g = data(t)
+        _, g, dist = data(t)
         if g is None or g.vertex_count == 0:
             return False, True, ""
-        components, diameter = connectivity(g)
+        components, diameter, _ = dist
         if components == 1 and diameter > 3:
             return True, False, f"order {t.order}: diameter {diameter}"
         return True, True, ""
@@ -479,10 +484,10 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, diameter_bound)
 
     def girth_class(t):
-        _, g = data(t)
+        _, g, dist = data(t)
         if g is None or g.vertex_count == 0:
             return False, True, ""
-        gv = girth(g)
+        _, _, gv = dist
         if gv not in (3, 6, float("inf")):
             return True, False, f"order {t.order}: girth {gv}"
         return True, True, ""
@@ -491,17 +496,17 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, girth_class)
 
     def no_45_girth(t):
-        _, g = data(t)
+        _, g, dist = data(t)
         if g is None or g.vertex_count == 0:
             return False, True, ""
-        gv = girth(g)
+        _, _, gv = dist
         return True, gv not in (4, 5), f"order {t.order}: girth {gv}"
 
     _aggregate(em, "graph-no-4-5-girth", label, "theory",
                "0 counterexamples", tables, no_45_girth)
 
     def perfect_bounded(t):
-        _, g = data(t)
+        _, g, _ = data(t)
         if g is None or g.vertex_count == 0:
             return False, True, ""
         if g.vertex_count > 20:
@@ -513,7 +518,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, perfect_bounded)
 
     def clique_union_criterion(t):
-        fam, g = data(t)
+        fam, g, _ = data(t)
         if g is None or not fam.ideals:
             return False, True, ""
         minimals = fam.minimal_masks
@@ -534,7 +539,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
 
     def planar_minimals(t):
         # Contrapositive: more than 4 minimal ideals forces nonplanarity.
-        fam, g = data(t)
+        fam, g, _ = data(t)
         if g is None or len(fam.minimal_masks) <= 4:
             return False, True, ""
         if planarity(g).planar:
@@ -545,7 +550,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, planar_minimals)
 
     def cs_boolean_model(t):
-        fam, g = data(t)
+        fam, g, _ = data(t)
         if g is None or not is_completely_simple(t) or not fam.ideals:
             return False, True, ""
         try:
@@ -627,15 +632,13 @@ def builtin_corpus() -> tuple[list[CayleyTable], str]:
 
 def run_suite(boolean_ns=None, corpus: list[CayleyTable] | None = None,
               corpus_label: str = "corpus", include_named: bool | None = None,
-              seed: int = 0, corrupt_check_id: str | None = None) -> SuiteResult:
+              corrupt_check_id: str | None = None) -> SuiteResult:
     """Run the registered checks.
 
     With no arguments (``scope all``): Boolean sizes 2..8, the built-in
     corpus, and the named instances. Passing ``boolean_ns`` or ``corpus``
-    narrows the scope to just that part. ``seed`` is recorded for
-    reproducibility; the current checks are fully deterministic.
+    narrows the scope to just that part. Every check is deterministic.
     """
-    del seed  # all built-in checks are deterministic; kept for CLI symmetry
     em = _Emitter(corrupt_check_id=corrupt_check_id)
     scope_all = boolean_ns is None and corpus is None
     if scope_all:

@@ -215,7 +215,8 @@ def test_11_automorphisms():
 def test_12_transitivity():
     with criterion("vertex/edge transitivity exactly at n=2,3 (n=2..6)"):
         for n in range(2, 7):
-            vt, et = transitivity(build_boolean(n))
+            g = build_boolean(n)
+            vt, et = transitivity(g, automorphism_group(g))
             assert vt == (n in (2, 3))
             assert et == (n in (2, 3))
 

@@ -19,7 +19,6 @@ from idealgraph import (
     null_semigroup,
     rectangular_band,
     right_zero,
-    vertex_degree,
 )
 
 
@@ -89,10 +88,10 @@ def test_boolean_edge_count_closed_form():
 
 def test_vertex_degree_formula_examples():
     g4 = build_boolean(4)
-    assert vertex_degree(g4, 0b0001) == 6
-    assert vertex_degree(g4, 0b0011) == 4
+    assert g4.degree(0b0001) == 6
+    assert g4.degree(0b0011) == 4
     g5 = build_boolean(5)
-    assert vertex_degree(g5, 0b00011) == 8
+    assert g5.degree(0b00011) == 8
 
 
 def test_vertex_degree_counts_match_neighbors():
@@ -105,9 +104,9 @@ def test_vertex_degree_counts_match_neighbors():
 def test_vertex_degree_unknown_vertex():
     g = build_boolean(3)
     with pytest.raises(UnknownVertexError):
-        vertex_degree(g, 0b111)
+        g.degree(0b111)
     with pytest.raises(UnknownVertexError):
-        vertex_degree(g, 0)
+        g.degree(0)
 
 
 def test_equal_popcount_never_adjacent():

@@ -1,5 +1,6 @@
 """Exact invariants against closed forms and independent networkx oracles."""
 
+import functools
 import itertools
 import json
 import math
@@ -9,6 +10,8 @@ import networkx as nx
 import pytest
 
 from idealgraph import (
+    DenseGraph,
+    InclusionGraph,
     TooLargeError,
     build_boolean,
     build_from_family,
@@ -128,6 +131,72 @@ def test_clique_raw_graph():
     size, members = clique_number(dense_from_edges(4, edges))
     assert size == 3
     assert set(members) == {0, 1, 2}
+
+
+def test_containment_order_against_masks():
+    # Direct mask comparisons and a longest-chain recursion over them are the
+    # reference for the bitset view read off the adjacency.
+    rng = random.Random(1618)
+    graphs = [build_boolean(n) for n in (2, 3, 4, 5)] + sample_graphs()[4:]
+    for _ in range(20):
+        universe = (1 << rng.randint(3, 7)) - 1
+        graphs.append(InclusionGraph("generic", vertices=tuple(
+            {rng.randint(1, universe - 1) for _ in range(rng.randint(2, 20))})))
+    for g in graphs:
+        dense = g.dense()
+        masks = dense.masks
+        order = dense.containment
+        inside = [{j for j, mj in enumerate(masks) if mj & mi == mj and mj != mi}
+                  for mi in masks]
+
+        @functools.cache
+        def down(i):
+            return 1 + max((down(j) for j in inside[i]), default=0)
+
+        @functools.cache
+        def up(i):
+            return 1 + max((up(j) for j in range(len(masks)) if i in inside[j]),
+                           default=0)
+
+        for i in range(len(masks)):
+            assert order.below[i] == sum(1 << j for j in inside[i])
+            assert order.above[i] == sum(1 << j for j in range(len(masks))
+                                         if i in inside[j])
+            assert (order.down[i], order.up[i]) == (down(i), up(i))
+
+
+def test_containment_built_once_per_graph(monkeypatch):
+    built = []
+    build = DenseGraph.containment.func
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(DenseGraph, "containment")
+    monkeypatch.setattr(DenseGraph, "containment", prop)
+    dense = build_boolean(6).dense()  # nonplanar with a 5-chain: K5 from the order
+    clique_number(dense)
+    chromatic_number(dense)
+    independence_number(dense)
+    assert planarity(dense).kuratowski_kind == "K5"
+    assert built == [dense]
+
+
+def test_containment_refuses_raw_graphs():
+    with pytest.raises(ValueError):
+        dense_from_edges(3, [(0, 1)]).containment
+
+
+def test_complement_is_a_raw_graph():
+    # The complement of an inclusion graph has no containment structure: its
+    # cliques are the antichains of the original graph.
+    for n in (6, 7):
+        g = build_boolean(n)
+        complement = g.dense().complement()
+        assert complement.masks is None
+        assert clique_number(complement)[0] == independence_number(g)[0]
 
 
 # --- chromatic ---------------------------------------------------------------

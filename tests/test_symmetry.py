@@ -205,10 +205,10 @@ def test_vertex_orbits_are_mirrored_layers():
 
 
 def test_transitivity():
-    assert transitivity(build_boolean(2)) == (True, True)
-    assert transitivity(build_boolean(3)) == (True, True)
-    assert transitivity(build_boolean(4)) == (False, False)
-    assert transitivity(build_boolean(5)) == (False, False)
+    for n, want in ((2, (True, True)), (3, (True, True)),
+                    (4, (False, False)), (5, (False, False))):
+        g = build_boolean(n)
+        assert transitivity(g, automorphism_group(g)) == want
 
 
 def test_generic_graph_group():
