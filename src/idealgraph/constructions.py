@@ -161,7 +161,8 @@ def normalize_independent_set(n: int, vertices) -> frozenset[int]:
     cur = set(U)
     for k in range(1, p):
         phi = layer_matching(n, k)
-        assert phi.covers == "lower"
+        if phi.covers != "lower":
+            raise RuntimeError(f"layer matching {k} -> {k + 1} does not cover layer {k}")
         mapping = phi.as_map()
         in_layer = {m for m in cur if m.bit_count() == k}
         cur = (cur - in_layer) | {mapping[m] for m in in_layer}
@@ -169,13 +170,15 @@ def normalize_independent_set(n: int, vertices) -> frozenset[int]:
             raise RuntimeError("rising pass broke the antichain invariant")
     for k in range(n - 2, p - 1, -1):
         phi = layer_matching(n, k)
-        assert phi.covers == "upper"
+        if phi.covers != "upper":
+            raise RuntimeError(f"layer matching {k} -> {k + 1} does not cover layer {k + 1}")
         mapping = phi.as_map()
         in_layer = {m for m in cur if m.bit_count() == k + 1}
         cur = (cur - in_layer) | {mapping[m] for m in in_layer}
         if len(cur) != len(U) or not _is_antichain(cur):
             raise RuntimeError("falling pass broke the antichain invariant")
-    assert all(m.bit_count() == p for m in cur)
+    if any(m.bit_count() != p for m in cur):
+        raise RuntimeError(f"normalized set left layer {p}")
     return frozenset(cur)
 
 

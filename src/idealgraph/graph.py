@@ -13,7 +13,6 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import OutOfRangeError, TooLargeError, TruncatedFamilyError, UnknownVertexError
@@ -26,9 +25,23 @@ MAX_BOOLEAN_N = 62
 def vertex_cap() -> int:
     """Hard cap on materialized vertex counts; IDEALGRAPH_MAX_VERTICES overrides."""
     env = os.environ.get("IDEALGRAPH_MAX_VERTICES")
-    if env:
-        return int(env)
-    return DEFAULT_VERTEX_CAP
+    if not env:
+        return DEFAULT_VERTEX_CAP
+    cap = int(env) if env.strip().isdecimal() else 0
+    if cap < 1:
+        raise OutOfRangeError(
+            f"IDEALGRAPH_MAX_VERTICES must be a positive integer, got {env!r}")
+    return cap
+
+
+def bits(m: int) -> list[int]:
+    """Positions of the set bits of ``m``, lowest first."""
+    out = []
+    while m:
+        b = m & -m
+        out.append(b.bit_length() - 1)
+        m ^= b
+    return out
 
 
 class Containment(NamedTuple):
@@ -80,13 +93,7 @@ class DenseGraph:
         return len(self.adj)
 
     def neighbors_of(self, i: int) -> list[int]:
-        out = []
-        m = self.adj[i]
-        while m:
-            b = m & -m
-            out.append(b.bit_length() - 1)
-            m ^= b
-        return out
+        return bits(self.adj[i])
 
     def degree(self, i: int) -> int:
         return self.adj[i].bit_count()
@@ -132,6 +139,32 @@ def dense_from_edges(n_vertices: int, edges) -> DenseGraph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return DenseGraph(adj=adj)
+
+
+def _containment_adjacency(masks: tuple[int, ...]) -> list[int]:
+    """Adjacency bitsets of strict containment among distinct masks.
+
+    Works on element columns: the bitset of the vertices that hold one
+    element, with equal columns merged. Vertex j contains i iff j lies in
+    every column that holds i, and j lies inside i iff j lies in no column
+    that misses i.
+    """
+    cols = [0] * max(masks, default=0).bit_length()
+    for i, m in enumerate(masks):
+        for e in bits(m):
+            cols[e] |= 1 << i
+    everyone = (1 << len(masks)) - 1
+    distinct = set(cols)
+    adj = []
+    for i in range(len(masks)):
+        supersets, outside = everyone, 0
+        for c in distinct:
+            if c >> i & 1:
+                supersets &= c
+            else:
+                outside |= c
+        adj.append((supersets | everyone & ~outside) ^ (1 << i))
+    return adj
 
 
 def _mask_sort_key(mask: int) -> tuple[int, int]:
@@ -244,33 +277,14 @@ class InclusionGraph:
         return sum(self.degree(v) for v in self.vertices()) // 2
 
     def dense(self, cap: int | None = None) -> DenseGraph:
-        """Materialize adjacency bitsets; refuses above the vertex cap."""
-        if self._dense is not None:
-            return self._dense
+        """Materialize adjacency bitsets once; refuses above the vertex cap."""
         limit = cap if cap is not None else vertex_cap()
         if self.vertex_count > limit:
             raise TooLargeError(
                 f"{self.vertex_count} vertices exceed the cap of {limit}")
-        masks = tuple(self.vertices())
-        idx = {m: i for i, m in enumerate(masks)}
-        adj = [0] * len(masks)
-        if self.mode == "boolean":
-            for m in masks:
-                i = idx[m]
-                s = (m - 1) & m
-                while s:
-                    j = idx[s]
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    s = (s - 1) & m
-        else:
-            for a, b in combinations(range(len(masks)), 2):
-                u, v = masks[a], masks[b]
-                uv = u & v
-                if uv == u or uv == v:
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-        self._dense = DenseGraph(adj=adj, masks=masks)
+        if self._dense is None:
+            masks = tuple(self.vertices())
+            self._dense = DenseGraph(adj=_containment_adjacency(masks), masks=masks)
         return self._dense
 
 

@@ -19,7 +19,7 @@ import networkx as nx
 
 from .bipartite import hopcroft_karp, koenig_cover
 from .errors import TooLargeError
-from .graph import DenseGraph
+from .graph import DenseGraph, bits
 from .matching import matching_edges, maximum_matching_adj
 
 INFINITY = math.inf
@@ -142,15 +142,6 @@ def girth(g) -> int | float:
 # chain / antichain machinery (containment order from ``DenseGraph.containment``)
 
 
-def _bits(m: int) -> list[int]:
-    out = []
-    while m:
-        b = m & -m
-        out.append(b.bit_length() - 1)
-        m ^= b
-    return out
-
-
 def _chain(dense: DenseGraph, length: int) -> list[int]:
     """The chain of ``length`` vertices that is smallest by mask at each step.
 
@@ -166,7 +157,7 @@ def _chain(dense: DenseGraph, length: int) -> list[int]:
         cur = min((j for j in cands if order.up[j] >= need),
                   key=dense.masks.__getitem__)
         chain.append(cur)
-        cands = _bits(order.above[cur])
+        cands = bits(order.above[cur])
     return chain
 
 
@@ -338,7 +329,7 @@ def independence_number(g) -> tuple[int, tuple]:
         size, members = _max_clique_bb(dense.complement())
         return size, _labels(dense, sorted(members))
     # Left copy u -> right copy v for every comparable pair u < v.
-    adj = [_bits(a) for a in dense.containment.above]
+    adj = [bits(a) for a in dense.containment.above]
     size, match_l, match_r = hopcroft_karp(n, n, adj)
     alpha = n - size
     left_cover, right_cover = koenig_cover(n, n, adj, match_l, match_r)
@@ -774,8 +765,10 @@ def compute_report(g, *, perfect_max_len: int | None = None,
         witnesses=witnesses,
         methods=methods,
     )
-    assert report.independence_number + report.vertex_cover_number == n
-    assert report.clique_number <= report.chromatic_number
-    if edge_cover is not None:
-        assert report.matching_number + edge_cover == n
+    if report.independence_number + report.vertex_cover_number != n:
+        raise RuntimeError("identity failed: independence + vertex cover != order")
+    if report.clique_number > report.chromatic_number:
+        raise RuntimeError("identity failed: clique number exceeds chromatic number")
+    if edge_cover is not None and report.matching_number + edge_cover != n:
+        raise RuntimeError("identity failed: matching + edge cover != order")
     return report

@@ -8,6 +8,7 @@ operations are integer bit operations throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 from .errors import NotAssociativeError, TableSyntaxError
 
@@ -46,9 +47,15 @@ class CayleyTable:
     def mul(self, a: int, b: int) -> int:
         return self.rows[a][b]
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.order) - 1
+
+    @cached_property
+    def principal_masks(self) -> tuple[int, ...]:
+        """``principal_masks[a]`` is the principal left ideal S*a together with a."""
+        return tuple(sum(1 << x for x in {a, *col})
+                     for a, col in enumerate(zip(*self.rows)))
 
 
 def _check_associative(m: int, rows) -> None:
@@ -122,7 +129,7 @@ class LeftIdeal:
 
     @staticmethod
     def from_mask(t: CayleyTable, mask: int) -> "LeftIdeal":
-        return LeftIdeal(mask, _popcount(mask), mask != t.full_mask)
+        return LeftIdeal(mask, mask.bit_count(), mask != t.full_mask)
 
 
 @dataclass(frozen=True)
@@ -161,22 +168,11 @@ class IdealFamily:
         return tuple(self.ideals[i].members for i in self.maximal_indices)
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def principal_left_ideal(t: CayleyTable, a: int) -> LeftIdeal:
     """Smallest left ideal containing ``a``: S*a together with a itself."""
     if not 0 <= a < t.order:
         raise ValueError(f"element {a} out of range")
-    return LeftIdeal.from_mask(t, _principal_mask(t, a))
-
-
-def _principal_mask(t: CayleyTable, a: int) -> int:
-    mask = 1 << a
-    for s in range(t.order):
-        mask |= 1 << t.rows[s][a]
-    return mask
+    return LeftIdeal.from_mask(t, t.principal_masks[a])
 
 
 def is_left_ideal(t: CayleyTable, mask: int) -> bool:
@@ -196,16 +192,20 @@ def is_left_ideal(t: CayleyTable, mask: int) -> bool:
 
 def l_classes(t: CayleyTable) -> list[LClass]:
     """Partition of the elements by equality of their principal left ideals."""
-    by_ideal: dict[int, int] = {}
-    for a in range(t.order):
-        key = _principal_mask(t, a)
-        by_ideal[key] = by_ideal.get(key, 0) | (1 << a)
     classes = [
         LClass(representative=(members & -members).bit_length() - 1, members=members)
-        for members in by_ideal.values()
+        for members in _generators(t).values()
     ]
     classes.sort(key=lambda c: c.representative)
     return classes
+
+
+def _generators(t: CayleyTable) -> dict[int, int]:
+    """Each principal left ideal, mapped to the elements that generate it."""
+    by_ideal: dict[int, int] = {}
+    for a, key in enumerate(t.principal_masks):
+        by_ideal[key] = by_ideal.get(key, 0) | (1 << a)
+    return by_ideal
 
 
 def enumerate_left_ideals(t: CayleyTable, cap: int = DEFAULT_IDEAL_CAP) -> IdealFamily:
@@ -215,11 +215,18 @@ def enumerate_left_ideals(t: CayleyTable, cap: int = DEFAULT_IDEAL_CAP) -> Ideal
     closure of the distinct principal ideals is the whole family. S itself
     is excluded. Stops with ``truncated=True`` once ``cap`` distinct
     nontrivial ideals have been found.
+
+    The same fact gives the minimal and maximal members without comparing
+    ideals pairwise: an ideal is minimal iff it is a principal ideal
+    generated by each of its elements, and X is maximal iff X | p is X or S
+    for every principal ideal p. On a truncated family these are the
+    members that are minimal or maximal nontrivial left ideals of S.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     full = t.full_mask
-    principals = sorted({_principal_mask(t, a) for a in range(t.order)})
+    generators = _generators(t)
+    principals = sorted(generators)
     found: set[int] = set(p for p in principals if p != full)
     truncated = len(found) > cap
     if truncated:
@@ -235,20 +242,13 @@ def enumerate_left_ideals(t: CayleyTable, cap: int = DEFAULT_IDEAL_CAP) -> Ideal
                     break
                 found.add(y)
                 queue.append(y)
-    masks = sorted(found, key=lambda m: (_popcount(m), m))
-    ideals = tuple(LeftIdeal.from_mask(t, m) for m in masks)
-    minimal = []
-    maximal = []
-    for i, mi in enumerate(masks):
-        if not any(mj != mi and mj & mi == mj for mj in masks):
-            minimal.append(i)
-        if not any(mj != mi and mj & mi == mi for mj in masks):
-            maximal.append(i)
+    masks = sorted(found, key=lambda m: (m.bit_count(), m))
     return IdealFamily(
         order=t.order,
-        ideals=ideals,
-        minimal_indices=tuple(minimal),
-        maximal_indices=tuple(maximal),
+        ideals=tuple(LeftIdeal.from_mask(t, m) for m in masks),
+        minimal_indices=tuple(i for i, x in enumerate(masks) if generators.get(x) == x),
+        maximal_indices=tuple(i for i, x in enumerate(masks)
+                              if all(x | p in (x, full) for p in principals)),
         truncated=truncated,
     )
 
@@ -259,10 +259,9 @@ def is_maximal_left_ideal(t: CayleyTable, k: LeftIdeal | int) -> bool:
     if not is_left_ideal(t, mask) or mask == t.full_mask:
         raise ValueError("argument must be a nontrivial left ideal")
     rest = t.full_mask & ~mask
-    for c in l_classes(t):
-        if c.members == rest:
-            return True
-    return False
+    pm = t.principal_masks
+    a = (rest & -rest).bit_length() - 1
+    return sum(1 << b for b, p in enumerate(pm) if p == pm[a]) == rest
 
 
 def _two_sided_closure(t: CayleyTable, a: int) -> int:
@@ -286,13 +285,13 @@ def idempotents(t: CayleyTable) -> list[int]:
 def is_completely_simple(t: CayleyTable) -> bool:
     """True when S has no proper two-sided ideal and a primitive idempotent.
 
-    An idempotent e is primitive when no other idempotent f satisfies
+    The product of all elements lies in every two-sided ideal, so the ideal
+    it generates is the least one (the kernel), and S is simple iff that is
+    S. An idempotent e is primitive when no other idempotent f satisfies
     ef = fe = f.
     """
-    full = t.full_mask
-    for a in range(t.order):
-        if _two_sided_closure(t, a) != full:
-            return False
+    if _two_sided_closure(t, reduce(t.mul, range(t.order))) != t.full_mask:
+        return False
     es = idempotents(t)
     for e in es:
         if not any(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import NotAPermutationError, TooLargeError
-from .graph import DenseGraph, InclusionGraph, build_boolean
+from .graph import DenseGraph, InclusionGraph, bits, build_boolean
 
 DEFAULT_AUT_CAP = 1 << 12
 
@@ -128,16 +128,8 @@ def _refine_colors(dense: DenseGraph) -> list[int]:
     n = dense.size
     color = [dense.degree(i) for i in range(n)]
     while True:
-        sig = []
-        for i in range(n):
-            nb = []
-            m = dense.adj[i]
-            while m:
-                b = m & -m
-                nb.append(color[b.bit_length() - 1])
-                m ^= b
-            nb.sort()
-            sig.append((color[i], tuple(nb)))
+        sig = [(color[i], tuple(sorted(color[j] for j in bits(dense.adj[i]))))
+               for i in range(n)]
         remap: dict = {}
         new = []
         for s in sig:

@@ -21,7 +21,7 @@ from . import catalog
 from .constructions import (canonical_dominating_set, canonical_maximum_chain,
                             layer_matching, perfect_matching)
 from .errors import CorpusLoadError
-from .graph import build_boolean, build_from_family, minimal_ideal_coordinates
+from .graph import bits, build_boolean, build_from_family, minimal_ideal_coordinates
 from .invariants import (chromatic_number, clique_number, connectivity,
                          domination_number, girth, independence_number,
                          maximum_matching, perfectness, planarity,
@@ -283,16 +283,8 @@ def _boolean_symmetry_checks(n: int, g, em: _Emitter, inst: str) -> None:
     comp = complement_automorphism(n)
 
     def preserves(a) -> bool:
-        for i in range(dense.size):
-            ai = a.images[i]
-            m = dense.adj[i]
-            while m:
-                b = m & -m
-                j = b.bit_length() - 1
-                m ^= b
-                if not (dense.adj[ai] >> a.images[j]) & 1:
-                    return False
-        return True
+        return all((dense.adj[a.images[i]] >> a.images[j]) & 1
+                   for i in range(dense.size) for j in bits(dense.adj[i]))
 
     commute = compose(swap, comp).images == compose(comp, swap).images
     ok = preserves(swap) and preserves(cycle) and preserves(comp) and commute

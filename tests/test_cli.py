@@ -202,3 +202,12 @@ def test_max_vertices_cap(capsys):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "exceed" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_bad_max_vertices_environment(value, monkeypatch, capsys):
+    monkeypatch.setenv("IDEALGRAPH_MAX_VERTICES", value)
+    assert main(["graph", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: IDEALGRAPH_MAX_VERTICES must be a positive integer, "
+                   f"got {value!r}\n")

@@ -1,5 +1,6 @@
 """Layer matchings, the middle-layer normalization, and canonical objects."""
 
+import dataclasses
 import math
 import random
 
@@ -96,6 +97,20 @@ def test_normalize_examples():
     out = normalize_independent_set(5, [0b01111])
     assert len(out) == 1
     assert next(iter(out)).bit_count() == 2
+
+
+def test_normalize_checks_the_layer_matching(monkeypatch):
+    # The matching's covering side is checked with a raise, not an assert,
+    # so the check survives python -O.
+    from idealgraph import constructions
+
+    def flipped(n, k):
+        phi = layer_matching(n, k)
+        return dataclasses.replace(phi, covers="upper" if phi.covers == "lower" else "lower")
+
+    monkeypatch.setattr(constructions, "layer_matching", flipped)
+    with pytest.raises(RuntimeError, match="does not cover"):
+        normalize_independent_set(6, [0b000001])
 
 
 def test_normalize_rejects_non_antichain():

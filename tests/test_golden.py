@@ -4,7 +4,8 @@ The files under ``data/golden`` pin every witness and colouring, not only
 the invariant values: a solver change that picks a different (still valid)
 chain, antichain, Kuratowski subgraph or automorphism generator fails here.
 The rectangular band's K5 witness comes from the containment chain, not
-from networkx.
+from networkx; its ``ideals`` output pins the order of the minimal and
+maximal lists, and the Boolean ``graph`` output pins the edge order.
 """
 
 from pathlib import Path
@@ -22,6 +23,8 @@ CASES = {
     "invariants_band2x6_all": ["invariants", str(DATA / "rectangular_band_2x6.txt"),
                                "--all"],
     "aut_n5": ["aut", "--n", "5"],
+    "ideals_band2x6": ["ideals", str(DATA / "rectangular_band_2x6.txt")],
+    "graph_n4": ["graph", "--n", "4", "--format", "json"],
 }
 
 

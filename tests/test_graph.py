@@ -4,8 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealgraph import (
+    InclusionGraph,
     OutOfRangeError,
     TooLargeError,
     TruncatedFamilyError,
@@ -190,6 +193,58 @@ def test_export_deterministic():
 def test_dense_cap_enforced():
     with pytest.raises(TooLargeError):
         build_boolean(24).dense(cap=1000)
+
+
+def test_dense_cap_enforced_after_caching():
+    g = build_boolean(10)
+    assert g.dense().size == 1022
+    with pytest.raises(TooLargeError):
+        g.dense(cap=10)
+    assert g.dense(cap=1022) is g.dense()
+
+
+def pairwise_adjacency(masks):
+    """Oracle: two distinct masks are adjacent iff one contains the other."""
+    return [sum(1 << j for j, v in enumerate(masks) if j != i and u & v in (u, v))
+            for i, u in enumerate(masks)]
+
+
+def union_closure(generators):
+    family = set(generators)
+    frontier = list(family)
+    while frontier:
+        x = frontier.pop()
+        for p in generators:
+            if x | p not in family:
+                family.add(x | p)
+                frontier.append(x | p)
+    return family
+
+
+masks_st = st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(masks_st)
+def test_dense_matches_pairwise_scan(masks):
+    dense = InclusionGraph("generic", vertices=tuple(masks)).dense()
+    assert dense.adj == pairwise_adjacency(dense.masks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=(1 << 8) - 1), min_size=1, max_size=6))
+def test_dense_matches_pairwise_scan_on_union_closed_families(generators):
+    dense = InclusionGraph("generic", vertices=tuple(union_closure(generators))).dense()
+    assert dense.adj == pairwise_adjacency(dense.masks)
+
+
+def test_boolean_dense_matches_adjacent():
+    for n in range(2, 9):
+        g = build_boolean(n)
+        dense = g.dense()
+        for i, u in enumerate(dense.masks):
+            want = sum(1 << j for j, v in enumerate(dense.masks) if g.adjacent(u, v))
+            assert dense.adj[i] == want
 
 
 def test_degree_closed_form_for_huge_layers():

@@ -536,3 +536,19 @@ def test_report_json_stable():
     assert list(doc)[:6] == ["vertex_count", "edge_count", "connected",
                              "components", "diameter", "girth"]
     assert "elapsed" not in doc
+
+
+def test_report_identity_is_a_real_check(monkeypatch):
+    # A broken solver must fail the identity check even under python -O,
+    # so the check raises instead of asserting.
+    from idealgraph import invariants
+
+    real = invariants.chromatic_number
+
+    def one_colour_short(dense):
+        chi, coloring = real(dense)
+        return chi - 1, coloring
+
+    monkeypatch.setattr(invariants, "chromatic_number", one_colour_short)
+    with pytest.raises(RuntimeError, match="clique number exceeds chromatic number"):
+        compute_report(build_boolean(4))

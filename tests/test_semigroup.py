@@ -1,7 +1,10 @@
 """Cayley table parsing and the left-ideal machinery."""
 
+import functools
+
 import pytest
 
+from idealgraph import semigroup
 from idealgraph import (
     CayleyTable,
     NotAssociativeError,
@@ -33,6 +36,40 @@ def brute_left_ideals(t):
         if all((mask >> t.rows[s][a]) & 1 for a in members for s in range(t.order)):
             out.append(mask)
     return sorted(out)
+
+
+@functools.cache
+def oracle_tables():
+    """Every labeled table of order <= 4 plus the named instances."""
+    tables = [t for m in range(1, 5) for t in enumerate_associative_tables(m)]
+    for make in (right_zero, left_zero, null_semigroup, cyclic_group,
+                 right_zero_with_identity):
+        tables += [make(k) for k in range(1, 7)]
+    tables += [rectangular_band(r, c) for r, c in ((2, 3), (3, 2), (2, 6), (3, 3))]
+    return tables
+
+
+def pairwise_extremes(masks):
+    """Oracle: minimal and maximal members by comparing every pair."""
+    minimal = tuple(i for i, x in enumerate(masks)
+                    if not any(y != x and y & x == y for y in masks))
+    maximal = tuple(i for i, x in enumerate(masks)
+                    if not any(y != x and y & x == x for y in masks))
+    return minimal, maximal
+
+
+def completely_simple_by_definition(t):
+    """Oracle: every element generates S as a two-sided ideal (S^1 a S^1),
+    and some idempotent has no other idempotent below it."""
+    m = t.order
+    for a in range(m):
+        ideal = {a} | {t.mul(s, a) for s in range(m)} | {t.mul(a, s) for s in range(m)}
+        ideal |= {t.mul(t.mul(s, a), u) for s in range(m) for u in range(m)}
+        if len(ideal) != m:
+            return False
+    es = [e for e in range(m) if t.mul(e, e) == e]
+    return any(all(f == e or t.mul(e, f) != f or t.mul(f, e) != f for f in es)
+               for e in es)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -114,6 +151,15 @@ def test_principal_ideal_group_is_everything():
     t = cyclic_group(3)
     for a in range(3):
         assert principal_left_ideal(t, a).members == t.full_mask
+
+
+def test_principal_masks_computed_once():
+    t = rectangular_band(2, 3)
+    assert t.principal_masks is t.principal_masks
+    for a in range(t.order):
+        want = functools.reduce(lambda acc, s: acc | 1 << t.rows[s][a],
+                                range(t.order), 1 << a)
+        assert t.principal_masks[a] == want
 
 
 def test_l_classes():
@@ -206,6 +252,36 @@ def test_maximality_agrees_with_family_everywhere():
             assert is_maximal_left_ideal(t, m) == (m in maximal)
 
 
+def test_extremes_match_pairwise_scan():
+    for t in oracle_tables():
+        fam = enumerate_left_ideals(t)
+        assert (fam.minimal_indices, fam.maximal_indices) == pairwise_extremes(fam.masks)
+
+
+def test_truncated_family_lists_only_true_extremes():
+    # A capped prefix lacks some ideals, so its maximal list holds only the
+    # members that are maximal left ideals of S, not every member with no
+    # superset in the prefix.
+    t = right_zero(5)
+    full = enumerate_left_ideals(t)
+    for cap in (1, 7, 20):
+        fam = enumerate_left_ideals(t, cap=cap)
+        assert fam.truncated
+        assert set(fam.minimal_masks) == set(full.minimal_masks) & set(fam.masks)
+        assert set(fam.maximal_masks) == set(full.maximal_masks) & set(fam.masks)
+
+
+def test_maximality_needs_no_l_class_partition(monkeypatch):
+    def refuse(t):
+        raise AssertionError("l_classes must not be called")
+    monkeypatch.setattr(semigroup, "l_classes", refuse)
+    for t in oracle_tables():
+        fam = enumerate_left_ideals(t)
+        maximal = set(fam.maximal_masks)
+        for m in fam.masks:
+            assert is_maximal_left_ideal(t, m) == (m in maximal)
+
+
 def test_minimal_ideals_pairwise_disjoint():
     for t in [right_zero(4), null_semigroup(4), right_zero_with_identity(4),
               rectangular_band(2, 3), rectangular_band(3, 2)]:
@@ -239,6 +315,13 @@ def test_completely_simple_examples():
     assert not is_completely_simple(null_semigroup(2))
     assert not is_completely_simple(null_semigroup(3))
     assert not is_completely_simple(right_zero_with_identity(3))
+
+
+def test_completely_simple_matches_definition():
+    tables = oracle_tables()
+    verdicts = [is_completely_simple(t) for t in tables]
+    assert verdicts == [completely_simple_by_definition(t) for t in tables]
+    assert any(verdicts) and not all(verdicts)
 
 
 # --- tiny-table enumeration ------------------------------------------------
