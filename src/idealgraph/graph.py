@@ -27,7 +27,10 @@ def vertex_cap() -> int:
     env = os.environ.get("IDEALGRAPH_MAX_VERTICES")
     if not env:
         return DEFAULT_VERTEX_CAP
-    cap = int(env) if env.strip().isdecimal() else 0
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
     if cap < 1:
         raise OutOfRangeError(
             f"IDEALGRAPH_MAX_VERTICES must be a positive integer, got {env!r}")

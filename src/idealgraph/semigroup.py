@@ -145,8 +145,10 @@ class IdealFamily:
     """All nontrivial left ideals of a semigroup (or a capped prefix of them).
 
     ``ideals`` is deduplicated and sorted by (cardinality, mask).
-    ``minimal_indices`` / ``maximal_indices`` point at the minimal and maximal
-    members of the family under inclusion.
+    ``minimal_indices`` / ``maximal_indices`` point at the members that are
+    minimal and maximal nontrivial left ideals of S. On a complete family
+    these are its minimal and maximal members under inclusion; a truncated
+    prefix lists only the true extremes it happens to hold.
     """
 
     order: int
@@ -256,10 +258,11 @@ def enumerate_left_ideals(t: CayleyTable, cap: int = DEFAULT_IDEAL_CAP) -> Ideal
 def is_maximal_left_ideal(t: CayleyTable, k: LeftIdeal | int) -> bool:
     """Maximality test: a left ideal is maximal iff its complement is one L-class."""
     mask = k.members if isinstance(k, LeftIdeal) else k
-    if not is_left_ideal(t, mask) or mask == t.full_mask:
+    pm = t.principal_masks
+    if (not 0 < mask < t.full_mask
+            or any(mask >> a & 1 and p & ~mask for a, p in enumerate(pm))):
         raise ValueError("argument must be a nontrivial left ideal")
     rest = t.full_mask & ~mask
-    pm = t.principal_masks
     a = (rest & -rest).bit_length() - 1
     return sum(1 << b for b, p in enumerate(pm) if p == pm[a]) == rest
 

@@ -200,10 +200,10 @@ def automorphism_group(g, cap: int = DEFAULT_AUT_CAP) -> AutGroupReport:
     group order is the product of the orbit sizes, and the witnesses form a
     strong generating set.
     """
-    dense = g.dense(cap) if isinstance(g, InclusionGraph) else g
-    n = dense.size
+    n = g.vertex_count if isinstance(g, InclusionGraph) else g.size
     if n > cap:
         raise TooLargeError(f"{n} vertices exceed the automorphism cap {cap}")
+    dense = g.dense() if isinstance(g, InclusionGraph) else g
     boolean_n = g.n if isinstance(g, InclusionGraph) else None
     if n == 0:
         return AutGroupReport(order=1, generators=(), structure="trivial",

@@ -375,11 +375,19 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                 cache[key] = (fam, g, (*connectivity(g), girth(g)))
         return cache[key]
 
+    def extremes(g):
+        """Minimal and maximal ideals by definition, from the containment
+        order of the graph rather than from the principal ideals."""
+        dense = g.dense()
+        order = dense.containment
+        return ([m for m, b in zip(dense.masks, order.below) if not b],
+                [m for m, a in zip(dense.masks, order.above) if not a])
+
     def minimals_disjoint(t):
-        fam, _, _ = data(t)
-        if not fam.minimal_masks:
+        _, g, _ = data(t)
+        if g is None or g.vertex_count == 0:
             return False, True, ""
-        ms = fam.minimal_masks
+        ms, _ = extremes(g)
         for i in range(len(ms)):
             for j in range(i + 1, len(ms)):
                 if ms[i] & ms[j]:
@@ -401,12 +409,11 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                "0 counterexamples", tables, closure_vs_bruteforce)
 
     def maximality(t):
-        fam, _, _ = data(t)
-        if not fam.ideals:
+        _, g, _ = data(t)
+        if g is None or g.vertex_count == 0:
             return False, True, ""
-        masks = fam.masks
-        maximal = set(fam.maximal_masks)
-        for m in masks:
+        maximal = set(extremes(g)[1])
+        for m in g.dense().masks:
             if is_maximal_left_ideal(t, m) != (m in maximal):
                 return True, False, f"order {t.order}: ideal {m:#x}"
         return True, True, ""

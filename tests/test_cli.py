@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from idealgraph import symmetry
 from idealgraph.cli import main
+from idealgraph.graph import vertex_cap
 
 RIGHT_ZERO_3 = "3\n0 1 2\n0 1 2\n0 1 2\n"
 NULL_3 = "3\n0 0 0\n0 0 0\n0 0 0\n"
@@ -211,3 +213,20 @@ def test_bad_max_vertices_environment(value, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: IDEALGRAPH_MAX_VERTICES must be a positive integer, "
                    f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("value,cap", [("+5", 5), ("1_000", 1000), (" 7 ", 7)])
+def test_max_vertices_environment_takes_int_literals(value, cap, monkeypatch):
+    monkeypatch.setenv("IDEALGRAPH_MAX_VERTICES", value)
+    assert vertex_cap() == cap
+
+
+def test_vertex_cap_binds_aut_above_it(monkeypatch, capsys):
+    # The automorphism cap cannot lift the hard vertex cap, and the refusal
+    # comes before any group computation.
+    def refuse(dense):
+        raise AssertionError("group computed despite the vertex cap")
+    monkeypatch.setattr(symmetry, "_refine_colors", refuse)
+    monkeypatch.setenv("IDEALGRAPH_MAX_VERTICES", "20")
+    assert main(["aut", "--n", "5", "--aut-cap", "100"]) == 2
+    assert capsys.readouterr().err == "error: 30 vertices exceed the cap of 20\n"

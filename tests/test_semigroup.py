@@ -241,15 +241,28 @@ def test_maximality_rejects_non_ideals():
         is_maximal_left_ideal(right_zero(3), 0b111)
 
 
+def test_maximality_accepts_exactly_the_nontrivial_left_ideals():
+    # is_left_ideal multiplies the table directly; it is the oracle for the
+    # argument check that reads the principal ideals.
+    for t in oracle_tables():
+        for mask in range(t.full_mask + 1):
+            try:
+                is_maximal_left_ideal(t, mask)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (is_left_ideal(t, mask) and mask != t.full_mask)
+
+
 def test_maximality_agrees_with_family_everywhere():
     tables = [right_zero(n) for n in (2, 3, 4)] + [
         null_semigroup(3), null_semigroup(4),
         right_zero_with_identity(3), rectangular_band(2, 3)]
     for t in tables:
         fam = enumerate_left_ideals(t)
-        maximal = set(fam.maximal_masks)
-        for m in fam.masks:
-            assert is_maximal_left_ideal(t, m) == (m in maximal)
+        maximal = set(pairwise_extremes(fam.masks)[1])
+        for i, m in enumerate(fam.masks):
+            assert is_maximal_left_ideal(t, m) == (i in maximal)
 
 
 def test_extremes_match_pairwise_scan():
@@ -277,15 +290,17 @@ def test_maximality_needs_no_l_class_partition(monkeypatch):
     monkeypatch.setattr(semigroup, "l_classes", refuse)
     for t in oracle_tables():
         fam = enumerate_left_ideals(t)
-        maximal = set(fam.maximal_masks)
-        for m in fam.masks:
-            assert is_maximal_left_ideal(t, m) == (m in maximal)
+        maximal = set(pairwise_extremes(fam.masks)[1])
+        for i, m in enumerate(fam.masks):
+            assert is_maximal_left_ideal(t, m) == (i in maximal)
 
 
 def test_minimal_ideals_pairwise_disjoint():
     for t in [right_zero(4), null_semigroup(4), right_zero_with_identity(4),
               rectangular_band(2, 3), rectangular_band(3, 2)]:
-        mins = enumerate_left_ideals(t).minimal_masks
+        masks = enumerate_left_ideals(t).masks
+        mins = [masks[i] for i in pairwise_extremes(masks)[0]]
+        assert mins
         for i in range(len(mins)):
             for j in range(i + 1, len(mins)):
                 assert mins[i] & mins[j] == 0

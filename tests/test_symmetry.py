@@ -247,3 +247,10 @@ def test_raw_graph_orders_match_known_groups():
         G = nx.convert_node_labels_to_integers(G)
         g = dense_from_edges(G.number_of_nodes(), list(G.edges()))
         assert automorphism_group(g).order == want
+
+
+def test_aut_cap_refuses_before_materializing():
+    g = build_boolean(13)
+    with pytest.raises(TooLargeError, match="automorphism cap 100"):
+        automorphism_group(g, cap=100)
+    assert g._dense is None
