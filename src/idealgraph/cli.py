@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
+3 internal failure (a failed cross-check or identity, recursion or memory
+exhausted).
 All stdout is valid in the requested format and byte-identical across
 identical invocations.
 """
@@ -268,6 +270,9 @@ def main(argv=None) -> int:
     except (IdealGraphError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except (RuntimeError, MemoryError) as e:
+        sys.stderr.write(f"error: internal failure: {type(e).__name__}: {e}\n")
+        return 3
 
 
 if __name__ == "__main__":

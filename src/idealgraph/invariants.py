@@ -24,9 +24,11 @@ from .matching import matching_edges, maximum_matching_adj
 
 INFINITY = math.inf
 
+DIAMETER_CROSSCHECK_MAX = 64
 CLIQUE_CROSSCHECK_MAX = 64
 CHROMATIC_CROSSCHECK_MAX = 64
 INDEPENDENCE_CROSSCHECK_MAX = 30
+PLANARITY_CROSSCHECK_MAX = 64
 DOMINATION_CAP = 1 << 16
 
 
@@ -80,6 +82,61 @@ def connectivity(g) -> tuple[int, int | float]:
     comps = _components(dense)
     if len(comps) != 1:
         return len(comps), INFINITY
+    diam = _diameter_lockstep(dense)
+    if n <= DIAMETER_CROSSCHECK_MAX:
+        check = _diameter_per_source(dense)
+        if check != diam:
+            raise RuntimeError(
+                f"diameter cross-check failed: lockstep {diam}, per-source {check}")
+    return 1, diam
+
+
+def _diameter_lockstep(dense: DenseGraph) -> int | float:
+    """Largest eccentricity, growing the balls of all vertices in lockstep.
+
+    Each round turns every radius-r ball into the radius-(r+1) ball, the
+    union of the balls of the vertex and its neighbours (multi-source BFS;
+    Then et al. 2014). A vertex whose ball is full drops out, and its
+    neighbour loop stops once the union is full, which is exact because
+    balls only grow. That is about diameter passes over the edges instead
+    of one BFS per vertex. Inf when some ball stops growing short of the
+    full set (disconnected).
+    """
+    adj = dense.adj
+    n = len(adj)
+    if n <= 1:
+        return 0
+    full = (1 << n) - 1
+    ball = [a | (1 << v) for v, a in enumerate(adj)]
+    still_open = [v for v in range(n) if ball[v] != full]
+    diam = 1
+    while still_open:
+        diam += 1
+        grown = ball[:]
+        next_open = []
+        for v in still_open:
+            acc = ball[v]
+            m = adj[v]
+            while m:
+                b = m & -m
+                acc |= ball[b.bit_length() - 1]
+                if acc == full:
+                    break
+                m ^= b
+            if acc == ball[v]:
+                return INFINITY
+            grown[v] = acc
+            if acc != full:
+                next_open.append(v)
+        ball = grown
+        still_open = next_open
+    return diam
+
+
+def _diameter_per_source(dense: DenseGraph) -> int | float:
+    """Largest eccentricity by a bitset BFS from every vertex; inf when
+    disconnected. The oracle for ``_diameter_lockstep`` on small graphs."""
+    n = dense.size
     allv = (1 << n) - 1
     diam = 0
     for s in range(n):
@@ -94,13 +151,13 @@ def connectivity(g) -> tuple[int, int | float]:
                 nxt |= dense.adj[b.bit_length() - 1]
                 f ^= b
             frontier = nxt & ~seen
-            if not frontier:  # unreachable given a single component
-                return 1, INFINITY
+            if not frontier:
+                return INFINITY
             seen |= frontier
             d += 1
         if d > diam:
             diam = d
-    return 1, diam
+    return diam
 
 
 def girth(g) -> int | float:
@@ -469,42 +526,52 @@ def structural_flags(g) -> tuple[bool, bool, bool]:
 @dataclass(frozen=True)
 class PlanarityResult:
     planar: bool
+    method: str  # "k5-chain" or "left-right"
     embedding: dict | None = None
     kuratowski_edges: tuple = ()
     kuratowski_kind: str | None = None  # "K5" or "K3,3" subdivision
 
 
 def planarity(g) -> PlanarityResult:
-    """Exact planarity with a combinatorial embedding or Kuratowski witness."""
+    """Exact planarity with a combinatorial embedding or Kuratowski witness.
+
+    A chain of five pairwise-comparable vertices is a K5 outright, so an
+    inclusion graph whose containment order is that deep is decided without
+    building a networkx graph (left-right cross-checks small graphs). Any
+    other graph goes to networkx's left-right test, whose counterexample
+    extraction re-tests planarity per edge and is only affordable on small
+    graphs.
+    """
     dense = _dense(g)
-    G = nx.Graph()
-    G.add_nodes_from(range(dense.size))
-    G.add_edges_from(dense.edge_list())
+    if dense.masks is not None and max(dense.containment.down, default=0) >= 5:
+        edges = tuple(combinations(sorted(_chain(dense, 5)), 2))
+        if dense.size <= PLANARITY_CROSSCHECK_MAX and nx.check_planarity(_nx_graph(dense))[0]:
+            raise RuntimeError(
+                "planarity cross-check failed: left-right embeds a graph with a 5-chain")
+        return _nonplanar(dense, edges, "k5-chain")
+    G = _nx_graph(dense)
     ok, cert = nx.check_planarity(G, counterexample=False)
     if ok:
         data = cert.get_data()
         emb = {_label(dense, v): [_label(dense, w) for w in nbrs]
                for v, nbrs in sorted(data.items())}
-        return PlanarityResult(planar=True, embedding=emb)
-    edges = _kuratowski_edges(dense, G)
-    kind = classify_kuratowski(edges)
-    labeled = tuple((_label(dense, u), _label(dense, v)) for u, v in edges)
-    return PlanarityResult(planar=False, kuratowski_edges=labeled,
-                           kuratowski_kind=kind)
-
-
-def _kuratowski_edges(dense: DenseGraph, G: "nx.Graph") -> tuple:
-    """Edge set of a Kuratowski subgraph of a nonplanar graph.
-
-    A chain of five pairwise-comparable vertices is a K5 outright, so when
-    the containment order is that deep the witness is immediate; otherwise
-    fall back to edge-deletion extraction, which re-tests planarity per
-    edge and is only affordable on small graphs.
-    """
-    if dense.masks is not None and max(dense.containment.down) >= 5:
-        return tuple(combinations(sorted(_chain(dense, 5)), 2))
+        return PlanarityResult(planar=True, method="left-right", embedding=emb)
     cert = nx.algorithms.planarity.get_counterexample(G)
-    return tuple(sorted((min(u, v), max(u, v)) for u, v in cert.edges()))
+    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in cert.edges()))
+    return _nonplanar(dense, edges, "left-right")
+
+
+def _nx_graph(dense: DenseGraph) -> "nx.Graph":
+    G = nx.Graph()
+    G.add_nodes_from(range(dense.size))
+    G.add_edges_from(dense.edge_list())
+    return G
+
+
+def _nonplanar(dense: DenseGraph, edges: tuple, method: str) -> PlanarityResult:
+    labeled = tuple((_label(dense, u), _label(dense, v)) for u, v in edges)
+    return PlanarityResult(planar=False, method=method, kuratowski_edges=labeled,
+                           kuratowski_kind=classify_kuratowski(edges))
 
 
 def classify_kuratowski(edges) -> str:
@@ -724,7 +791,7 @@ def compute_report(g, *, perfect_max_len: int | None = None,
     eulerian, bipartite_flag, triangulated = structural_flags(dense)
     methods["flags"] = "bfs"
     planar_res = planarity(dense)
-    methods["planarity"] = "left-right"
+    methods["planarity"] = planar_res.method
     if planar_res.planar:
         witnesses["embedding"] = planar_res.embedding
     else:

@@ -64,12 +64,12 @@ def test_01_order_and_degree():
 
 
 def test_02_connectivity_and_diameter():
-    with criterion("connectivity & diameter, n=2..10", budget=10.0):
+    with criterion("connectivity & diameter, n=2..12", budget=10.0):
         g2 = build_boolean(2)
         components, diameter = connectivity(g2)
         assert components == 2
         assert g2.edge_count() == 0
-        for n in range(3, 11):
+        for n in range(3, 13):
             components, diameter = connectivity(build_boolean(n))
             assert components == 1
             assert diameter == 3

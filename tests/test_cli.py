@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from idealgraph import symmetry
+from idealgraph import invariants, symmetry
 from idealgraph.cli import main
 from idealgraph.graph import vertex_cap
 
@@ -230,3 +230,20 @@ def test_vertex_cap_binds_aut_above_it(monkeypatch, capsys):
     monkeypatch.setenv("IDEALGRAPH_MAX_VERTICES", "20")
     assert main(["aut", "--n", "5", "--aut-cap", "100"]) == 2
     assert capsys.readouterr().err == "error: 30 vertices exceed the cap of 20\n"
+
+
+def test_internal_failure_exit_code(monkeypatch, capsys):
+    # A failed identity check is an internal failure: exit 3 and one line on
+    # stderr, never a traceback or the verification-failure code 1.
+    real = invariants.chromatic_number
+
+    def one_colour_short(dense):
+        chi, coloring = real(dense)
+        return chi - 1, coloring
+
+    monkeypatch.setattr(invariants, "chromatic_number", one_colour_short)
+    assert main(["invariants", "--n", "5", "--all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal failure: RuntimeError: "
+                            "identity failed: clique number exceeds chromatic number\n")

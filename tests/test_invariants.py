@@ -8,6 +8,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealgraph import (
     DenseGraph,
@@ -32,6 +34,7 @@ from idealgraph import (
     right_zero_with_identity,
     structural_flags,
 )
+from idealgraph import invariants
 
 INF = math.inf
 
@@ -74,6 +77,71 @@ def test_connectivity_against_networkx():
             assert diam == nx.diameter(G)
         else:
             assert diam == INF
+
+
+def check_connectivity_against_networkx(g):
+    G = to_nx(g)
+    comps, diam = connectivity(g)
+    assert comps == nx.number_connected_components(G)
+    assert diam == (nx.diameter(G) if comps == 1 else INF)
+
+
+def _raw_graphs(nv):
+    pairs = list(itertools.combinations(range(nv), 2))
+    edges = st.sets(st.sampled_from(pairs), max_size=30) if pairs else st.just(set())
+    return edges.map(lambda e: dense_from_edges(nv, sorted(e)))
+
+
+raw_graphs = st.integers(min_value=0, max_value=14).flatmap(_raw_graphs)
+mask_families = st.lists(st.integers(min_value=1, max_value=(1 << 7) - 1),
+                         min_size=1, max_size=40)
+
+
+def union_closed(generators):
+    """Every union of a nonempty subset of the generators."""
+    return {functools.reduce(int.__or__, combo)
+            for r in range(1, len(generators) + 1)
+            for combo in itertools.combinations(generators, r)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_graphs)
+def test_connectivity_property_raw_graphs(dense):
+    check_connectivity_against_networkx(dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask_families)
+def test_connectivity_property_mask_families(masks):
+    check_connectivity_against_networkx(InclusionGraph("generic", vertices=tuple(masks)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=(1 << 8) - 1), min_size=1, max_size=6))
+def test_connectivity_property_union_closed_families(generators):
+    g = InclusionGraph("generic", vertices=tuple(union_closed(generators)))
+    check_connectivity_against_networkx(g)
+
+
+def test_lockstep_diameter_matches_per_source_oracle():
+    paths = {nv: dense_from_edges(nv, [(i, i + 1) for i in range(nv - 1)])
+             for nv in (1, 2, 3, 17, 64, 65, 200)}
+    graphs = [build_boolean(n).dense() for n in range(2, 10)] + list(paths.values())
+    graphs.append(dense_from_edges(0, []))
+    graphs.append(dense_from_edges(6, [(0, 1), (1, 2), (3, 4)]))  # three components
+    graphs.append(dense_from_edges(3, []))
+    for dense in graphs:
+        assert (invariants._diameter_lockstep(dense)
+                == invariants._diameter_per_source(dense)), dense.size
+    assert connectivity(paths[200]) == (1, 199)  # 199 rounds, past the oracle's size
+
+
+def test_diameter_cross_check_is_a_real_check(monkeypatch):
+    real = invariants._diameter_per_source
+    monkeypatch.setattr(invariants, "_diameter_per_source",
+                        lambda dense: real(dense) + 1)
+    with pytest.raises(RuntimeError, match="diameter cross-check failed"):
+        connectivity(build_boolean(5))
 
 
 # --- girth -------------------------------------------------------------------
@@ -397,6 +465,44 @@ def test_boolean6_contains_k5_on_nested_chain():
     chain = [0b1, 0b11, 0b111, 0b1111, 0b11111]
     for a, b in itertools.combinations(chain, 2):
         assert g.adjacent(a, b)
+
+
+def test_planarity_decided_by_chain_without_networkx(monkeypatch):
+    # Boolean n=9 has 510 vertices, past the left-right cross-check, so
+    # networkx must not run at all. Edges as recorded with the left-right
+    # route before the chain route existed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("networkx planarity ran")
+
+    monkeypatch.setattr(nx, "check_planarity", refuse)
+    res = planarity(build_boolean(9))
+    assert (res.planar, res.method, res.kuratowski_kind) == (False, "k5-chain", "K5")
+    assert res.kuratowski_edges == ((1, 3), (1, 7), (1, 15), (1, 31), (3, 7),
+                                    (3, 15), (3, 31), (7, 15), (7, 31), (15, 31))
+
+
+def test_planarity_chain_cross_check_is_a_real_check(monkeypatch):
+    # Boolean n=6 (62 vertices) has a 5-chain and is small enough for the
+    # left-right cross-check, which must raise when it disagrees.
+    monkeypatch.setattr(nx, "check_planarity", lambda G, counterexample=False: (True, None))
+    with pytest.raises(RuntimeError, match="planarity cross-check failed"):
+        planarity(build_boolean(6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask_families, st.booleans())
+def test_planarity_property_mask_families(masks, plant_chain):
+    # A planted 5-chain forces the chain route; masks on 4 elements without
+    # 0 and the full set have no 5-chain, which forces left-right.
+    masks = [m | 0b10000 if plant_chain else m & 0b1111 or 1 for m in masks]
+    if plant_chain:
+        masks += [0b1, 0b11, 0b111, 0b1111, 0b11111]
+    g = InclusionGraph("generic", vertices=tuple(masks))
+    res = planarity(g)
+    assert res.method == ("k5-chain" if plant_chain else "left-right")
+    assert res.planar == nx.check_planarity(to_nx(g))[0]
+    for u, v in res.kuratowski_edges:
+        assert g.adjacent(u, v)
 
 
 def test_planarity_raw_graphs():
