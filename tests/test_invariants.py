@@ -68,22 +68,16 @@ def test_connectivity_examples():
     assert connectivity(path) == (1, 2)
 
 
-def test_connectivity_against_networkx():
-    for g in sample_graphs():
-        G = to_nx(g)
-        comps, diam = connectivity(g)
-        assert comps == nx.number_connected_components(G)
-        if comps == 1 and G.number_of_nodes() > 0:
-            assert diam == nx.diameter(G)
-        else:
-            assert diam == INF
-
-
 def check_connectivity_against_networkx(g):
     G = to_nx(g)
     comps, diam = connectivity(g)
     assert comps == nx.number_connected_components(G)
     assert diam == (nx.diameter(G) if comps == 1 else INF)
+
+
+def test_connectivity_against_networkx():
+    for g in sample_graphs():
+        check_connectivity_against_networkx(g)
 
 
 def _raw_graphs(nv):
@@ -469,8 +463,8 @@ def test_boolean6_contains_k5_on_nested_chain():
 
 def test_planarity_decided_by_chain_without_networkx(monkeypatch):
     # Boolean n=9 has 510 vertices, past the left-right cross-check, so
-    # networkx must not run at all. Edges as recorded with the left-right
-    # route before the chain route existed.
+    # networkx must not run at all. The witness is the K5 on the chain that
+    # is smallest by mask: {1} < {1,2} < ... < {1,..,5}.
     def refuse(*args, **kwargs):
         raise AssertionError("networkx planarity ran")
 
@@ -492,8 +486,8 @@ def test_planarity_chain_cross_check_is_a_real_check(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(mask_families, st.booleans())
 def test_planarity_property_mask_families(masks, plant_chain):
-    # A planted 5-chain forces the chain route; masks on 4 elements without
-    # 0 and the full set have no 5-chain, which forces left-right.
+    # A planted 5-chain forces the chain route; nonzero masks on four
+    # elements have no chain longer than four, which forces left-right.
     masks = [m | 0b10000 if plant_chain else m & 0b1111 or 1 for m in masks]
     if plant_chain:
         masks += [0b1, 0b11, 0b111, 0b1111, 0b11111]
