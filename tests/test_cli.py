@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from idealgraph import invariants, symmetry
+from idealgraph import invariants, rectangular_band, semigroup, symmetry
 from idealgraph.cli import main
 from idealgraph.graph import vertex_cap
+from oracles import first_nonassociative_triple
 
 RIGHT_ZERO_3 = "3\n0 1 2\n0 1 2\n0 1 2\n"
 NULL_3 = "3\n0 0 0\n0 0 0\n0 0 0\n"
@@ -35,6 +36,19 @@ def test_validate_not_associative(table_file, capsys):
     assert main(["validate", table_file(NOT_ASSOC)]) == 2
     err = capsys.readouterr().err
     assert "(0, 0, 0)" in err
+
+
+def test_validate_reports_lex_first_witness_at_order_200(table_file, capsys):
+    rows = [list(r) for r in rectangular_band(40, 5).rows]
+    rows[199][150] = 196
+    text = "".join(f"{' '.join(map(str, r))}\n" for r in rows)
+    a, b, c = first_nonassociative_triple(rows)
+    # Light's test only meets failures at generators; this witness is not one.
+    assert b not in semigroup._generating_set(200, rows, tuple(zip(*rows)))
+    assert main(["validate", table_file(f"200\n{text}")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not associative, witness triple ({a}, {b}, {c})\n"
 
 
 def test_validate_malformed(table_file, capsys):

@@ -1,8 +1,11 @@
 """Cayley table parsing and the left-ideal machinery."""
 
 import functools
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealgraph import semigroup
 from idealgraph import (
@@ -25,6 +28,7 @@ from idealgraph import (
     serialize_cayley_table,
 )
 from idealgraph.catalog import enumerate_associative_tables
+from oracles import enumerate_by_full_recheck, first_nonassociative_triple, magma_closure
 
 
 def brute_left_ideals(t):
@@ -131,7 +135,7 @@ def test_not_associative_witness_is_first_triple():
 def test_right_zero_is_associative_by_construction():
     # x*(y*z) = z = (x*y)*z for right-zero tables of any size.
     for n in (1, 2, 5):
-        right_zero(n)  # constructor runs the full triple check
+        right_zero(n)  # the constructor checks associativity
 
 
 # --- principal ideals and L-classes ---------------------------------------
@@ -345,3 +349,99 @@ def test_associative_table_counts():
     assert sum(1 for _ in enumerate_associative_tables(1)) == 1
     assert sum(1 for _ in enumerate_associative_tables(2)) == 8
     assert sum(1 for _ in enumerate_associative_tables(3)) == 113
+    assert sum(1 for _ in enumerate_associative_tables(4)) == 3492
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_incremental_enumerator_matches_full_recheck(m):
+    assert ([t.rows for t in enumerate_associative_tables(m)]
+            == [t.rows for t in enumerate_by_full_recheck(m)])
+
+
+# --- Light's associativity test ---------------------------------------------
+
+def light_witness(rows):
+    """The triple that table construction reports, or None when it accepts."""
+    try:
+        CayleyTable(len(rows), rows)
+    except NotAssociativeError as err:
+        return err.triple
+    return None
+
+
+def generating_set(rows):
+    m = len(rows)
+    return semigroup._generating_set(m, rows, tuple(zip(*rows)))
+
+
+def perturbed(t, i, j, v):
+    rows = [list(r) for r in t.rows]
+    rows[i][j] = v
+    return tuple(map(tuple, rows))
+
+
+def test_light_matches_triple_loop_on_every_3x3_magma():
+    associative = 0
+    for cells in itertools.product(range(3), repeat=9):
+        rows = (cells[0:3], cells[3:6], cells[6:9])
+        want = first_nonassociative_triple(rows)
+        assert light_witness(rows) == want, rows
+        associative += want is None
+    assert associative == 113
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([4, 5]).flatmap(
+    lambda m: st.lists(st.lists(st.integers(0, m - 1), min_size=m, max_size=m),
+                       min_size=m, max_size=m)))
+def test_light_matches_triple_loop_on_random_magmas(cells):
+    # Rows arrive as lists here, which the constructor also accepts.
+    assert light_witness(cells) == first_nonassociative_triple(cells)
+
+
+@functools.cache
+def order_four_tables():
+    return tuple(enumerate_associative_tables(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_light_matches_triple_loop_one_cell_off_a_semigroup(data):
+    t = data.draw(st.sampled_from(order_four_tables()))
+    i, j, v = (data.draw(st.integers(0, 3)) for _ in range(3))
+    rows = perturbed(t, i, j, v)
+    assert light_witness(rows) == first_nonassociative_triple(rows)
+
+
+def test_generating_set_is_greedy_over_the_magma_closure():
+    for rows in [t.rows for t in order_four_tables()[::50]] + [
+            rectangular_band(40, 5).rows, cyclic_group(60).rows,
+            perturbed(cyclic_group(12), 3, 4, 0)]:
+        gens = generating_set(rows)
+        want = []
+        for g in range(len(rows)):
+            if g not in magma_closure(rows, want):
+                want.append(g)
+        assert gens == want
+        assert magma_closure(rows, gens) == set(range(len(rows)))
+    assert generating_set(cyclic_group(60).rows) == [0, 1]
+
+
+@pytest.mark.parametrize("make, cells", [
+    (lambda: rectangular_band(40, 5), [(0, 0, 7), (0, 199, 3), (57, 101, 0),
+                                       (199, 150, 196), (199, 199, 0)]),
+    (lambda: cyclic_group(60), [(0, 0, 1), (5, 7, 0), (31, 29, 59), (59, 59, 0)]),
+])
+def test_light_matches_triple_loop_on_perturbed_large_tables(make, cells):
+    t = make()
+    assert light_witness(t.rows) is None
+    off_generators = 0
+    for i, j, v in cells:
+        rows = perturbed(t, i, j, v)
+        want = first_nonassociative_triple(rows)
+        assert want is not None
+        assert light_witness(rows) == want
+        off_generators += want[1] not in generating_set(rows)
+    # The lex-first witness need not involve a generator, so the test that
+    # decides the table cannot be the one that names it.
+    assert off_generators

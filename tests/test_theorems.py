@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from idealgraph import cyclic_group, right_zero, run_suite
+from idealgraph import cyclic_group, enumerate_left_ideals, right_zero, run_suite, theorems
+from idealgraph.semigroup import IdealFamily
 from idealgraph.theorems import REGISTRY, builtin_corpus
 
 MANIFEST = Path(__file__).parent / "data" / "theorem_manifest.txt"
@@ -45,6 +46,20 @@ def test_empty_graph_corpus_is_vacuous():
     # vacuous rows are not silently counted as passes
     assert result.vacuous == len(vacuous)
     assert result.passed + result.failed + result.vacuous == len(result.checks)
+
+
+def test_union_escaping_the_family_is_a_counterexample(monkeypatch):
+    # Right-zero of order 4 has every proper subset as a left ideal; without
+    # {0, 1} the family is not closed under the union of {0} and {1}.
+    family = enumerate_left_ideals(right_zero(4))
+    ideals = tuple(i for i in family.ideals if i.members != 0b0011)
+    holed = IdealFamily(4, ideals, tuple(range(4)),
+                        tuple(k for k, i in enumerate(ideals) if i.size == 3), False)
+    monkeypatch.setattr(theorems, "enumerate_left_ideals", lambda t: holed)
+    result = run_suite(corpus=[right_zero(4)], corpus_label="holed")
+    row, = (c for c in result.checks if c.check_id == "semigroup-family-union-closed")
+    assert row.verdict == "fail"
+    assert row.computed == "counterexample: order 4: union escapes"
 
 
 def test_corrupted_expected_fails_only_that_check():
