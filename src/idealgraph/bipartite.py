@@ -1,83 +1,95 @@
 """Maximum bipartite matching (Hopcroft-Karp) and a König minimum vertex cover.
 
-Deterministic: greedy initialization and augmentation both follow the given
-adjacency order, so equal inputs give identical matchings.
+Adjacency is a list of bitsets: bit v of ``adj[u]`` is set when left vertex u
+is adjacent to right vertex v. Every scan takes neighbours lowest bit first,
+so equal inputs give identical matchings and covers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 
-INF = float("inf")
-
-
-def hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]):
+def hopcroft_karp(n_left: int, n_right: int, adj: list[int]):
     """Maximum matching in a bipartite graph.
 
-    ``adj[u]`` lists right-side neighbors of left vertex ``u``. Returns
-    (size, match_left, match_right) with -1 for unmatched.
+    Returns (size, match_left, match_right) with -1 for unmatched.
     """
     match_l = [-1] * n_left
     match_r = [-1] * n_right
+    free_r = (1 << n_right) - 1
     for u in range(n_left):
-        for v in adj[u]:
-            if match_r[v] == -1:
-                match_l[u] = v
-                match_r[v] = u
-                break
-    dist = [0.0] * n_left
+        m = adj[u] & free_r
+        if m:
+            v = (m & -m).bit_length() - 1
+            match_l[u] = v
+            match_r[v] = u
+            free_r ^= 1 << v
+    inf = n_left + 1
+    dist = [0] * n_left
 
     def bfs() -> bool:
-        q = deque()
+        # Layers from the free left vertices; a matched right vertex is
+        # crossed once, the first time its mate is reached.
+        q = []
         for u in range(n_left):
             if match_l[u] == -1:
                 dist[u] = 0
                 q.append(u)
             else:
-                dist[u] = INF
+                dist[u] = inf
+        unseen = ((1 << n_right) - 1) & ~free_r
         found = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
+        for u in q:
+            a = adj[u]
+            if a & free_r:
+                found = True
+            m = a & unseen
+            unseen ^= m
+            while m:
+                b = m & -m
+                m ^= b
+                w = match_r[b.bit_length() - 1]
+                dist[w] = dist[u] + 1
+                q.append(w)
         return found
 
     def dfs(root: int) -> bool:
-        # Explicit stack; frames resume neighbor scans after failed descents.
-        frames = [[root, 0]]
+        # Explicit stack; frames keep their unscanned neighbours, so a scan
+        # resumes after a failed descent.
+        nonlocal free_r
+        stack_u = [root]
+        stack_rest = [adj[root]]
         chosen: list[int] = []
-        while frames:
-            u, i = frames[-1]
-            descended = False
-            while i < len(adj[u]):
-                v = adj[u][i]
-                i += 1
+        while stack_u:
+            u = stack_u[-1]
+            rest = stack_rest[-1]
+            step = dist[u] + 1
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                v = b.bit_length() - 1
                 w = match_r[v]
                 if w == -1:
                     chosen.append(v)
-                    for (uu, _), vv in zip(frames, chosen):
+                    for uu, vv in zip(stack_u, chosen):
                         match_l[uu] = vv
                         match_r[vv] = uu
+                    free_r ^= b
                     return True
-                if dist[w] == dist[u] + 1:
-                    frames[-1][1] = i
+                if dist[w] == step:
+                    stack_rest[-1] = rest
                     chosen.append(v)
-                    frames.append([w, 0])
-                    descended = True
+                    stack_u.append(w)
+                    stack_rest.append(adj[w])
                     break
-            if not descended:
-                dist[u] = INF
-                frames.pop()
+            else:
+                dist[u] = inf
+                stack_u.pop()
+                stack_rest.pop()
                 if chosen:
                     chosen.pop()
         return False
 
-    size = sum(1 for u in range(n_left) if match_l[u] != -1)
+    size = n_left - match_l.count(-1)
     while bfs():
         for u in range(n_left):
             if match_l[u] == -1 and dfs(u):
@@ -85,27 +97,26 @@ def hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]):
     return size, match_l, match_r
 
 
-def koenig_cover(n_left: int, n_right: int, adj: list[list[int]],
-                 match_l: list[int], match_r: list[int]):
-    """Minimum vertex cover from a maximum matching.
+def koenig_cover(n_left: int, n_right: int, adj: list[int],
+                 match_l: list[int], match_r: list[int]) -> tuple[int, int]:
+    """Minimum vertex cover from a maximum matching, as (left, right) bitsets.
 
     Alternating reach from unmatched left vertices; the cover is the
     unreached left side plus the reached right side.
     """
-    reach_l = [False] * n_left
-    reach_r = [False] * n_right
-    q = deque(u for u in range(n_left) if match_l[u] == -1)
+    q = [u for u in range(n_left) if match_l[u] == -1]
+    reach_l = 0
     for u in q:
-        reach_l[u] = True
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if not reach_r[v]:
-                reach_r[v] = True
-                w = match_r[v]
-                if w != -1 and not reach_l[w]:
-                    reach_l[w] = True
-                    q.append(w)
-    left_cover = [not reach_l[u] for u in range(n_left)]
-    right_cover = [reach_r[v] for v in range(n_right)]
-    return left_cover, right_cover
+        reach_l |= 1 << u
+    reach_r = 0
+    for u in q:
+        m = adj[u] & ~reach_r
+        reach_r |= m
+        while m:
+            b = m & -m
+            m ^= b
+            w = match_r[b.bit_length() - 1]
+            if w != -1 and not reach_l >> w & 1:
+                reach_l |= 1 << w
+                q.append(w)
+    return ((1 << n_left) - 1) & ~reach_l, reach_r

@@ -250,6 +250,9 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # The cap reaches every dense() call through the environment; it is put
+    # back afterwards, so one in-process call does not cap the next.
+    saved_cap = os.environ.get("IDEALGRAPH_MAX_VERTICES")
     if args.max_vertices:
         os.environ["IDEALGRAPH_MAX_VERTICES"] = str(args.max_vertices)
     handlers = {
@@ -273,6 +276,12 @@ def main(argv=None) -> int:
     except (RuntimeError, MemoryError) as e:
         sys.stderr.write(f"error: internal failure: {type(e).__name__}: {e}\n")
         return 3
+    finally:
+        if args.max_vertices:
+            if saved_cap is None:
+                del os.environ["IDEALGRAPH_MAX_VERTICES"]
+            else:
+                os.environ["IDEALGRAPH_MAX_VERTICES"] = saved_cap
 
 
 if __name__ == "__main__":

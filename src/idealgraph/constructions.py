@@ -94,21 +94,26 @@ def _saturating_matching(n: int, lower: list[int], upper: list[int],
     upper_index = {m: i for i, m in enumerate(upper)}
     lower_index = {m: i for i, m in enumerate(lower)}
     if from_lower:
-        adj = [[upper_index[s] for s in _supersets_one_more(n, m) if s in upper_index]
-               for m in lower]
+        adj = []
+        for m in lower:
+            row = 0
+            for s in _supersets_one_more(n, m):
+                if s in upper_index:
+                    row |= 1 << upper_index[s]
+            adj.append(row)
         size, match_l, _ = hopcroft_karp(len(lower), len(upper), adj)
         if size != len(lower):
             raise RuntimeError("layer matching failed to saturate the lower side")
         return [(lower[i], upper[match_l[i]]) for i in range(len(lower))]
-    adj = [[] for _ in range(len(upper))]
-    for i, m in enumerate(upper):
-        subs = []
+    adj = []
+    for m in upper:
+        row = 0
         s = (m - 1) & m
         while s:
             if s in lower_index:
-                subs.append(lower_index[s])
+                row |= 1 << lower_index[s]
             s = (s - 1) & m
-        adj[i] = sorted(subs)
+        adj.append(row)
     size, match_l, _ = hopcroft_karp(len(upper), len(lower), adj)
     if size != len(upper):
         raise RuntimeError("layer matching failed to saturate the upper side")
@@ -199,19 +204,18 @@ def perfect_matching(n: int) -> list[tuple[int, int]]:
         for k in range(1, n // 2 + 1):
             lower = layer(n, k)
             upper = layer(n, n - k)
-            upper_set = set(upper)
             upper_index = {m: i for i, m in enumerate(upper)}
             adj = []
             for m in lower:
                 rest = full & ~m
-                sups = []
+                row = 0
                 t = rest
                 while t:
                     cand = m | t
-                    if cand in upper_set:
-                        sups.append(upper_index[cand])
+                    if cand in upper_index:
+                        row |= 1 << upper_index[cand]
                     t = (t - 1) & rest
-                adj.append(sorted(sups))
+                adj.append(row)
             size, match_l, _ = hopcroft_karp(len(lower), len(upper), adj)
             if size != len(lower):
                 raise RuntimeError("mirror-layer matching failed to saturate")

@@ -95,9 +95,6 @@ class DenseGraph:
     def size(self) -> int:
         return len(self.adj)
 
-    def neighbors_of(self, i: int) -> list[int]:
-        return bits(self.adj[i])
-
     def degree(self, i: int) -> int:
         return self.adj[i].bit_count()
 
@@ -341,21 +338,27 @@ def _vertex_name(mask: int, boolean_n: int | None) -> str:
 
 
 def export_graph(g: InclusionGraph, fmt: str = "json") -> str:
-    """Deterministic JSON or DOT rendering of the graph."""
+    """Deterministic JSON or DOT rendering of the graph.
+
+    The JSON text is exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
+    document {mode, n, vertices: [{id, mask, size}], edges: [[u, v]]}, written
+    directly: with ``indent`` set, ``json.dumps`` falls back to its
+    pure-Python encoder, which dominates the export of large graphs.
+    """
     dense = g.dense()
     masks = dense.masks
     edges = dense.edge_list()
     if fmt == "json":
-        doc = {
-            "mode": g.mode,
-            "n": g.n,
-            "vertices": [
-                {"id": i, "mask": m, "size": m.bit_count()}
-                for i, m in enumerate(masks)
-            ],
-            "edges": [[u, v] for u, v in edges],
-        }
-        return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        vertices = ",\n".join([
+            '    {\n      "id": %d,\n      "mask": %d,\n      "size": %d\n    }'
+            % (i, m, m.bit_count()) for i, m in enumerate(masks)])
+        edge_text = ",\n".join([
+            "    [\n      %d,\n      %d\n    ]" % e for e in edges])
+        return "".join((
+            '{\n  "mode": ', json.dumps(g.mode), ',\n  "n": ', json.dumps(g.n),
+            ',\n  "vertices": ', f"[\n{vertices}\n  ]" if masks else "[]",
+            ',\n  "edges": ', f"[\n{edge_text}\n  ]" if edges else "[]",
+            "\n}\n"))
     if fmt == "dot":
         lines = ["graph In {"]
         for m in masks:

@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import networkx as nx
-
 from .bipartite import hopcroft_karp, koenig_cover
 from .errors import TooLargeError
 from .graph import DenseGraph, bits
@@ -386,17 +384,16 @@ def independence_number(g) -> tuple[int, tuple]:
         size, members = _max_clique_bb(dense.complement())
         return size, _labels(dense, sorted(members))
     # Left copy u -> right copy v for every comparable pair u < v.
-    adj = [bits(a) for a in dense.containment.above]
-    size, match_l, match_r = hopcroft_karp(n, n, adj)
+    above = dense.containment.above
+    size, match_l, match_r = hopcroft_karp(n, n, above)
     alpha = n - size
-    left_cover, right_cover = koenig_cover(n, n, adj, match_l, match_r)
-    witness = tuple(i for i in range(n) if not left_cover[i] and not right_cover[i])
+    left_cover, right_cover = koenig_cover(n, n, above, match_l, match_r)
+    antichain = ((1 << n) - 1) & ~(left_cover | right_cover)
+    witness = bits(antichain)
     if len(witness) != alpha:
         raise RuntimeError("König antichain extraction is inconsistent")
-    for a in range(len(witness)):
-        for b in range(a + 1, len(witness)):
-            if (dense.adj[witness[a]] >> witness[b]) & 1:
-                raise RuntimeError("König antichain has comparable members")
+    if any(dense.adj[i] & antichain for i in witness):
+        raise RuntimeError("König antichain has comparable members")
     if n <= INDEPENDENCE_CROSSCHECK_MAX:
         check, _ = _max_clique_bb(dense.complement())
         if check != alpha:
@@ -408,8 +405,7 @@ def independence_number(g) -> tuple[int, tuple]:
 def maximum_matching(g) -> tuple[int, tuple, bool]:
     """(matching number, matched pairs, is perfect) via blossom search."""
     dense = _dense(g)
-    adj = [dense.neighbors_of(i) for i in range(dense.size)]
-    mate = maximum_matching_adj(dense.size, adj)
+    mate = maximum_matching_adj(dense.size, dense.adj)
     pairs = matching_edges(mate)
     size = len(pairs)
     return (size,
@@ -526,7 +522,7 @@ def structural_flags(g) -> tuple[bool, bool, bool]:
 @dataclass(frozen=True)
 class PlanarityResult:
     planar: bool
-    method: str  # "k5-chain" or "left-right"
+    method: str  # "k5-chain", "k33-subgraph" or "left-right"
     embedding: dict | None = None
     kuratowski_edges: tuple = ()
     kuratowski_kind: str | None = None  # "K5" or "K3,3" subdivision
@@ -537,18 +533,20 @@ def planarity(g) -> PlanarityResult:
 
     A chain of five pairwise-comparable vertices is a K5 outright, so an
     inclusion graph whose containment order is that deep is decided without
-    building a networkx graph (left-right cross-checks small graphs). Any
-    other graph goes to networkx's left-right test, whose counterexample
-    extraction re-tests planarity per edge and is only affordable on small
-    graphs.
+    networkx. Otherwise three vertices with three common neighbours are a
+    K3,3 subgraph. Left-right cross-checks both routes on small graphs and
+    decides every other graph; its counterexample extraction re-tests
+    planarity per edge, so it runs only when no K3,3 subgraph exists.
+    networkx is imported only on the left-right paths.
     """
     dense = _dense(g)
     if dense.masks is not None and max(dense.containment.down, default=0) >= 5:
-        edges = tuple(combinations(sorted(_chain(dense, 5)), 2))
-        if dense.size <= PLANARITY_CROSSCHECK_MAX and nx.check_planarity(_nx_graph(dense))[0]:
-            raise RuntimeError(
-                "planarity cross-check failed: left-right embeds a graph with a 5-chain")
-        return _nonplanar(dense, edges, "k5-chain")
+        return _checked_nonplanar(
+            dense, tuple(combinations(sorted(_chain(dense, 5)), 2)), "k5-chain")
+    k33 = _k33_subgraph(dense.adj)
+    if k33 is not None:
+        return _checked_nonplanar(dense, k33, "k33-subgraph")
+    import networkx as nx
     G = _nx_graph(dense)
     ok, cert = nx.check_planarity(G, counterexample=False)
     if ok:
@@ -561,7 +559,53 @@ def planarity(g) -> PlanarityResult:
     return _nonplanar(dense, edges, "left-right")
 
 
-def _nx_graph(dense: DenseGraph) -> "nx.Graph":
+def _checked_nonplanar(dense: DenseGraph, edges: tuple, method: str) -> PlanarityResult:
+    """A nonplanar verdict from a witness found without networkx, which
+    left-right cross-checks on small graphs."""
+    if dense.size <= PLANARITY_CROSSCHECK_MAX:
+        import networkx as nx
+        if nx.check_planarity(_nx_graph(dense))[0]:
+            raise RuntimeError(
+                f"planarity cross-check failed: left-right embeds a graph with a "
+                f"{method} witness")
+    return _nonplanar(dense, edges, method)
+
+
+def _k33_subgraph(adj: list[int]) -> tuple | None:
+    """Edges of a K3,3 subgraph, or None: the lexicographically first
+    a < b < c with three common neighbours, joined to the three lowest of
+    them. With no loops, the common neighbours lie outside {a, b, c}. b and
+    c share a neighbour with a, so only vertices within distance 2 of a are
+    tried."""
+    for a, na in enumerate(adj):
+        near = 0
+        m = na
+        while m:
+            bit = m & -m
+            m ^= bit
+            near |= adj[bit.bit_length() - 1]
+        near >>= a + 1
+        while near:
+            bit = near & -near
+            near ^= bit
+            b = a + bit.bit_length()
+            nab = na & adj[b]
+            if nab.bit_count() < 3:
+                continue
+            rest = near
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                c = a + bit.bit_length()
+                common = nab & adj[c]
+                if common.bit_count() >= 3:
+                    return tuple(sorted((min(u, v), max(u, v))
+                                        for u in (a, b, c) for v in bits(common)[:3]))
+    return None
+
+
+def _nx_graph(dense: DenseGraph):
+    import networkx as nx
     G = nx.Graph()
     G.add_nodes_from(range(dense.size))
     G.add_edges_from(dense.edge_list())

@@ -2,7 +2,9 @@
 
 Classic O(V^3) odd-cycle-contraction algorithm: alternating-forest BFS with
 blossom shrinking via a ``base`` array. Handles disconnected graphs and
-isolated vertices. Deterministic for a fixed adjacency order.
+isolated vertices. Adjacency is a list of bitsets (bit w of ``adj[v]`` set when
+v and w are adjacent), scanned lowest bit first, so equal inputs give
+identical matchings.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 
-def maximum_matching_adj(n: int, adj: list[list[int]]) -> list[int]:
+def maximum_matching_adj(n: int, adj: list[int]) -> list[int]:
     """Return ``mate`` with mate[v] = matched partner of v, or -1."""
     mate = [-1] * n
     parent = [-1] * n
@@ -50,7 +52,11 @@ def maximum_matching_adj(n: int, adj: list[list[int]]) -> list[int]:
         q = deque([root])
         while q:
             v = q.popleft()
-            for to in adj[v]:
+            m = adj[v]
+            while m:
+                b = m & -m
+                m ^= b
+                to = b.bit_length() - 1
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
@@ -84,13 +90,15 @@ def maximum_matching_adj(n: int, adj: list[list[int]]) -> list[int]:
             u = next_u
 
     # Greedy warm start, then one search per remaining exposed vertex.
+    free = (1 << n) - 1
     for v in range(n):
-        if mate[v] == -1:
-            for to in adj[v]:
-                if mate[to] == -1:
-                    mate[v] = to
-                    mate[to] = v
-                    break
+        if free >> v & 1:
+            m = adj[v] & free
+            if m:
+                to = (m & -m).bit_length() - 1
+                mate[v] = to
+                mate[to] = v
+                free ^= 1 << v | 1 << to
     for v in range(n):
         if mate[v] == -1:
             finish = find_augmenting_path(v)

@@ -3,18 +3,20 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from idealgraph import invariants, rectangular_band, semigroup, symmetry
 from idealgraph.cli import main
-from idealgraph.graph import vertex_cap
+from idealgraph.graph import DEFAULT_VERTEX_CAP, vertex_cap
 from oracles import first_nonassociative_triple
 
 RIGHT_ZERO_3 = "3\n0 1 2\n0 1 2\n0 1 2\n"
 NULL_3 = "3\n0 0 0\n0 0 0\n0 0 0\n"
 NOT_ASSOC = "2\n1 1\n0 0\n"
 Z3 = "3\n0 1 2\n1 2 0\n2 0 1\n"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -244,6 +246,44 @@ def test_vertex_cap_binds_aut_above_it(monkeypatch, capsys):
     monkeypatch.setenv("IDEALGRAPH_MAX_VERTICES", "20")
     assert main(["aut", "--n", "5", "--aut-cap", "100"]) == 2
     assert capsys.readouterr().err == "error: 30 vertices exceed the cap of 20\n"
+
+
+def test_max_vertices_does_not_outlive_the_call(monkeypatch, capsys):
+    band = str(DATA / "rectangular_band_2x6.txt")
+    monkeypatch.delenv("IDEALGRAPH_MAX_VERTICES", raising=False)
+    assert main(["--max-vertices", "5", "validate", band]) == 0
+    assert vertex_cap() == DEFAULT_VERTEX_CAP
+    assert main(["--max-vertices", "5", "graph", "--n", "4"]) == 2
+    assert vertex_cap() == DEFAULT_VERTEX_CAP
+    monkeypatch.setenv("IDEALGRAPH_MAX_VERTICES", "40")
+    assert main(["--max-vertices", "5", "validate", band]) == 0
+    assert vertex_cap() == 40
+
+
+def test_networkx_is_imported_only_for_left_right():
+    # The commands below never reach left-right planarity: Boolean n=7 has
+    # 126 vertices, past the cross-check, and a 5-chain. A planar graph
+    # (n=4) does import it.
+    band = str(DATA / "rectangular_band_2x6.txt")
+    cases = [["--help"], ["aut", "--n", "4"], ["graph", "--n", "5"],
+             ["ideals", band], ["validate", band], ["invariants", "--n", "7", "--all"],
+             ["invariants", "--n", "4", "--planarity"]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from idealgraph.cli import main\n"
+        f"for argv in {cases!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            rc = main(argv)\n"
+        "        except SystemExit as e:\n"
+        "            rc = e.code\n"
+        "    print(argv[0], rc, 'networkx' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "--help 0 False", "aut 0 False", "graph 0 False", "ideals 0 False",
+        "validate 0 False", "invariants 0 False", "invariants 0 True"]
 
 
 def test_internal_failure_exit_code(monkeypatch, capsys):

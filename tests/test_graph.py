@@ -23,6 +23,8 @@ from idealgraph import (
     rectangular_band,
     right_zero,
 )
+from idealgraph.graph import bits
+from oracles import export_json_document
 
 
 def test_build_from_family_null_semigroup_is_path():
@@ -51,7 +53,7 @@ def test_build_from_family_right_zero_three_is_c6():
     stack = [0]
     while stack:
         u = stack.pop()
-        for w in dense.neighbors_of(u):
+        for w in bits(dense.adj[u]):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -253,3 +255,25 @@ def test_degree_closed_form_for_huge_layers():
     v = (1 << 31) - 1  # the first 31 elements
     assert g.degree(v) == (2 ** 31 - 2) + (2 ** 31 - 2)
     assert g.degree(0b1) == (2 ** 1 - 2) + (2 ** 61 - 2)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_export_json_matches_json_dumps_boolean(n):
+    g = build_boolean(n)
+    assert export_graph(g, "json") == export_json_document(g)
+
+
+def test_export_json_matches_json_dumps_edge_cases():
+    empty = build_from_family(enumerate_left_ideals(cyclic_group(3)))
+    assert empty.vertex_count == 0
+    antichain = InclusionGraph("generic", vertices=(0b0011, 0b0101, 0b1001, 0b0110))
+    assert antichain.edge_count() == 0
+    for g in (empty, antichain):
+        assert export_graph(g, "json") == export_json_document(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(masks_st)
+def test_export_json_matches_json_dumps_mask_families(masks):
+    g = InclusionGraph("generic", vertices=tuple(masks))
+    assert export_graph(g, "json") == export_json_document(g)

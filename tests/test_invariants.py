@@ -493,10 +493,83 @@ def test_planarity_property_mask_families(masks, plant_chain):
         masks += [0b1, 0b11, 0b111, 0b1111, 0b11111]
     g = InclusionGraph("generic", vertices=tuple(masks))
     res = planarity(g)
-    assert res.method == ("k5-chain" if plant_chain else "left-right")
+    if plant_chain:
+        assert res.method == "k5-chain"
+    elif (k33 := first_k33_subgraph(to_nx(g))) is not None:
+        assert (res.method, res.kuratowski_kind) == ("k33-subgraph", "K3,3")
+        masks = g.dense().masks
+        assert res.kuratowski_edges == tuple((masks[u], masks[v]) for u, v in k33)
+    else:
+        assert res.method == "left-right"
     assert res.planar == nx.check_planarity(to_nx(g))[0]
     for u, v in res.kuratowski_edges:
         assert g.adjacent(u, v)
+
+
+def first_k33_subgraph(G):
+    """Brute force over index triples a < b < c in lexicographic order: the
+    edges from the first with three common neighbours to the three lowest
+    of them, or None."""
+    for a, b, c in itertools.combinations(sorted(G.nodes()), 3):
+        common = sorted(set(G[a]) & set(G[b]) & set(G[c]))
+        if len(common) >= 3:
+            return tuple(sorted((min(u, v), max(u, v))
+                                for u in (a, b, c) for v in common[:3]))
+    return None
+
+
+def test_planarity_k33_subgraph_avoids_counterexample_search(monkeypatch):
+    # All 1- to 4-element subsets of an 8-set: 162 vertices, 1,372 edges,
+    # chains of at most four, so no K5 from the order. networkx's
+    # counterexample extraction re-tests planarity once per edge and took
+    # seconds here; three singletons with three common supersets are a
+    # K3,3 found from the adjacency bitsets.
+    import time
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("networkx planarity ran")
+
+    monkeypatch.setattr(nx, "check_planarity", refuse)
+    masks = [m for m in range(1, 1 << 8) if m.bit_count() <= 4]
+    g = InclusionGraph("generic", vertices=tuple(masks))
+    assert (g.vertex_count, g.edge_count()) == (162, 1372)
+    t0 = time.perf_counter()
+    res = planarity(g)
+    assert time.perf_counter() - t0 < 0.5
+    assert (res.planar, res.method, res.kuratowski_kind) == (False, "k33-subgraph", "K3,3")
+    assert len(res.kuratowski_edges) == 9
+    for u, v in res.kuratowski_edges:
+        assert g.adjacent(u, v)
+
+
+def test_planarity_k33_cross_check_is_a_real_check(monkeypatch):
+    # Boolean n=5 (30 vertices) has no 5-chain but a K3,3 subgraph, and is
+    # small enough for the left-right cross-check.
+    assert planarity(build_boolean(5)).method == "k33-subgraph"
+    monkeypatch.setattr(nx, "check_planarity", lambda G, counterexample=False: (True, None))
+    with pytest.raises(RuntimeError, match="planarity cross-check failed"):
+        planarity(build_boolean(5))
+
+
+def _any_density_raw_graphs(nv):
+    pairs = list(itertools.combinations(range(nv), 2))
+    coins = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    return coins.map(lambda c: dense_from_edges(nv, [p for p, x in zip(pairs, c) if x]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=12).flatmap(_any_density_raw_graphs))
+def test_planarity_property_raw_graphs(dense):
+    res = planarity(dense)
+    G = to_nx(dense)
+    assert res.planar == nx.check_planarity(G)[0]
+    k33 = first_k33_subgraph(G)
+    if k33 is not None:
+        assert (res.method, res.kuratowski_edges) == ("k33-subgraph", k33)
+    else:
+        assert res.method == "left-right"
+    for u, v in res.kuratowski_edges:
+        assert dense.adj[u] >> v & 1
 
 
 def test_planarity_raw_graphs():

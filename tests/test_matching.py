@@ -3,15 +3,17 @@
 import random
 
 import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idealgraph import maximum_matching
 from idealgraph.graph import dense_from_edges
 from idealgraph.matching import matching_edges, maximum_matching_adj
 
 
 def solve(nv, edges):
     dense = dense_from_edges(nv, edges)
-    adj = [dense.neighbors_of(i) for i in range(nv)]
-    mate = maximum_matching_adj(nv, adj)
+    mate = maximum_matching_adj(nv, dense.adj)
     pairs = matching_edges(mate)
     used = set()
     for u, v in pairs:
@@ -70,3 +72,29 @@ def test_worst_case_structures():
     nv = base
     want = len(nx.max_weight_matching(nx.Graph(edges), maxcardinality=True))
     assert solve(nv, edges) == want
+
+
+@st.composite
+def raw_graphs(draw):
+    nv = draw(st.integers(0, 16))
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    density = draw(st.sampled_from((0.1, 0.2, 0.35, 0.6)))
+    coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return nv, [p for p, x in zip(pairs, coins) if x < density]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_graphs())
+def test_maximum_matching_property_raw_graphs(graph):
+    nv, edges = graph
+    dense = dense_from_edges(nv, edges)
+    size, pairs, perfect = maximum_matching(dense)
+    assert size == len(pairs)
+    covered = [v for pair in pairs for v in pair]
+    assert len(set(covered)) == len(covered)
+    assert all(dense.adj[u] >> v & 1 for u, v in pairs)
+    G = nx.Graph()
+    G.add_nodes_from(range(nv))
+    G.add_edges_from(edges)
+    assert size == len(nx.max_weight_matching(G, maxcardinality=True))
+    assert perfect == (nv > 0 and 2 * size == nv)
