@@ -1,7 +1,8 @@
 """Maximum cardinality matching in general graphs.
 
 Classic O(V^3) odd-cycle-contraction algorithm: alternating-forest BFS with
-blossom shrinking via a ``base`` array. Handles disconnected graphs and
+blossom shrinking via a ``base`` array, where each contraction visits only
+the members of the blossoms it absorbs. Handles disconnected graphs and
 isolated vertices. Adjacency is a list of bitsets (bit w of ``adj[v]`` set when
 v and w are adjacent), scanned lowest bit first, so equal inputs give
 identical matchings.
@@ -19,26 +20,30 @@ def maximum_matching_adj(n: int, adj: list[int]) -> list[int]:
     base = list(range(n))
     in_queue = [False] * n
 
+    # members[b]: bitset of the vertices whose base is b, for the bases of
+    # contracted blossoms (any other vertex is its own base).
+    members: dict[int, int] = {}
+
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         x = a
         while True:
             x = base[x]
-            seen[x] = True
+            seen.add(x)
             if mate[x] == -1:
                 break
             x = parent[mate[x]]
         y = b
         while True:
             y = base[y]
-            if seen[y]:
+            if y in seen:
                 return y
             y = parent[mate[y]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, marked: set[int]) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
+            marked.add(base[v])
+            marked.add(base[mate[v]])
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
@@ -48,6 +53,7 @@ def maximum_matching_adj(n: int, adj: list[int]) -> list[int]:
         parent = [-1] * n
         base = list(range(n))
         in_queue = [False] * n
+        members.clear()
         in_queue[root] = True
         q = deque([root])
         while q:
@@ -62,15 +68,23 @@ def maximum_matching_adj(n: int, adj: list[int]) -> list[int]:
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                     # Odd cycle: contract the blossom at the common ancestor.
                     cur = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur, to, in_blossom)
-                    mark_path(to, cur, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur
-                            if not in_queue[i]:
-                                in_queue[i] = True
-                                q.append(i)
+                    marked: set[int] = set()
+                    mark_path(v, cur, to, marked)
+                    mark_path(to, cur, v, marked)
+                    # Visit the blossom's vertices in ascending order, as a
+                    # scan of all vertices would.
+                    blossom = 0
+                    for old in marked:
+                        blossom |= members.pop(old, 1 << old)
+                    members[cur] = members.get(cur, 1 << cur) | blossom
+                    while blossom:
+                        low = blossom & -blossom
+                        blossom ^= low
+                        i = low.bit_length() - 1
+                        base[i] = cur
+                        if not in_queue[i]:
+                            in_queue[i] = True
+                            q.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
                     if mate[to] == -1:

@@ -2,9 +2,11 @@
 
 For the Boolean model the full group is generated by bit relabelings and
 set complementation; this module builds those maps explicitly, computes the
-automorphism group of arbitrary graphs exactly (backtracking over a
-color-refinement invariant, order from the stabilizer-chain coset counts),
-and decides vertex and edge transitivity from the computed orbits.
+automorphism group of arbitrary graphs exactly (a stabilizer chain whose
+levels individualise the fixed vertices and refine the colouring, with an
+explicit-stack bitset search for each witness map; the order is the product
+of the coset counts), and decides vertex and edge transitivity from the
+computed orbits.
 """
 
 from __future__ import annotations
@@ -124,11 +126,16 @@ def decompose_boolean(n: int, images: tuple[int, ...],
     return sigma, complemented
 
 
-def _refine_colors(dense: DenseGraph) -> list[int]:
+def _refine_colors(dense: DenseGraph, color: list[int] | None = None) -> list[int]:
+    """The coarsest equitable colouring finer than ``color`` (the degrees by
+    default), with colours named in order of first appearance."""
     n = dense.size
-    color = [dense.degree(i) for i in range(n)]
+    if color is None:
+        color = [dense.degree(i) for i in range(n)]
+    classes = len(set(color))
+    nbrs = [bits(a) for a in dense.adj]
     while True:
-        sig = [(color[i], tuple(sorted(color[j] for j in bits(dense.adj[i]))))
+        sig = [(color[i], tuple(sorted([color[j] for j in nbrs[i]])))
                for i in range(n)]
         remap: dict = {}
         new = []
@@ -136,69 +143,76 @@ def _refine_colors(dense: DenseGraph) -> list[int]:
             if s not in remap:
                 remap[s] = len(remap)
             new.append(remap[s])
-        if new == color:
-            return color
-        color = new
+        # Each new class lies inside an old one, so equal counts mean the
+        # partition is stable.
+        if len(remap) == classes:
+            return new
+        color, classes = new, len(remap)
 
 
-def _find_extension(dense: DenseGraph, color: list[int],
-                    prefix: dict[int, int]) -> tuple[int, ...] | None:
-    """Complete a partial vertex map to a full automorphism, or None."""
-    n = dense.size
-    adj = dense.adj
-    perm = [-1] * n
-    used = 0
-    for s, t in prefix.items():
-        if color[s] != color[t] or (used >> t) & 1:
-            return None
-        perm[s] = t
-        used |= 1 << t
-    items = list(prefix.items())
-    for i in range(len(items)):
-        a, b = items[i]
-        for j in range(i + 1, len(items)):
-            c, d = items[j]
-            if ((adj[a] >> c) & 1) != ((adj[b] >> d) & 1):
+def _find_extension(adj: list[int], later: list[list[int]], cell_of: list[int],
+                    v: int, w: int) -> tuple[int, ...] | None:
+    """The lexicographically first automorphism that fixes 0..v-1 and maps
+    v to w, or None.
+
+    Vertices v, v+1, ... are mapped in order by an explicit-stack search,
+    each trying the images in its cell lowest first. ``img_nb[x]`` holds the
+    images of x's mapped neighbours, so y is a consistent image of x iff
+    ``adj[y] & used == img_nb[x]``, and y must be adjacent to the lowest of
+    those images.
+    """
+    n = len(adj)
+    fixed = (1 << v) - 1
+    perm = list(range(v)) + [-1] * (n - v)
+    img_nb = [a & fixed for a in adj]
+    cand = [0] * n
+    cand[v] = 1 << w
+    used = fixed
+    x = v
+    while True:
+        c = cand[x]
+        want = img_nb[x]
+        while c:
+            b = c & -c
+            c ^= b
+            y = b.bit_length() - 1
+            if adj[y] & used == want:
+                break
+        else:
+            # No image left for x: undo the assignment of x - 1.
+            x -= 1
+            if x < v:
                 return None
-
-    def consistent(v: int, w: int) -> bool:
-        if color[v] != color[w]:
-            return False
-        for x in range(n):
-            y = perm[x]
-            if y >= 0 and ((adj[v] >> x) & 1) != ((adj[w] >> y) & 1):
-                return False
-        return True
-
-    def rec(v: int) -> bool:
-        nonlocal used
-        if v == n:
-            return True
-        if perm[v] != -1:
-            return rec(v + 1)
-        for w in range(n):
-            if not (used >> w) & 1 and consistent(v, w):
-                perm[v] = w
-                used |= 1 << w
-                if rec(v + 1):
-                    return True
-                used &= ~(1 << w)
-                perm[v] = -1
-        return False
-
-    if rec(0):
-        return tuple(perm)
-    return None
+            b = 1 << perm[x]
+            used ^= b
+            for z in later[x]:
+                img_nb[z] ^= b
+            continue
+        cand[x] = c
+        perm[x] = y
+        used |= b
+        for z in later[x]:
+            img_nb[z] |= b
+        x += 1
+        if x == n:
+            return tuple(perm)
+        want = img_nb[x]
+        c = cell_of[x] & ~used
+        if want:
+            c &= adj[(want & -want).bit_length() - 1]
+        cand[x] = c
 
 
 def automorphism_group(g, cap: int = DEFAULT_AUT_CAP) -> AutGroupReport:
     """Exact automorphism group: generators and order.
 
-    Stabilizer chain over the canonical vertex order: at each level the
-    valid images of the next vertex under the current stabilizer are found
-    by backtracking completion, one witness map per non-trivial image. The
-    group order is the product of the orbit sizes, and the witnesses form a
-    strong generating set.
+    Stabilizer chain over the canonical vertex order. At level v the fixed
+    vertices 0..v-1 are individualised and the colouring refined; the
+    stabilizer of 0..v-1 maps v only into v's cell, and each w of that cell
+    that some automorphism reaches contributes the lexicographically first
+    such map as a witness. The group order is the product of the orbit
+    sizes, and the witnesses form a strong generating set. Once the
+    colouring is discrete the stabilizer is trivial and the search stops.
     """
     n = g.vertex_count if isinstance(g, InclusionGraph) else g.size
     if n > cap:
@@ -208,24 +222,28 @@ def automorphism_group(g, cap: int = DEFAULT_AUT_CAP) -> AutGroupReport:
     if n == 0:
         return AutGroupReport(order=1, generators=(), structure="trivial",
                               vertex_masks=dense.masks)
+    adj = dense.adj
+    later = [[z for z in bits(adj[x]) if z > x] for x in range(n)]
     color = _refine_colors(dense)
     order = 1
     gens: list[GraphAutomorphism] = []
-    fixed: dict[int, int] = {}
     for v in range(n):
-        orbit = 0
-        for w in range(n):
-            if color[w] != color[v]:
-                continue
-            prefix = dict(fixed)
-            prefix[v] = w
-            perm = _find_extension(dense, color, prefix)
+        cells: dict[int, int] = {}
+        for i, c in enumerate(color):
+            cells[c] = cells.get(c, 0) | 1 << i
+        if len(cells) == n:
+            break
+        cell_of = [cells[c] for c in color]
+        orbit = 1  # the identity maps v to itself
+        for w in bits(cell_of[v] & ~(1 << v)):
+            perm = _find_extension(adj, later, cell_of, v, w)
             if perm is not None:
                 orbit += 1
-                if w != v:
-                    gens.append(_decorate(perm, boolean_n, dense.masks))
+                gens.append(_decorate(perm, boolean_n, dense.masks))
         order *= orbit
-        fixed[v] = v
+        color = color[:]
+        color[v] = len(cells)
+        color = _refine_colors(dense, color)
     structure = "trivial" if order == 1 else "other"
     if boolean_n is not None and order == 2 * factorial(boolean_n):
         if all(a.base_perm is not None for a in gens):
@@ -264,15 +282,32 @@ def _orbits(n_points: int, maps: list[tuple[int, ...]]) -> list[int]:
 
 def transitivity(g, report: AutGroupReport) -> tuple[bool, bool]:
     """(vertex transitive, edge transitive) of g, whose full automorphism
-    group ``report`` holds."""
+    group ``report`` holds.
+
+    Each edge orbit lies inside one class of the edges grouped by the
+    unordered pair of vertex orbits at their ends, so two such classes
+    already rule out edge transitivity; only a single class needs the
+    union-find over the edges.
+    """
     dense = g.dense() if isinstance(g, InclusionGraph) else g
     n = dense.size
+    adj = dense.adj
     maps = [a.images for a in report.generators]
     vertex_orbits = _orbits(n, maps)
-    vertex_transitive = len(set(vertex_orbits)) <= 1
+    members: dict[int, int] = {}
+    for i, r in enumerate(vertex_orbits):
+        members[r] = members.get(r, 0) | 1 << i
+    vertex_transitive = len(members) <= 1
+    orbit_masks = list(members.values())
+    classes = 0
+    for k, mask in enumerate(orbit_masks):
+        reach = 0
+        for i in bits(mask):
+            reach |= adj[i]
+        classes += sum(1 for other in orbit_masks[k:] if reach & other)
+    if classes != 1:
+        return vertex_transitive, classes == 0
     edges = dense.edge_list()
-    if not edges:
-        return vertex_transitive, True
     eidx = {e: i for i, e in enumerate(edges)}
     edge_maps = []
     for m in maps:

@@ -1,12 +1,17 @@
 """Straightforward references for the optimized kernels: the semigroup
 layer's associativity test, Hopcroft-Karp and König over adjacency lists,
-and the graph export through ``json.dumps``."""
+the graph export through ``json.dumps``, the blossom matching that scans
+every vertex per contraction, the automorphism search by recursive
+extension, and edge transitivity by a union-find over all edges."""
 
 import json
 import math
 from collections import deque
+from math import factorial
 
-from idealgraph import CayleyTable
+from idealgraph import AutGroupReport, CayleyTable, InclusionGraph
+from idealgraph.graph import bits
+from idealgraph.symmetry import _decorate, _orbits
 
 
 def first_nonassociative_triple(rows):
@@ -171,3 +176,219 @@ def export_json_document(g):
         "edges": [[u, v] for u, v in dense.edge_list()],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def maximum_matching_full_scan(n, adj):
+    """Maximum matching by blossom contraction, scanning all n vertices for
+    the members of each contracted blossom. Returns ``mate``."""
+    mate = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
+
+    def lca(a, b):
+        seen = [False] * n
+        x = a
+        while True:
+            x = base[x]
+            seen[x] = True
+            if mate[x] == -1:
+                break
+            x = parent[mate[x]]
+        y = b
+        while True:
+            y = base[y]
+            if seen[y]:
+                return y
+            y = parent[mate[y]]
+
+    def mark_path(v, b, child, in_blossom):
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def find_augmenting_path(root):
+        nonlocal parent, base, in_queue
+        parent = [-1] * n
+        base = list(range(n))
+        in_queue = [False] * n
+        in_queue[root] = True
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            m = adj[v]
+            while m:
+                b = m & -m
+                m ^= b
+                to = b.bit_length() - 1
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                    cur = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, cur, to, in_blossom)
+                    mark_path(to, cur, v, in_blossom)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = cur
+                            if not in_queue[i]:
+                                in_queue[i] = True
+                                q.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if mate[to] == -1:
+                        return to
+                    if not in_queue[mate[to]]:
+                        in_queue[mate[to]] = True
+                        q.append(mate[to])
+        return -1
+
+    def augment(finish):
+        u = finish
+        while u != -1:
+            pv = parent[u]
+            next_u = mate[pv]
+            mate[u] = pv
+            mate[pv] = u
+            u = next_u
+
+    free = (1 << n) - 1
+    for v in range(n):
+        if free >> v & 1:
+            m = adj[v] & free
+            if m:
+                to = (m & -m).bit_length() - 1
+                mate[v] = to
+                mate[to] = v
+                free ^= 1 << v | 1 << to
+    for v in range(n):
+        if mate[v] == -1:
+            finish = find_augmenting_path(v)
+            if finish != -1:
+                augment(finish)
+    return mate
+
+
+def refine_colors_from_degrees(dense):
+    """The coarsest equitable colouring finer than the degrees, with colours
+    named in order of first appearance."""
+    n = dense.size
+    color = [dense.degree(i) for i in range(n)]
+    while True:
+        sig = [(color[i], tuple(sorted(color[j] for j in bits(dense.adj[i]))))
+               for i in range(n)]
+        remap = {}
+        new = []
+        for s in sig:
+            if s not in remap:
+                remap[s] = len(remap)
+            new.append(remap[s])
+        if new == color:
+            return color
+        color = new
+
+
+def find_extension_recursive(dense, color, prefix):
+    """Complete a partial vertex map to the lexicographically first
+    automorphism by recursion over the vertices in order, or None."""
+    n = dense.size
+    adj = dense.adj
+    perm = [-1] * n
+    used = 0
+    for s, t in prefix.items():
+        if color[s] != color[t] or (used >> t) & 1:
+            return None
+        perm[s] = t
+        used |= 1 << t
+    items = list(prefix.items())
+    for i in range(len(items)):
+        a, b = items[i]
+        for j in range(i + 1, len(items)):
+            c, d = items[j]
+            if ((adj[a] >> c) & 1) != ((adj[b] >> d) & 1):
+                return None
+
+    def consistent(v, w):
+        if color[v] != color[w]:
+            return False
+        for x in range(n):
+            y = perm[x]
+            if y >= 0 and ((adj[v] >> x) & 1) != ((adj[w] >> y) & 1):
+                return False
+        return True
+
+    def rec(v):
+        nonlocal used
+        if v == n:
+            return True
+        if perm[v] != -1:
+            return rec(v + 1)
+        for w in range(n):
+            if not (used >> w) & 1 and consistent(v, w):
+                perm[v] = w
+                used |= 1 << w
+                if rec(v + 1):
+                    return True
+                used &= ~(1 << w)
+                perm[v] = -1
+        return False
+
+    if rec(0):
+        return tuple(perm)
+    return None
+
+
+def automorphism_group_by_extension(g):
+    """The automorphism group report by a stabiliser chain over the vertex
+    order: at every level, one recursive extension search per vertex of the
+    level's colour class, with no individualisation and no early stop."""
+    dense = g.dense() if isinstance(g, InclusionGraph) else g
+    boolean_n = g.n if isinstance(g, InclusionGraph) else None
+    n = dense.size
+    if n == 0:
+        return AutGroupReport(order=1, generators=(), structure="trivial",
+                              vertex_masks=dense.masks)
+    color = refine_colors_from_degrees(dense)
+    order = 1
+    gens = []
+    fixed = {}
+    for v in range(n):
+        orbit = 0
+        for w in range(n):
+            if color[w] != color[v]:
+                continue
+            prefix = dict(fixed)
+            prefix[v] = w
+            perm = find_extension_recursive(dense, color, prefix)
+            if perm is not None:
+                orbit += 1
+                if w != v:
+                    gens.append(_decorate(perm, boolean_n, dense.masks))
+        order *= orbit
+        fixed[v] = v
+    structure = "trivial" if order == 1 else "other"
+    if boolean_n is not None and order == 2 * factorial(boolean_n):
+        if all(a.base_perm is not None for a in gens):
+            structure = f"S{boolean_n} x Z2"
+    return AutGroupReport(order=order, generators=tuple(gens),
+                          structure=structure, vertex_masks=dense.masks)
+
+
+def transitivity_by_edge_orbits(g, report):
+    """(vertex transitive, edge transitive) from union-finds over all
+    vertices and all edges under the report's generators."""
+    dense = g.dense() if isinstance(g, InclusionGraph) else g
+    maps = [a.images for a in report.generators]
+    vertex_transitive = len(set(_orbits(dense.size, maps))) <= 1
+    edges = dense.edge_list()
+    if not edges:
+        return vertex_transitive, True
+    eidx = {e: i for i, e in enumerate(edges)}
+    edge_maps = []
+    for m in maps:
+        edge_maps.append(tuple(eidx[(min(m[u], m[v]), max(m[u], m[v]))]
+                               for u, v in edges))
+    return vertex_transitive, len(set(_orbits(len(edges), edge_maps))) <= 1

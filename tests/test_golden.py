@@ -24,6 +24,7 @@ CASES = {
     "invariants_band2x6_all": ["invariants", str(DATA / "rectangular_band_2x6.txt"),
                                "--all"],
     "aut_n5": ["aut", "--n", "5"],
+    "aut_n6": ["aut", "--n", "6"],
     "ideals_band2x6": ["ideals", str(DATA / "rectangular_band_2x6.txt")],
     "graph_n4": ["graph", "--n", "4", "--format", "json"],
     "graph_n4_dot": ["graph", "--n", "4", "--format", "dot"],

@@ -1,8 +1,13 @@
 """Automorphisms: explicit maps, the full group, decomposition, transitivity."""
 
+from itertools import islice
 from math import factorial
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from idealgraph import (
     NotAPermutationError,
@@ -13,11 +18,13 @@ from idealgraph import (
     complement_automorphism,
     compose,
     decompose_boolean,
+    dense_from_edges,
     enumerate_left_ideals,
     null_semigroup,
     relabel_automorphism,
     transitivity,
 )
+from oracles import automorphism_group_by_extension, transitivity_by_edge_orbits
 
 
 def mask_map(n, auto):
@@ -85,7 +92,7 @@ def test_complement_is_involution_and_commutes():
 
 
 def test_automorphism_group_orders():
-    expected = {2: 2, 3: 12, 4: 48, 5: 240, 6: 1440}
+    expected = {2: 2, 3: 12, 4: 48, 5: 240, 6: 1440, 7: 10080, 8: 80640}
     for n, want in expected.items():
         report = automorphism_group(build_boolean(n))
         assert report.order == want
@@ -226,10 +233,6 @@ def test_aut_cap():
 
 
 def test_raw_graph_orders_match_known_groups():
-    import networkx as nx
-
-    from idealgraph import dense_from_edges
-
     cases = [
         (nx.petersen_graph(), 120),
         (nx.cycle_graph(5), 10),
@@ -254,3 +257,97 @@ def test_aut_cap_refuses_before_materializing():
     with pytest.raises(TooLargeError, match="automorphism cap 100"):
         automorphism_group(g, cap=100)
     assert g._dense is None
+
+
+@st.composite
+def raw_graphs(draw, max_vertices=12):
+    nv = draw(st.integers(0, max_vertices))
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    density = draw(st.sampled_from((0.0, 0.15, 0.3, 0.5, 0.8, 1.0)))
+    coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return nv, [p for p, x in zip(pairs, coins) if x < density]
+
+
+def complete(nv):
+    return nv, [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_graphs())
+@example((0, []))
+@example((1, []))
+@example((7, []))
+@example(complete(2))
+@example(complete(9))
+@example((6, [(0, 1), (2, 3), (4, 5)]))
+def test_group_matches_extension_oracle(graph):
+    # Same order, generators (lexicographically first witnesses, in the
+    # same order) and structure as the search without individualisation.
+    nv, edges = graph
+    g = dense_from_edges(nv, edges)
+    report = automorphism_group(g)
+    assert report == automorphism_group_by_extension(g)
+    assert transitivity(g, report) == transitivity_by_edge_orbits(g, report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_graphs(max_vertices=9))
+@example((0, []))
+@example((1, []))
+@example((5, []))
+@example(complete(5))
+def test_group_order_matches_networkx_isomorphism_count(graph):
+    # networkx lists the automorphisms one by one, at about 0.2 ms each, so
+    # it stops after 5!: a larger group (up to 9! on the edgeless or
+    # complete graph) is only checked to be larger.
+    nv, edges = graph
+    G = nx.Graph()
+    G.add_nodes_from(range(nv))
+    G.add_edges_from(edges)
+    limit = factorial(5)
+    count = sum(1 for _ in islice(GraphMatcher(G, G).isomorphisms_iter(), limit + 1))
+    order = automorphism_group(dense_from_edges(nv, edges)).order
+    assert order == count if count <= limit else order > limit
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_boolean_group_matches_extension_oracle(n):
+    g = build_boolean(n)
+    report = automorphism_group(g)
+    assert report == automorphism_group_by_extension(g)
+    assert transitivity(g, report) == transitivity_by_edge_orbits(g, report)
+
+
+def test_transitivity_matches_edge_orbits_on_named_graphs():
+    # Vertex- and edge-transitive, vertex- but not edge-transitive, and edge-
+    # but not vertex-transitive graphs, where a single class of edges between
+    # vertex orbits leaves the verdict to the union-find over edges.
+    cases = [
+        (nx.petersen_graph(), (True, True)),
+        (nx.circular_ladder_graph(6), (True, False)),
+        (nx.complete_bipartite_graph(3, 4), (False, True)),
+        (nx.star_graph(5), (False, True)),
+        (nx.path_graph(4), (False, False)),
+        (nx.empty_graph(4), (True, True)),
+    ]
+    for G, want in cases:
+        G = nx.convert_node_labels_to_integers(G)
+        g = dense_from_edges(G.number_of_nodes(), list(G.edges()))
+        report = automorphism_group(g)
+        assert transitivity(g, report) == want
+        assert transitivity_by_edge_orbits(g, report) == want
+
+
+def test_long_path_has_no_recursion_error():
+    # One level per vertex would overflow a recursive search.
+    g = dense_from_edges(1100, [(i, i + 1) for i in range(1099)])
+    report = automorphism_group(g)
+    assert report.order == 2
+    assert report.generators[0].images == tuple(range(1099, -1, -1))
+
+
+def test_long_cycle_group_is_dihedral():
+    g = dense_from_edges(300, [(i, (i + 1) % 300) for i in range(300)])
+    report = automorphism_group(g)
+    assert report.order == 600
+    assert transitivity(g, report) == (True, True)
