@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import constructions, invariants, symmetry, theorems
 from .errors import IdealGraphError, NotAssociativeError
-from .graph import build_boolean, build_from_family, export_graph
+from .graph import build_boolean, build_from_family, command_vertex_cap, export_graph
 from .semigroup import enumerate_left_ideals, parse_cayley_table, serialize_cayley_table
 
 
@@ -61,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("diameter", "girth", "clique", "chromatic", "independence",
                  "matching", "domination", "planarity", "perfect", "flags"):
         p.add_argument(f"--{flag}", action="store_true")
-    p.add_argument("--perfect-max-len", type=_positive)
     p.add_argument("--domination-cap", type=_positive,
                    default=invariants.DOMINATION_CAP)
 
@@ -146,9 +144,7 @@ def _cmd_invariants(args) -> int:
                             "planarity", "perfect", "flags")
                 if getattr(args, k)}
     if args.all or not selected:
-        report = invariants.compute_report(
-            g, perfect_max_len=args.perfect_max_len,
-            domination_cap=args.domination_cap)
+        report = invariants.compute_report(g, domination_cap=args.domination_cap)
         sys.stdout.write(json.dumps(report.to_jsonable(), indent=2) + "\n")
         return 0
     out: dict = {}
@@ -178,12 +174,7 @@ def _cmd_invariants(args) -> int:
         if not res.planar:
             out["kuratowski_kind"] = res.kuratowski_kind
     if "perfect" in selected:
-        max_len = (args.perfect_max_len
-                   or invariants.default_perfect_max_len(g.dense().size))
-        verdict = None
-        if max_len > 0:
-            verdict, _ = invariants.perfectness(g, max_len)
-        out["perfect"] = verdict
+        out["perfect"], _, _ = invariants.perfect_verdict(g)
     if "flags" in selected:
         eul, bip, tri = invariants.structural_flags(g)
         out.update(eulerian=eul, bipartite=bip, triangulated=tri)
@@ -250,11 +241,6 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # The cap reaches every dense() call through the environment; it is put
-    # back afterwards, so one in-process call does not cap the next.
-    saved_cap = os.environ.get("IDEALGRAPH_MAX_VERTICES")
-    if args.max_vertices:
-        os.environ["IDEALGRAPH_MAX_VERTICES"] = str(args.max_vertices)
     handlers = {
         "validate": _cmd_validate,
         "ideals": _cmd_ideals,
@@ -265,7 +251,10 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        # One vertex cap binds every dense() call of the command and ends
+        # with it, so one in-process call does not cap the next.
+        with command_vertex_cap(args.max_vertices):
+            return handlers[args.command](args)
     except NotAssociativeError as e:
         a, b, c = e.triple
         sys.stderr.write(f"error: not associative, witness triple ({a}, {b}, {c})\n")
@@ -276,12 +265,6 @@ def main(argv=None) -> int:
     except (RuntimeError, MemoryError) as e:
         sys.stderr.write(f"error: internal failure: {type(e).__name__}: {e}\n")
         return 3
-    finally:
-        if args.max_vertices:
-            if saved_cap is None:
-                del os.environ["IDEALGRAPH_MAX_VERTICES"]
-            else:
-                os.environ["IDEALGRAPH_MAX_VERTICES"] = saved_cap
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .bipartite import hopcroft_karp
 from .errors import NotIndependentError, OutOfRangeError
@@ -270,7 +269,3 @@ def canonical_maximum_chain(n: int) -> list[int]:
     if n < 2:
         raise OutOfRangeError("need n >= 2")
     return [(1 << k) - 1 for k in range(1, n)]
-
-
-def middle_layer_size(n: int) -> int:
-    return comb(n, n // 2)

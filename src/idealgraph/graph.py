@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -21,9 +22,14 @@ from .semigroup import IdealFamily
 DEFAULT_VERTEX_CAP = 1 << 22
 MAX_BOOLEAN_N = 62
 
+_command_cap: int | None = None  # set by command_vertex_cap
+
 
 def vertex_cap() -> int:
-    """Hard cap on materialized vertex counts; IDEALGRAPH_MAX_VERTICES overrides."""
+    """Hard cap on materialized vertex counts: the running command's (see
+    ``command_vertex_cap``), else IDEALGRAPH_MAX_VERTICES, else the default."""
+    if _command_cap is not None:
+        return _command_cap
     env = os.environ.get("IDEALGRAPH_MAX_VERTICES")
     if not env:
         return DEFAULT_VERTEX_CAP
@@ -35,6 +41,20 @@ def vertex_cap() -> int:
         raise OutOfRangeError(
             f"IDEALGRAPH_MAX_VERTICES must be a positive integer, got {env!r}")
     return cap
+
+
+@contextmanager
+def command_vertex_cap(cap: int | None = None):
+    """Fix the vertex cap for the block: ``cap``, or the environment's, read
+    once here rather than on every ``dense()`` call. The previous cap is back
+    afterwards."""
+    global _command_cap
+    saved = _command_cap
+    _command_cap = cap if cap is not None else vertex_cap()
+    try:
+        yield
+    finally:
+        _command_cap = saved
 
 
 def bits(m: int) -> list[int]:

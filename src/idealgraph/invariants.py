@@ -23,6 +23,7 @@ from .matching import matching_edges, maximum_matching_adj
 INFINITY = math.inf
 
 DIAMETER_CROSSCHECK_MAX = 64
+GIRTH_CROSSCHECK_MAX = 64
 CLIQUE_CROSSCHECK_MAX = 64
 CHROMATIC_CROSSCHECK_MAX = 64
 INDEPENDENCE_CROSSCHECK_MAX = 30
@@ -72,21 +73,110 @@ def _components(dense: DenseGraph) -> list[int]:
 
 
 def connectivity(g) -> tuple[int, int | float]:
-    """(number of components, diameter); diameter is inf unless connected."""
+    """(number of components, diameter); diameter is inf unless connected.
+
+    An inclusion graph takes its diameter from the extremes of its
+    containment order, cross-checked against the lockstep BFS on small
+    graphs. Raw graphs, disconnected graphs and inclusion graphs of diameter
+    above 3 take the component search and the lockstep BFS.
+    """
     dense = _dense(g)
     n = dense.size
     if n == 0:
         return 0, INFINITY
+    full = (1 << n) - 1
+    if all(a | (1 << v) == full for v, a in enumerate(dense.adj)):
+        return 1, (1 if n > 1 else 0)  # complete
+    diam = _diameter_extremes(dense) if dense.masks is not None else None
+    if diam is not None:
+        if n <= DIAMETER_CROSSCHECK_MAX:
+            check = _diameter_lockstep(dense)
+            if check != diam:
+                raise RuntimeError(
+                    f"diameter cross-check failed: extremes {diam}, lockstep {check}")
+        return 1, diam
     comps = _components(dense)
     if len(comps) != 1:
         return len(comps), INFINITY
-    diam = _diameter_lockstep(dense)
-    if n <= DIAMETER_CROSSCHECK_MAX:
-        check = _diameter_per_source(dense)
-        if check != diam:
-            raise RuntimeError(
-                f"diameter cross-check failed: lockstep {diam}, per-source {check}")
-    return 1, diam
+    return 1, _diameter_lockstep(dense)
+
+
+def _extremes(adj: list[int]) -> int:
+    """Bitset of the minimal and maximal vertices of an inclusion graph's
+    containment order. Vertices are indexed along a linear extension of
+    containment (see ``DenseGraph.containment``), so these are the vertices
+    with no lower or no higher neighbour; every other vertex is the middle
+    of a 3-chain."""
+    ext = 0
+    for v, a in enumerate(adj):
+        if not a & ((1 << v) - 1) or not a >> (v + 1):
+            ext |= 1 << v
+    return ext
+
+
+def _diameter_extremes(dense: DenseGraph) -> int | None:
+    """Diameter of an inclusion graph from the extremes (minimal and maximal
+    vertices) of its containment order; None when it exceeds 3 or is
+    infinite.
+
+    Two incomparable vertices are at distance 2 iff an extreme is adjacent
+    to both: a minimal one below both or a maximal one above both. So the
+    radius-2 ball of u is the union of the closed neighbourhoods N[e] of the
+    extremes e in N[u]; N[e] is the closed up-set of a minimal e and the
+    closed down-set of a maximal one. The radius-3 ball is the same union of
+    far[e], the union of N[f] over the extremes f adjacent to e. Both are
+    exact in any finite poset. A vertex costs one OR per extreme comparable
+    to it, n in the Boolean model.
+    """
+    adj = dense.adj
+    n = len(adj)
+    if n <= 1:
+        return 0
+    full = (1 << n) - 1
+    extremes = _extremes(adj)
+    far: list[int] = []
+    diam = 1
+    for u, a in enumerate(adj):
+        closed = a | 1 << u
+        if closed == full:
+            continue
+        ext = closed & extremes
+        if diam < 3:
+            diam = 2
+            acc = 0
+            m = ext
+            while m:
+                b = m & -m
+                v = b.bit_length() - 1
+                acc |= adj[v] | b
+                m ^= b
+            if acc == full:
+                continue
+            diam = 3
+            far = [0] * n
+            m = extremes
+            while m:
+                b = m & -m
+                v = b.bit_length() - 1
+                m ^= b
+                acc = 0
+                e = adj[v] & extremes
+                while e:
+                    c = e & -e
+                    acc |= adj[c.bit_length() - 1] | c
+                    e ^= c
+                far[v] = acc
+        acc = 0
+        m = ext
+        while m:
+            b = m & -m
+            acc |= far[b.bit_length() - 1]
+            if acc == full:
+                break
+            m ^= b
+        if acc != full:
+            return None
+    return diam
 
 
 def _diameter_lockstep(dense: DenseGraph) -> int | float:
@@ -131,65 +221,64 @@ def _diameter_lockstep(dense: DenseGraph) -> int | float:
     return diam
 
 
-def _diameter_per_source(dense: DenseGraph) -> int | float:
-    """Largest eccentricity by a bitset BFS from every vertex; inf when
-    disconnected. The oracle for ``_diameter_lockstep`` on small graphs."""
-    n = dense.size
-    allv = (1 << n) - 1
-    diam = 0
-    for s in range(n):
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        while seen != allv:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= dense.adj[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & ~seen
-            if not frontier:
-                return INFINITY
-            seen |= frontier
-            d += 1
-        if d > diam:
-            diam = d
-    return diam
-
-
 def girth(g) -> int | float:
-    """Length of a shortest cycle, via BFS from every vertex; inf for forests."""
+    """Length of a shortest cycle; inf for forests.
+
+    Three nested sets are a triangle, so an inclusion graph whose
+    containment order has a 3-chain, a vertex with a strict subset and a
+    strict superset, has girth 3. The BFS cross-checks that on small graphs
+    and decides every other graph.
+    """
     dense = _dense(g)
-    n = dense.size
+    if dense.size < 3:
+        return INFINITY
+    if dense.masks is not None and _extremes(dense.adj) != (1 << dense.size) - 1:
+        if dense.size <= GIRTH_CROSSCHECK_MAX:
+            check = _girth_bfs(dense)
+            if check != 3:
+                raise RuntimeError(f"girth cross-check failed: 3-chain 3, BFS {check}")
+        return 3
+    return _girth_bfs(dense)
+
+
+def _girth_bfs(dense: DenseGraph) -> int | float:
+    """Length of a shortest cycle by BFS from every vertex; inf for forests.
+
+    Each BFS grows layer by layer on bitsets. An edge inside layer k closes
+    a cycle of at most 2k + 1 vertices, and a vertex of layer k + 1 with two
+    neighbours in layer k one of at most 2k + 2. A root on a shortest cycle
+    finds its length exactly, so the least find over all roots is the girth.
+    """
+    adj = dense.adj
     best = INFINITY
-    dist = [0] * n
-    parent = [0] * n
-    for root in range(n):
+    for root in range(len(adj)):
         if best == 3:
             break
-        for i in range(n):
-            dist[i] = -1
-        dist[root] = 0
-        parent[root] = -1
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            if best != INFINITY and dist[u] * 2 >= best:
-                continue
-            m = dense.adj[u]
+        seen = layer = 1 << root
+        k = 0
+        while layer and 2 * k + 1 < best:
+            once = twice = 0
+            odd = False
+            m = layer
             while m:
                 b = m & -m
-                w = b.bit_length() - 1
                 m ^= b
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    q.append(w)
-                elif w != parent[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
+                nb = adj[b.bit_length() - 1]
+                if nb & layer:
+                    odd = True
+                    break
+                nb &= ~seen
+                twice |= once & nb
+                once |= nb
+            if odd:
+                best = 2 * k + 1
+                break
+            if twice:
+                best = min(best, 2 * k + 2)
+                break
+            seen |= once
+            layer = once
+            k += 1
     return best
 
 
@@ -792,17 +881,33 @@ def _jsonify(obj):
     return obj
 
 
-def default_perfect_max_len(n: int) -> int:
-    """Longest odd hole searched by default on n vertices.
+def perfect_verdict(g) -> tuple[bool | None, tuple | None, str]:
+    """(perfect, odd hole or antihole witness, method).
 
-    Exhaustive only when cheap; the induced-path enumeration explodes on
-    large dense complements, so big graphs default to "unknown" (0).
+    An inclusion graph is the comparability graph of set inclusion, and
+    comparability graphs are perfect (Golumbic 1980, ch. 5), so it is
+    perfect at every size; the odd-hole search cross-checks that wherever
+    it is exhaustive. A raw graph takes the search alone.
     """
-    return n if n <= 14 else (11 if n <= 32 else 0)
+    dense = _dense(g)
+    n = dense.size
+    # Exhaustive only when cheap: the induced-path enumeration explodes on
+    # large dense complements, so big raw graphs get no verdict.
+    max_len = n if n <= 14 else (11 if n <= 32 else 0)
+    if dense.masks is not None:
+        if max_len >= n:
+            check, witness = perfectness(dense, max_len)
+            if check is not True:
+                raise RuntimeError(
+                    f"perfectness cross-check failed: comparability graph, search {witness}")
+        return True, None, "comparability"
+    if max_len == 0:
+        return None, None, "skipped-size"
+    verdict, witness = perfectness(dense, max_len)
+    return verdict, witness, f"odd-hole-search<=({max_len})"
 
 
-def compute_report(g, *, perfect_max_len: int | None = None,
-                   domination_cap: int = DOMINATION_CAP) -> InvariantReport:
+def compute_report(g, *, domination_cap: int = DOMINATION_CAP) -> InvariantReport:
     """Run every invariant on g and bundle the results."""
     dense = _dense(g)
     n = dense.size
@@ -811,9 +916,12 @@ def compute_report(g, *, perfect_max_len: int | None = None,
     methods: dict = {}
 
     components, diameter = connectivity(dense)
-    methods["connectivity"] = "bitset-bfs"
+    methods["connectivity"] = ("containment-extremes"
+                               if dense.masks is not None and diameter <= 3
+                               else "bitset-bfs")
     gr = girth(dense)
-    methods["girth"] = "per-vertex-bfs"
+    methods["girth"] = ("3-chain" if dense.masks is not None and gr == 3
+                        else "per-vertex-bfs")
     omega, clique = clique_number(dense)
     methods["clique"] = ("chain-dp" if dense.masks is not None else "branch-and-bound")
     witnesses["clique"] = clique
@@ -843,16 +951,9 @@ def compute_report(g, *, perfect_max_len: int | None = None,
             "kind": planar_res.kuratowski_kind,
             "edges": planar_res.kuratowski_edges,
         }
-    if perfect_max_len is None:
-        perfect_max_len = default_perfect_max_len(n)
-    if perfect_max_len > 0:
-        perfect, hole_witness = perfectness(dense, perfect_max_len)
-        methods["perfectness"] = f"odd-hole-search<=({perfect_max_len})"
-        if hole_witness is not None:
-            witnesses[hole_witness[0]] = hole_witness[1]
-    else:
-        perfect, hole_witness = None, None
-        methods["perfectness"] = "skipped-size"
+    perfect, hole_witness, methods["perfectness"] = perfect_verdict(dense)
+    if hole_witness is not None:
+        witnesses[hole_witness[0]] = hole_witness[1]
 
     report = InvariantReport(
         vertex_count=n,

@@ -1,8 +1,9 @@
 """Straightforward references for the optimized kernels: the semigroup
-layer's associativity test, Hopcroft-Karp and König over adjacency lists,
-the graph export through ``json.dumps``, the blossom matching that scans
-every vertex per contraction, the automorphism search by recursive
-extension, and edge transitivity by a union-find over all edges."""
+layer's associativity test, the diameter and girth by a BFS from every
+vertex, Hopcroft-Karp and König over adjacency lists, the graph export
+through ``json.dumps``, the blossom matching that scans every vertex per
+contraction, the automorphism search by recursive extension, and edge
+transitivity by a union-find over all edges."""
 
 import json
 import math
@@ -66,6 +67,55 @@ def magma_closure(rows, elements):
         if grown == closed:
             return closed
         closed = grown
+
+
+def diameter_per_source(dense):
+    """Largest eccentricity by a bitset BFS from every vertex; inf when
+    disconnected, 0 on fewer than two vertices."""
+    n = dense.size
+    allv = (1 << n) - 1
+    diam = 0
+    for s in range(n):
+        seen = 1 << s
+        frontier = seen
+        d = 0
+        while seen != allv:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                nxt |= dense.adj[b.bit_length() - 1]
+                f ^= b
+            frontier = nxt & ~seen
+            if not frontier:
+                return math.inf
+            seen |= frontier
+            d += 1
+        if d > diam:
+            diam = d
+    return diam
+
+
+def girth_per_vertex_bfs(dense):
+    """Length of a shortest cycle by a queue BFS from every vertex that
+    closes a cycle at each non-tree edge; inf for forests."""
+    n = dense.size
+    best = math.inf
+    for root in range(n):
+        dist = [-1] * n
+        parent = [-1] * n
+        dist[root] = 0
+        q = deque([root])
+        while q:
+            u = q.popleft()
+            for w in bits(dense.adj[u]):
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    q.append(w)
+                elif w != parent[u]:
+                    best = min(best, dist[u] + dist[w] + 1)
+    return best
 
 
 def hopcroft_karp_lists(n_left, n_right, adj):

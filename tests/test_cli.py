@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from idealgraph import invariants, rectangular_band, semigroup, symmetry
+from idealgraph import graph, invariants, rectangular_band, semigroup, symmetry
 from idealgraph.cli import main
 from idealgraph.graph import DEFAULT_VERTEX_CAP, vertex_cap
 from oracles import first_nonassociative_triple
@@ -258,6 +258,36 @@ def test_max_vertices_does_not_outlive_the_call(monkeypatch, capsys):
     monkeypatch.setenv("IDEALGRAPH_MAX_VERTICES", "40")
     assert main(["--max-vertices", "5", "validate", band]) == 0
     assert vertex_cap() == 40
+
+
+def test_vertex_cap_is_read_once_per_command(monkeypatch, capsys):
+    # verify builds hundreds of graphs and calls dense() on each many times;
+    # the environment is read once, when the command starts.
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(graph, "os", type("os", (), {"environ": Environ(
+        IDEALGRAPH_MAX_VERTICES="5000")}))
+    assert main(["verify", "--boolean", "2..5"]) == 0
+    assert reads == ["IDEALGRAPH_MAX_VERTICES"]
+    assert main(["--max-vertices", "40", "invariants", "--n", "5", "--all"]) == 0
+    assert reads == ["IDEALGRAPH_MAX_VERTICES"]
+    assert main(["invariants", "--n", "13", "--diameter"]) == 2
+    assert capsys.readouterr().err == "error: 8190 vertices exceed the cap of 5000\n"
+
+
+def test_perfect_flag_takes_the_report_route(capsys):
+    # Boolean n=6 has 62 vertices, past any exhaustive hole search; it is
+    # perfect as a comparability graph, in --perfect as in --all.
+    assert main(["invariants", "--n", "6", "--perfect"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"perfect": True}
+    assert main(["invariants", "--n", "6", "--all"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["perfect"] is True and doc["methods"]["perfectness"] == "comparability"
 
 
 def test_networkx_is_imported_only_for_left_right():

@@ -35,6 +35,7 @@ from idealgraph import (
     structural_flags,
 )
 from idealgraph import invariants
+from oracles import diameter_per_source, girth_per_vertex_bfs
 
 INF = math.inf
 
@@ -126,16 +127,92 @@ def test_lockstep_diameter_matches_per_source_oracle():
     graphs.append(dense_from_edges(3, []))
     for dense in graphs:
         assert (invariants._diameter_lockstep(dense)
-                == invariants._diameter_per_source(dense)), dense.size
+                == diameter_per_source(dense)), dense.size
     assert connectivity(paths[200]) == (1, 199)  # 199 rounds, past the oracle's size
 
 
 def test_diameter_cross_check_is_a_real_check(monkeypatch):
-    real = invariants._diameter_per_source
-    monkeypatch.setattr(invariants, "_diameter_per_source",
+    real = invariants._diameter_lockstep
+    monkeypatch.setattr(invariants, "_diameter_lockstep",
                         lambda dense: real(dense) + 1)
     with pytest.raises(RuntimeError, match="diameter cross-check failed"):
         connectivity(build_boolean(5))
+
+
+def check_diameter_routes(g):
+    """The extremes diameter equals the per-source oracle up to 3 and gives
+    way to the lockstep BFS above it; connectivity agrees either way."""
+    dense = g.dense()
+    want = diameter_per_source(dense)
+    assert connectivity(g)[1] == want
+    assert invariants._diameter_extremes(dense) == (want if want <= 3 else None)
+
+
+def check_girth_routes(g):
+    dense = g.dense()
+    want = girth_per_vertex_bfs(dense)
+    assert girth(g) == invariants._girth_bfs(dense) == want
+
+
+def walk_family(walk):
+    """The points of a walk on 8 points and the pairs of its steps: the
+    inclusion graph is the walked graph subdivided, connected and often of
+    diameter above 3, so the lockstep fallback runs."""
+    return ([1 << e for e in walk]
+            + [1 << a | 1 << b for a, b in zip(walk, walk[1:]) if a != b])
+
+
+thin_families = st.lists(st.integers(min_value=0, max_value=7),
+                         min_size=1, max_size=12).map(walk_family)
+
+
+def fence(k):
+    """{0} < {0,1} > {1} < {1,2} > ... on k + 1 points: a path of 2k + 1
+    vertices."""
+    return InclusionGraph("generic", vertices=tuple(
+        [1 << i for i in range(k + 1)] + [3 << i for i in range(k)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mask_families, thin_families))
+def test_extremes_diameter_matches_oracle_on_mask_families(masks):
+    g = InclusionGraph("generic", vertices=tuple(masks))
+    check_diameter_routes(g)
+    check_girth_routes(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=(1 << 8) - 1), min_size=1, max_size=6))
+def test_extremes_diameter_matches_oracle_on_union_closed_families(generators):
+    g = InclusionGraph("generic", vertices=tuple(union_closed(generators)))
+    check_diameter_routes(g)
+    check_girth_routes(g)
+
+
+def test_extremes_diameter_on_fences_and_boolean_models():
+    for k in range(1, 8):
+        g = fence(k)
+        assert connectivity(g) == (1, 2 * k)
+        assert girth(g) == INF
+        check_diameter_routes(g)
+    for n in range(2, 11):
+        g = build_boolean(n)
+        check_diameter_routes(g)
+        assert girth(g) == invariants._girth_bfs(g.dense())
+        if n <= 7:
+            check_girth_routes(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_graphs)
+def test_layered_girth_matches_oracle_on_raw_graphs(dense):
+    assert girth(dense) == girth_per_vertex_bfs(dense)
+
+
+def test_girth_cross_check_is_a_real_check(monkeypatch):
+    monkeypatch.setattr(invariants, "_girth_bfs", lambda dense: 4)
+    with pytest.raises(RuntimeError, match="girth cross-check failed"):
+        girth(build_boolean(4))
 
 
 # --- girth -------------------------------------------------------------------
@@ -613,6 +690,30 @@ def test_perfectness_boolean5_bounded_unknown():
     for H in (G, nx.complement(G)):
         lengths = {len(c) for c in nx.chordless_cycles(H, length_bound=9)}
         assert not any(l >= 5 and l % 2 == 1 for l in lengths)
+
+
+def test_perfect_verdict_routes():
+    assert invariants.perfect_verdict(build_boolean(7)) == (True, None, "comparability")
+    c5 = dense_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    verdict, witness, method = invariants.perfect_verdict(c5)
+    assert (verdict, witness[0], method) == (False, "hole", "odd-hole-search<=(5)")
+    path = dense_from_edges(40, [(i, i + 1) for i in range(39)])
+    assert invariants.perfect_verdict(path) == (None, None, "skipped-size")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=(1 << 6) - 1), min_size=1, max_size=14))
+def test_report_perfect_matches_exhaustive_hole_search(masks):
+    g = InclusionGraph("generic", vertices=tuple(masks))
+    verdict, _ = perfectness(g, g.vertex_count)
+    assert compute_report(g).perfect is verdict is True
+
+
+def test_perfectness_cross_check_is_a_real_check(monkeypatch):
+    monkeypatch.setattr(invariants, "perfectness",
+                        lambda g, max_len: (False, ("hole", (1, 2, 3, 4, 5))))
+    with pytest.raises(RuntimeError, match="perfectness cross-check failed"):
+        compute_report(build_boolean(3))
 
 
 def test_perfectness_finds_planted_hole():
