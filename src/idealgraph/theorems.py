@@ -12,7 +12,6 @@ than folded into pass counts.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from math import comb, factorial
 from pathlib import Path
@@ -21,7 +20,8 @@ from . import catalog
 from .constructions import (canonical_dominating_set, canonical_maximum_chain,
                             layer_matching, perfect_matching)
 from .errors import CorpusLoadError
-from .graph import bits, build_boolean, build_from_family, minimal_ideal_coordinates
+from .graph import (bits, build_boolean, build_from_family, command_vertex_cap,
+                    minimal_ideal_coordinates)
 from .invariants import (chromatic_number, clique_number, connectivity,
                          domination_number, girth, independence_number,
                          maximum_matching, perfectness, planarity,
@@ -46,7 +46,6 @@ class TheoremCheck:
     expected: str
     computed: str
     verdict: str  # "pass" | "fail" | "vacuous"
-    elapsed: float
 
 
 @dataclass
@@ -146,7 +145,6 @@ class _Emitter:
     def __init__(self, corrupt_check_id: str | None = None):
         self.checks: list[TheoremCheck] = []
         self.corrupt_check_id = corrupt_check_id
-        self._mark = time.perf_counter()
 
     def emit(self, check_id: str, instance: str, provenance: str,
              expected: str, computed: str, vacuous: bool = False) -> None:
@@ -154,16 +152,13 @@ class _Emitter:
             raise KeyError(f"check id {check_id!r} is not registered")
         if self.corrupt_check_id == check_id:
             expected = expected + " [corrupted]"
-        now = time.perf_counter()
         if vacuous:
             verdict = "vacuous"
         else:
             verdict = "pass" if expected == computed else "fail"
         self.checks.append(TheoremCheck(
             check_id=check_id, instance=instance, provenance=provenance,
-            expected=expected, computed=computed, verdict=verdict,
-            elapsed=now - self._mark))
-        self._mark = now
+            expected=expected, computed=computed, verdict=verdict))
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +333,22 @@ def _closure_size(generators: list[tuple[int, ...]], cap: int = 10 ** 7) -> int:
 
 
 def _aggregate(em: _Emitter, check_id: str, label: str, provenance: str,
-               expected: str, tables, fn) -> None:
-    """fn(table) -> (applicable, ok, detail); one emitted row per corpus."""
+               expected: str, corpus, fn) -> None:
+    """fn(table) -> (applicable, ok, detail); one emitted row per corpus.
+
+    ``corpus`` holds (table, weight) pairs: an applicable table adds its
+    weight, the number of labeled tables it stands for, to the count. A
+    counterexample names the table that failed.
+    """
     first_bad = None
     applicable = 0
-    for t in tables:
+    for t, weight in corpus:
         app, ok, detail = fn(t)
         if app:
-            applicable += 1
+            applicable += weight
             if not ok and first_bad is None:
-                first_bad = detail
+                rows = json.dumps(t.rows, separators=(",", ":"))
+                first_bad = f"{detail} in {rows}"
     instance = f"{label} ({applicable} applicable)"
     if applicable == 0:
         em.emit(check_id, instance, provenance, expected,
@@ -359,7 +360,11 @@ def _aggregate(em: _Emitter, check_id: str, label: str, provenance: str,
         em.emit(check_id, instance, provenance, expected, expected)
 
 
-def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
+def _corpus_checks(corpus: list[tuple[CayleyTable, int]], label: str,
+                   em: _Emitter) -> None:
+    """Every corpus check over (table, weight) pairs. Each check is
+    invariant under relabeling the table, so one representative of an
+    isomorphism class, weighted by its orbit size, counts as the whole orbit."""
     cache: dict[int, tuple] = {}
 
     def data(t: CayleyTable):
@@ -395,7 +400,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, True, ""
 
     _aggregate(em, "semigroup-minimals-disjoint", label, "theory",
-               "0 counterexamples", tables, minimals_disjoint)
+               "0 counterexamples", corpus, minimals_disjoint)
 
     def closure_vs_bruteforce(t):
         if t.order > 12:
@@ -406,7 +411,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, sorted(fam.masks) == brute, f"order {t.order}: families differ"
 
     _aggregate(em, "semigroup-ideal-closure-bruteforce", label, "derived",
-               "0 counterexamples", tables, closure_vs_bruteforce)
+               "0 counterexamples", corpus, closure_vs_bruteforce)
 
     def maximality(t):
         _, g, _ = data(t)
@@ -419,7 +424,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, True, ""
 
     _aggregate(em, "semigroup-maximality-lclass", label, "theory",
-               "0 counterexamples", tables, maximality)
+               "0 counterexamples", corpus, maximality)
 
     def union_closed(t):
         fam, _, _ = data(t)
@@ -434,7 +439,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, True, ""
 
     _aggregate(em, "semigroup-family-union-closed", label, "theory",
-               "0 counterexamples", tables, union_closed)
+               "0 counterexamples", corpus, union_closed)
 
     def two_minimal_iff(t):
         fam, g, dist = data(t)
@@ -456,7 +461,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                              f"two-minimal-union={char_union}, all-min-max={min_and_max}")
 
     _aggregate(em, "graph-disconnected-iff-two-minimal", label, "theory",
-               "0 counterexamples", tables, two_minimal_iff)
+               "0 counterexamples", corpus, two_minimal_iff)
 
     def disconnected_edgeless(t):
         _, g, dist = data(t)
@@ -468,7 +473,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, True, ""
 
     _aggregate(em, "graph-disconnected-implies-edgeless", label, "theory",
-               "0 counterexamples", tables, disconnected_edgeless)
+               "0 counterexamples", corpus, disconnected_edgeless)
 
     def diameter_bound(t):
         _, g, dist = data(t)
@@ -480,7 +485,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, True, ""
 
     _aggregate(em, "graph-diameter-bound", label, "theory",
-               "0 counterexamples", tables, diameter_bound)
+               "0 counterexamples", corpus, diameter_bound)
 
     def girth_class(t):
         _, g, dist = data(t)
@@ -492,7 +497,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, True, ""
 
     _aggregate(em, "graph-girth-classification", label, "theory",
-               "0 counterexamples", tables, girth_class)
+               "0 counterexamples", corpus, girth_class)
 
     def no_45_girth(t):
         _, g, dist = data(t)
@@ -502,7 +507,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, gv not in (4, 5), f"order {t.order}: girth {gv}"
 
     _aggregate(em, "graph-no-4-5-girth", label, "theory",
-               "0 counterexamples", tables, no_45_girth)
+               "0 counterexamples", corpus, no_45_girth)
 
     def perfect_bounded(t):
         _, g, _ = data(t)
@@ -514,7 +519,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, verdict is True, f"order {t.order}: witness {witness}"
 
     _aggregate(em, "graph-perfect-bounded", label, "theory",
-               "0 counterexamples", tables, perfect_bounded)
+               "0 counterexamples", corpus, perfect_bounded)
 
     def clique_union_criterion(t):
         fam, g, _ = data(t)
@@ -534,7 +539,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
                           f"union-is-S={union == t.full_mask}")
 
     _aggregate(em, "graph-clique-union-criterion", label, "theory",
-               "0 counterexamples", tables, clique_union_criterion)
+               "0 counterexamples", corpus, clique_union_criterion)
 
     def planar_minimals(t):
         # Contrapositive: more than 4 minimal ideals forces nonplanarity.
@@ -546,7 +551,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, True, ""
 
     _aggregate(em, "graph-planar-minimals-bound", label, "theory",
-               "0 counterexamples", tables, planar_minimals)
+               "0 counterexamples", corpus, planar_minimals)
 
     def cs_boolean_model(t):
         fam, g, _ = data(t)
@@ -563,7 +568,7 @@ def _corpus_checks(tables: list[CayleyTable], label: str, em: _Emitter) -> None:
         return True, ok, f"order {t.order}: coordinates differ"
 
     _aggregate(em, "completely-simple-boolean-model", label, "theory",
-               "0 counterexamples", tables, cs_boolean_model)
+               "0 counterexamples", corpus, cs_boolean_model)
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +615,12 @@ def load_corpus_dir(path: str | Path) -> list[CayleyTable]:
     return tables
 
 
-def builtin_corpus() -> tuple[list[CayleyTable], str]:
-    """The exhaustive small-table corpus plus structured named instances."""
-    tables = catalog.small_semigroup_corpus(4)
+def builtin_corpus() -> tuple[list[tuple[CayleyTable, int]], str]:
+    """(table, weight) pairs: every semigroup of order <= 4 up to
+    isomorphism, as its lex-least table weighted by its orbit size m!/|Aut(S)|
+    (188 classes of order 4 standing for 3,492 labeled tables), plus
+    structured named instances of weight 1."""
+    classes = catalog.small_semigroup_corpus(4)
     extras = [
         catalog.right_zero(5),
         catalog.left_zero(5),
@@ -626,7 +634,7 @@ def builtin_corpus() -> tuple[list[CayleyTable], str]:
         catalog.rectangular_band(2, 2),
     ]
     label = f"m<=4 exhaustive + {len(extras)} named instances"
-    return tables + extras, label
+    return classes + [(t, 1) for t in extras], label
 
 
 def run_suite(boolean_ns=None, corpus: list[CayleyTable] | None = None,
@@ -636,22 +644,25 @@ def run_suite(boolean_ns=None, corpus: list[CayleyTable] | None = None,
 
     With no arguments (``scope all``): Boolean sizes 2..8, the built-in
     corpus, and the named instances. Passing ``boolean_ns`` or ``corpus``
-    narrows the scope to just that part. Every check is deterministic.
+    narrows the scope to just that part; each table of ``corpus`` has
+    weight 1. Every check is deterministic. The vertex cap is read once for
+    the whole run, or taken from the enclosing command.
     """
     em = _Emitter(corrupt_check_id=corrupt_check_id)
-    scope_all = boolean_ns is None and corpus is None
-    if scope_all:
-        boolean_ns = DEFAULT_BOOLEAN_RANGE
-        corpus, corpus_label = builtin_corpus()
-        if include_named is None:
-            include_named = True
-    if boolean_ns is not None:
-        for n in boolean_ns:
-            _boolean_checks(n, em)
-    if corpus is not None:
-        _corpus_checks(corpus, corpus_label, em)
-    if include_named:
-        _named_checks(em)
+    weighted = None if corpus is None else [(t, 1) for t in corpus]
+    with command_vertex_cap():
+        if boolean_ns is None and corpus is None:
+            boolean_ns = DEFAULT_BOOLEAN_RANGE
+            weighted, corpus_label = builtin_corpus()
+            if include_named is None:
+                include_named = True
+        if boolean_ns is not None:
+            for n in boolean_ns:
+                _boolean_checks(n, em)
+        if weighted is not None:
+            _corpus_checks(weighted, corpus_label, em)
+        if include_named:
+            _named_checks(em)
     passed = sum(1 for c in em.checks if c.verdict == "pass")
     failed = sum(1 for c in em.checks if c.verdict == "fail")
     vacuous = sum(1 for c in em.checks if c.verdict == "vacuous")

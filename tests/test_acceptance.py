@@ -34,9 +34,9 @@ from idealgraph import (
     right_zero_with_identity,
     transitivity,
 )
-from idealgraph.catalog import enumerate_associative_tables
 from idealgraph.invariants import _exact_chromatic, _max_clique_bb
 from idealgraph.symmetry import automorphism_group
+from oracles import enumerate_associative_tables
 
 
 @contextmanager

@@ -27,8 +27,8 @@ from idealgraph import (
     right_zero_with_identity,
     serialize_cayley_table,
 )
-from idealgraph.catalog import enumerate_associative_tables
-from oracles import enumerate_by_full_recheck, first_nonassociative_triple, magma_closure
+from oracles import (enumerate_associative_tables, enumerate_by_full_recheck,
+                     first_nonassociative_triple, magma_closure)
 
 
 def brute_left_ideals(t):

@@ -1,10 +1,15 @@
 """The executable check suite: registry, verdicts, determinism."""
 
+import functools
+import itertools
 from pathlib import Path
 
-from idealgraph import cyclic_group, enumerate_left_ideals, right_zero, run_suite, theorems
+from idealgraph import (catalog, cyclic_group, enumerate_left_ideals, graph, right_zero,
+                        run_suite, theorems)
+from idealgraph.cli import main
 from idealgraph.semigroup import IdealFamily
 from idealgraph.theorems import REGISTRY, builtin_corpus
+from oracles import enumerate_associative_tables
 
 MANIFEST = Path(__file__).parent / "data" / "theorem_manifest.txt"
 
@@ -59,7 +64,8 @@ def test_union_escaping_the_family_is_a_counterexample(monkeypatch):
     result = run_suite(corpus=[right_zero(4)], corpus_label="holed")
     row, = (c for c in result.checks if c.check_id == "semigroup-family-union-closed")
     assert row.verdict == "fail"
-    assert row.computed == "counterexample: order 4: union escapes"
+    assert row.computed == ("counterexample: order 4: union escapes in "
+                            "[[0,1,2,3],[0,1,2,3],[0,1,2,3],[0,1,2,3]]")
 
 
 def test_corrupted_expected_fails_only_that_check():
@@ -85,15 +91,78 @@ def test_provenance_tags_present():
 
 
 def test_builtin_corpus_counts():
-    tables, label = builtin_corpus()
-    by_order: dict[int, int] = {}
-    for t in tables[:3614]:
-        by_order[t.order] = by_order.get(t.order, 0) + 1
-    # labeled associative tables: 1, 8, 113, 3492 for orders 1..4
-    assert by_order[1] == 1
-    assert by_order[2] == 8
-    assert by_order[3] == 113
-    assert by_order[4] == 3492
+    corpus, label = builtin_corpus()
+    assert label == "m<=4 exhaustive + 10 named instances"
+    classes: dict[int, int] = {}
+    orbit_sums: dict[int, int] = {}
+    for t, weight in corpus[:-10]:
+        classes[t.order] = classes.get(t.order, 0) + 1
+        orbit_sums[t.order] = orbit_sums.get(t.order, 0) + weight
+    # semigroups up to isomorphism (A027851) and labeled tables (A023814)
+    assert classes == {1: 1, 2: 5, 3: 24, 4: 188}
+    assert orbit_sums == {1: 1, 2: 8, 3: 113, 4: 3492}
+    assert all(weight == 1 for _, weight in corpus[-10:])
+
+
+def suite_rows(corpus):
+    em = theorems._Emitter()
+    theorems._corpus_checks(corpus, "corpus", em)
+    return [(c.check_id, c.instance, c.expected, c.computed, c.verdict)
+            for c in em.checks]
+
+
+@functools.cache
+def labeled_rows():
+    """Rows over every labeled table of order <= 4, each of weight 1, plus
+    the named instances."""
+    named = builtin_corpus()[0][-10:]
+    return suite_rows([(t, 1) for m in range(1, 5)
+                       for t in enumerate_associative_tables(m)] + named)
+
+
+def test_classes_with_orbit_weights_match_the_labeled_corpus():
+    rows = suite_rows(builtin_corpus()[0])
+    assert rows == labeled_rows()
+    assert len(rows) == 13 and all(r[4] == "pass" for r in rows)
+
+
+def test_unit_weights_undercount_the_labeled_corpus():
+    # The weights carry the counts: one per class reports other numbers.
+    unit = suite_rows([(t, 1) for t, _ in builtin_corpus()[0]])
+    assert [r[1] for r in unit] != [r[1] for r in labeled_rows()]
+
+
+def test_counterexample_names_the_table(monkeypatch):
+    monkeypatch.setattr(theorems, "girth", lambda g: 4)
+    rows = suite_rows(builtin_corpus()[0])
+    row, = (r for r in rows if r[0] == "graph-girth-classification")
+    first = next(t for t, _ in builtin_corpus()[0] if len(enumerate_left_ideals(t).ideals))
+    assert row[3] == (f"counterexample: order {first.order}: girth 4 in "
+                      + str([list(r) for r in first.rows]).replace(" ", ""))
+
+
+def test_default_verify_fails_on_a_corrupted_class_count(monkeypatch, capsys):
+    real = catalog._lex_leaders
+    monkeypatch.setattr(catalog, "_lex_leaders",
+                        lambda m: itertools.islice(real(m), 1, None) if m == 4 else real(m))
+    assert main(["verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal failure: RuntimeError: order 4: 187 classes "
+                            "with orbit sum 3488, expected 188 and 3492\n")
+
+
+def test_run_suite_reads_the_vertex_cap_once(monkeypatch):
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(graph, "os", type("os", (), {"environ": Environ()}))
+    assert run_suite(boolean_ns=range(2, 6)).failed == 0
+    assert reads == ["IDEALGRAPH_MAX_VERTICES"]
 
 
 def test_table_rendering():
