@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
-3 internal failure (a failed cross-check or identity, recursion or memory
-exhausted).
+3 internal failure (a failed cross-check, witness check or identity,
+recursion or memory exhausted).
 All stdout is valid in the requested format and byte-identical across
 identical invocations.
 """

@@ -161,20 +161,25 @@ def dense_from_edges(n_vertices: int, edges) -> DenseGraph:
     return DenseGraph(adj=adj)
 
 
-def _containment_adjacency(masks: tuple[int, ...]) -> list[int]:
-    """Adjacency bitsets of strict containment among distinct masks.
-
-    Works on element columns: the bitset of the vertices that hold one
-    element, with equal columns merged. Vertex j contains i iff j lies in
-    every column that holds i, and j lies inside i iff j lies in no column
-    that misses i.
-    """
+def element_columns(masks) -> set[int]:
+    """The element columns of a family of masks, equal columns merged: for
+    each element, the bitset of the indices of the masks that hold it."""
     cols = [0] * max(masks, default=0).bit_length()
     for i, m in enumerate(masks):
         for e in bits(m):
             cols[e] |= 1 << i
+    return set(cols)
+
+
+def _containment_adjacency(masks: tuple[int, ...]) -> list[int]:
+    """Adjacency bitsets of strict containment among distinct masks.
+
+    Works on element columns. Vertex j contains i iff j lies in every
+    column that holds i, and j lies inside i iff j lies in no column that
+    misses i.
+    """
     everyone = (1 << len(masks)) - 1
-    distinct = set(cols)
+    distinct = element_columns(masks)
     adj = []
     for i in range(len(masks)):
         supersets, outside = everyone, 0

@@ -27,7 +27,6 @@ GIRTH_CROSSCHECK_MAX = 64
 CLIQUE_CROSSCHECK_MAX = 64
 CHROMATIC_CROSSCHECK_MAX = 64
 INDEPENDENCE_CROSSCHECK_MAX = 30
-PLANARITY_CROSSCHECK_MAX = 64
 DOMINATION_CAP = 1 << 16
 
 
@@ -623,18 +622,18 @@ def planarity(g) -> PlanarityResult:
     A chain of five pairwise-comparable vertices is a K5 outright, so an
     inclusion graph whose containment order is that deep is decided without
     networkx. Otherwise three vertices with three common neighbours are a
-    K3,3 subgraph. Left-right cross-checks both routes on small graphs and
-    decides every other graph; its counterexample extraction re-tests
-    planarity per edge, so it runs only when no K3,3 subgraph exists.
-    networkx is imported only on the left-right paths.
+    K3,3 subgraph. Left-right decides every other graph; its counterexample
+    extraction re-tests planarity per edge, so it runs only when no K3,3
+    subgraph exists. networkx is imported only on the left-right path.
+    Every witness is checked edge by edge before it is reported.
     """
     dense = _dense(g)
     if dense.masks is not None and max(dense.containment.down, default=0) >= 5:
-        return _checked_nonplanar(
+        return _nonplanar(
             dense, tuple(combinations(sorted(_chain(dense, 5)), 2)), "k5-chain")
     k33 = _k33_subgraph(dense.adj)
     if k33 is not None:
-        return _checked_nonplanar(dense, k33, "k33-subgraph")
+        return _nonplanar(dense, k33, "k33-subgraph")
     import networkx as nx
     G = _nx_graph(dense)
     ok, cert = nx.check_planarity(G, counterexample=False)
@@ -646,18 +645,6 @@ def planarity(g) -> PlanarityResult:
     cert = nx.algorithms.planarity.get_counterexample(G)
     edges = tuple(sorted((min(u, v), max(u, v)) for u, v in cert.edges()))
     return _nonplanar(dense, edges, "left-right")
-
-
-def _checked_nonplanar(dense: DenseGraph, edges: tuple, method: str) -> PlanarityResult:
-    """A nonplanar verdict from a witness found without networkx, which
-    left-right cross-checks on small graphs."""
-    if dense.size <= PLANARITY_CROSSCHECK_MAX:
-        import networkx as nx
-        if nx.check_planarity(_nx_graph(dense))[0]:
-            raise RuntimeError(
-                f"planarity cross-check failed: left-right embeds a graph with a "
-                f"{method} witness")
-    return _nonplanar(dense, edges, method)
 
 
 def _k33_subgraph(adj: list[int]) -> tuple | None:
@@ -702,6 +689,14 @@ def _nx_graph(dense: DenseGraph):
 
 
 def _nonplanar(dense: DenseGraph, edges: tuple, method: str) -> PlanarityResult:
+    """A nonplanar verdict from a Kuratowski witness, which is a proof of
+    nonplanarity once checked: every witness edge is an edge of the graph,
+    and the witness is a subdivision of K5 or K3,3 (Kuratowski 1930)."""
+    for u, v in edges:
+        if not dense.adj[u] >> v & 1:
+            raise RuntimeError(
+                f"planarity witness check failed: {method} witness edge "
+                f"({_label(dense, u)}, {_label(dense, v)}) is not an edge")
     labeled = tuple((_label(dense, u), _label(dense, v)) for u, v in edges)
     return PlanarityResult(planar=False, method=method, kuratowski_edges=labeled,
                            kuratowski_kind=classify_kuratowski(edges))
@@ -710,32 +705,43 @@ def _nonplanar(dense: DenseGraph, edges: tuple, method: str) -> PlanarityResult:
 def classify_kuratowski(edges) -> str:
     """Classify an edge set as a subdivision of K5 or K3,3.
 
-    Suppresses degree-2 vertices and inspects the branch structure; raises
-    ValueError when the edge set is neither.
+    Suppresses degree-2 vertices and inspects the branch structure: every
+    vertex must be a branch vertex or lie on a path between two of them,
+    and the branch paths must form a K5, or a 3-regular graph on six
+    vertices whose links all cross one bipartition (a K3,3, not a prism).
+    A witness that is neither is an internal failure and raises
+    RuntimeError.
     """
     adj: dict[int, set[int]] = {}
     for u, v in edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    branch = [v for v, nb in adj.items() if len(nb) >= 3]
+    branch = {v for v, nb in adj.items() if len(nb) >= 3}
     degs = sorted(len(adj[v]) for v in branch)
     # Walk branch-to-branch paths through degree-2 vertices.
     links: set[tuple[int, int]] = set()
+    inner: set[int] = set()
     for b in branch:
         for start in adj[b]:
             prev, cur = b, start
             while cur not in branch:
                 nxts = [x for x in adj[cur] if x != prev]
                 if len(nxts) != 1:
-                    raise ValueError("not a subdivision: stray vertex degree")
+                    raise RuntimeError("Kuratowski witness is not a subdivision: "
+                                       "stray vertex degree")
+                inner.add(cur)
                 prev, cur = cur, nxts[0]
             if b != cur:
                 links.add((min(b, cur), max(b, cur)))
-    if len(branch) == 5 and degs == [4] * 5 and len(links) == 10:
-        return "K5"
-    if len(branch) == 6 and degs == [3] * 6 and len(links) == 9:
-        return "K3,3"
-    raise ValueError("witness is not a K5 or K3,3 subdivision")
+    if len(branch) + len(inner) == len(adj):
+        if len(branch) == 5 and degs == [4] * 5 and len(links) == 10:
+            return "K5"
+        if len(branch) == 6 and degs == [3] * 6 and len(links) == 9:
+            b0 = min(branch)
+            side = {b0} | {v for v in branch if (min(b0, v), max(b0, v)) not in links}
+            if len(side) == 3 and all((u in side) != (v in side) for u, v in links):
+                return "K3,3"
+    raise RuntimeError("Kuratowski witness is not a K5 or K3,3 subdivision")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Straightforward references for the optimized kernels: the semigroup
 layer's associativity test, every labeled semigroup table of a small order
-(against which the isomorphism classes are checked), the diameter and girth by a BFS from every
-vertex, Hopcroft-Karp and König over adjacency lists, the graph export
-through ``json.dumps``, the blossom matching that scans every vertex per
-contraction, the automorphism search by recursive extension, and edge
-transitivity by a union-find over all edges."""
+(against which the isomorphism classes are checked), the union closure of
+an ideal family by a scan of every pair of members, the diameter and girth
+by a BFS from every vertex, Hopcroft-Karp and König over adjacency lists,
+the graph export through ``json.dumps``, the blossom matching that scans
+every vertex per contraction, the automorphism search by recursive
+extension, and edge transitivity by a union-find over all edges."""
 
 import json
 import math
@@ -90,6 +91,15 @@ def magma_closure(rows, elements):
         if grown == closed:
             return closed
         closed = grown
+
+
+def union_closed_pairwise(masks, full):
+    """Whether ``masks`` together with ``full`` are closed under union, by
+    the union of every unordered pair of distinct members (a | a = a and
+    a | b = b | a)."""
+    closed = {*masks, full}
+    return all(closed.issuperset(map(a.__or__, masks[i + 1:]))
+               for i, a in enumerate(masks))
 
 
 def diameter_per_source(dense):

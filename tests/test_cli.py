@@ -1,6 +1,7 @@
 """CLI behavior: formats, exit codes, determinism."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -290,14 +291,30 @@ def test_perfect_flag_takes_the_report_route(capsys):
     assert doc["perfect"] is True and doc["methods"]["perfectness"] == "comparability"
 
 
-def test_networkx_is_imported_only_for_left_right():
-    # The commands below never reach left-right planarity: Boolean n=7 has
-    # 126 vertices, past the cross-check, and a 5-chain. A planar graph
-    # (n=4) does import it.
+def test_networkx_is_imported_only_for_left_right(tmp_path):
+    # The commands below never reach left-right planarity: their nonplanar
+    # graphs have a 5-chain (Boolean n=6 and n=7, the 62-vertex band) or a
+    # K3,3 subgraph (Boolean n=5), and the witness is checked without
+    # networkx at every size. A planar graph (n=4) and default verify, whose
+    # Boolean n <= 4 rows are planar, do import it.
     band = str(DATA / "rectangular_band_2x6.txt")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(band, corpus)
     cases = [["--help"], ["aut", "--n", "4"], ["graph", "--n", "5"],
              ["ideals", band], ["validate", band], ["invariants", "--n", "7", "--all"],
-             ["invariants", "--n", "4", "--planarity"]]
+             ["invariants", "--n", "6", "--all"], ["invariants", "--n", "5", "--planarity"],
+             ["verify", "--corpus", str(corpus)], ["invariants", "--n", "4", "--planarity"]]
+    assert networkx_imports(cases) == [
+        "--help 0 False", "aut 0 False", "graph 0 False", "ideals 0 False",
+        "validate 0 False", "invariants 0 False", "invariants 0 False",
+        "invariants 0 False", "verify 0 False", "invariants 0 True"]
+    assert networkx_imports([["verify"]]) == ["verify 0 True"]
+
+
+def networkx_imports(cases):
+    """Run the CLI cases in order in one fresh process; one line per case:
+    command, exit code, whether networkx has been imported by then."""
     script = (
         "import contextlib, io, sys\n"
         "from idealgraph.cli import main\n"
@@ -311,9 +328,7 @@ def test_networkx_is_imported_only_for_left_right():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "--help 0 False", "aut 0 False", "graph 0 False", "ideals 0 False",
-        "validate 0 False", "invariants 0 False", "invariants 0 True"]
+    return proc.stdout.splitlines()
 
 
 def test_internal_failure_exit_code(monkeypatch, capsys):

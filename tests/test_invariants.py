@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -35,6 +36,9 @@ from idealgraph import (
     structural_flags,
 )
 from idealgraph import invariants
+from idealgraph.cli import main
+from idealgraph.semigroup import parse_cayley_table
+from idealgraph.theorems import builtin_corpus
 from oracles import diameter_per_source, girth_per_vertex_bfs
 
 INF = math.inf
@@ -552,12 +556,66 @@ def test_planarity_decided_by_chain_without_networkx(monkeypatch):
                                     (3, 15), (3, 31), (7, 15), (7, 31), (15, 31))
 
 
-def test_planarity_chain_cross_check_is_a_real_check(monkeypatch):
-    # Boolean n=6 (62 vertices) has a 5-chain and is small enough for the
-    # left-right cross-check, which must raise when it disagrees.
-    monkeypatch.setattr(nx, "check_planarity", lambda G, counterexample=False: (True, None))
-    with pytest.raises(RuntimeError, match="planarity cross-check failed"):
-        planarity(build_boolean(6))
+def check_wrong_witness_fails(argv, match, capsys):
+    """A wrong Kuratowski witness raises RuntimeError from planarity, and
+    the CLI turns it into exit 3 with one stderr line."""
+    with pytest.raises(RuntimeError, match=match):
+        planarity(build_boolean(int(argv[2])))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal failure: RuntimeError: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_planarity_chain_witness_check_is_a_real_check(monkeypatch, capsys):
+    # Boolean n=6 is decided from a 5-chain. Five singletons are no chain
+    # (no edge among them), and a real 4-chain is a K4, not a K5.
+    argv = ["invariants", "--n", "6", "--planarity"]
+    real = invariants._chain
+    monkeypatch.setattr(invariants, "_chain", lambda dense, length: [0, 1, 2, 3, 4])
+    check_wrong_witness_fails(argv, "witness edge .* is not an edge", capsys)
+    monkeypatch.setattr(invariants, "_chain", lambda dense, length: real(dense, 4))
+    check_wrong_witness_fails(argv, "not a K5 or K3,3 subdivision", capsys)
+
+
+def test_planarity_k33_witness_check_is_a_real_check(monkeypatch, capsys):
+    # Boolean n=5 has no 5-chain but a K3,3 subgraph. A witness with the
+    # non-edge {1}-{2} fails, and so does a triangular prism: the 3-chains
+    # {1} < {1,2} < {1,2,3} and {1,4} < {1,2,4} < {1,2,3,4} joined rung by
+    # rung, a real subgraph, 3-regular on six vertices like K3,3 but not
+    # bipartite.
+    argv = ["invariants", "--n", "5", "--planarity"]
+    real = invariants._k33_subgraph
+    assert planarity(build_boolean(5)).method == "k33-subgraph"
+    monkeypatch.setattr(invariants, "_k33_subgraph",
+                        lambda adj: ((0, 1),) + real(adj)[1:])
+    check_wrong_witness_fails(argv, "witness edge \\(1, 2\\) is not an edge", capsys)
+    masks = build_boolean(5).dense().masks
+    inner = [0b1, 0b11, 0b111]
+    outer = [0b1001, 0b1011, 0b1111]
+    prism = [(masks.index(a), masks.index(b)) for a, b in
+             [*itertools.combinations(inner, 2), *itertools.combinations(outer, 2),
+              *zip(inner, outer)]]
+    monkeypatch.setattr(invariants, "_k33_subgraph", lambda adj: tuple(prism))
+    check_wrong_witness_fails(argv, "not a K5 or K3,3 subdivision", capsys)
+
+
+def test_planarity_left_right_witness_check(monkeypatch):
+    # A subdivided K5 has no 5-chain (a raw graph) and no K3,3 subgraph, so
+    # its witness comes from networkx. A path from it is no Kuratowski
+    # subgraph: an internal failure (RuntimeError, exit 3), not bad input.
+    edges, nxt = [], 5
+    for a, b in itertools.combinations(range(5), 2):
+        edges += [(a, nxt), (nxt, b)]
+        nxt += 1
+    g = dense_from_edges(nxt, edges)
+    res = planarity(g)
+    assert (res.planar, res.method, res.kuratowski_kind) == (False, "left-right", "K5")
+    monkeypatch.setattr(nx.algorithms.planarity, "get_counterexample",
+                        lambda G: nx.Graph(edges[:4]))
+    with pytest.raises(RuntimeError, match="not a K5 or K3,3 subdivision"):
+        planarity(g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -619,13 +677,27 @@ def test_planarity_k33_subgraph_avoids_counterexample_search(monkeypatch):
         assert g.adjacent(u, v)
 
 
-def test_planarity_k33_cross_check_is_a_real_check(monkeypatch):
-    # Boolean n=5 (30 vertices) has no 5-chain but a K3,3 subgraph, and is
-    # small enough for the left-right cross-check.
-    assert planarity(build_boolean(5)).method == "k33-subgraph"
-    monkeypatch.setattr(nx, "check_planarity", lambda G, counterexample=False: (True, None))
-    with pytest.raises(RuntimeError, match="planarity cross-check failed"):
-        planarity(build_boolean(5))
+def test_planarity_matches_left_right_on_corpus_and_boolean_models():
+    # Left-right stays the oracle for the witness routes: every built-in
+    # class and named instance, Boolean n = 2..7 and every table in
+    # tests/data.
+    corpus, _ = builtin_corpus()
+    data = Path(__file__).parent / "data"
+    tables = [t for t, _ in corpus] + [
+        parse_cayley_table(p.read_text()) for p in sorted(data.glob("*.txt"))
+        if p.name != "theorem_manifest.txt"]
+    graphs = [build_boolean(n) for n in range(2, 8)]
+    for t in tables:
+        fam = enumerate_left_ideals(t)
+        assert not fam.truncated
+        graphs.append(build_from_family(fam))
+    assert len(graphs) == 6 + 228 + 1
+    methods = set()
+    for g in graphs:
+        res = planarity(g)
+        methods.add(res.method)
+        assert res.planar == nx.check_planarity(to_nx(g))[0]
+    assert methods == {"k5-chain", "k33-subgraph", "left-right"}
 
 
 def _any_density_raw_graphs(nv):

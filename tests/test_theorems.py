@@ -4,12 +4,15 @@ import functools
 import itertools
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from idealgraph import (catalog, cyclic_group, enumerate_left_ideals, graph, right_zero,
                         run_suite, theorems)
 from idealgraph.cli import main
 from idealgraph.semigroup import IdealFamily
 from idealgraph.theorems import REGISTRY, builtin_corpus
-from oracles import enumerate_associative_tables
+from oracles import enumerate_associative_tables, union_closed_pairwise
 
 MANIFEST = Path(__file__).parent / "data" / "theorem_manifest.txt"
 
@@ -66,6 +69,58 @@ def test_union_escaping_the_family_is_a_counterexample(monkeypatch):
     assert row.verdict == "fail"
     assert row.computed == ("counterexample: order 4: union escapes in "
                             "[[0,1,2,3],[0,1,2,3],[0,1,2,3],[0,1,2,3]]")
+
+
+def unions(generators):
+    """Every union of a nonempty subset of the generators."""
+    return {functools.reduce(int.__or__, combo)
+            for r in range(1, len(generators) + 1)
+            for combo in itertools.combinations(generators, r)}
+
+
+FULL = (1 << 7) - 1
+masks7 = st.integers(min_value=0, max_value=FULL)
+
+
+@st.composite
+def mask_families(draw):
+    """Distinct masks on seven elements in any order: the unions of a few
+    generators, without S, often with one member dropped (a hole when the
+    member is a union of others); or an arbitrary set of masks."""
+    if draw(st.booleans()):
+        family = sorted(unions(draw(st.lists(masks7, min_size=1, max_size=6))) - {FULL})
+        if family and draw(st.booleans()):
+            family.pop(draw(st.integers(min_value=0, max_value=len(family) - 1)))
+    else:
+        family = sorted(draw(st.sets(masks7, max_size=24)))
+    draw(st.randoms()).shuffle(family)
+    return tuple(family)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mask_families())
+def test_join_irreducible_union_check_matches_pairwise_scan(masks):
+    assert theorems._union_closed(masks, FULL) == union_closed_pairwise(masks, FULL)
+
+
+def test_join_irreducible_union_check_on_pinned_and_truncated_families():
+    # Closed chains and lattices, holes, and the capped prefixes of the
+    # right-zero family (every proper subset is a left ideal), which are
+    # truncated for every cap below 62.
+    pinned = [((), True), ((0b1,), True), ((0b1, 0b10), False), ((0b1, 0b10, 0b11), True),
+              ((0b1, 0b11, 0b111), True), ((0b11, 0b110), False),
+              ((0b11, 0b110, 0b111), True), ((0b1, 0b10, 0b100, 0b11, 0b101), False)]
+    for masks, want in pinned:
+        assert theorems._union_closed(masks, FULL) == want == union_closed_pairwise(masks, FULL)
+    t = right_zero(6)
+    verdicts = set()
+    for cap in range(1, 63):
+        fam = enumerate_left_ideals(t, cap=cap)
+        assert fam.truncated == (cap < 62)
+        want = union_closed_pairwise(fam.masks, t.full_mask)
+        assert theorems._union_closed(fam.masks, t.full_mask) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_corrupted_expected_fails_only_that_check():
