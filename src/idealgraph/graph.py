@@ -14,6 +14,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import OutOfRangeError, TooLargeError, TruncatedFamilyError, UnknownVertexError
@@ -362,34 +363,58 @@ def _vertex_name(mask: int, boolean_n: int | None) -> str:
     return "I_" + sep.join(labels)
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _edge_text(adj: list[int], heads: list[str], tails: list[str], sep: str) -> str:
+    """Every edge i < j written as ``heads[i] + tails[j]``, joined by ``sep``,
+    in (i, j) order.
+
+    No object is made per edge: each row's upper neighbours become 0/1
+    selector bytes, ``compress`` picks their tails, and one join per row
+    writes them.
+    """
+    rows = []
+    for i, a in enumerate(adj):
+        up = a >> (i + 1)
+        if up:
+            head = heads[i]
+            rows.append(head + (sep + head).join(
+                compress(tails[i + 1:], bin(up)[:1:-1].encode().translate(_BITS))))
+    return sep.join(rows)
+
+
 def export_graph(g: InclusionGraph, fmt: str = "json") -> str:
     """Deterministic JSON or DOT rendering of the graph.
 
     The JSON text is exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
     document {mode, n, vertices: [{id, mask, size}], edges: [[u, v]]}, written
     directly: with ``indent`` set, ``json.dumps`` falls back to its
-    pure-Python encoder, which dominates the export of large graphs.
+    pure-Python encoder, which dominates the export of large graphs. In both
+    formats the edges are written row by row (see ``_edge_text``), each
+    vertex's index or name formatted once.
     """
     dense = g.dense()
     masks = dense.masks
-    edges = dense.edge_list()
     if fmt == "json":
         vertices = ",\n".join([
             '    {\n      "id": %d,\n      "mask": %d,\n      "size": %d\n    }'
             % (i, m, m.bit_count()) for i, m in enumerate(masks)])
-        edge_text = ",\n".join([
-            "    [\n      %d,\n      %d\n    ]" % e for e in edges])
+        idx = range(len(masks))
+        edge_text = _edge_text(dense.adj, ["    [\n      %d,\n      " % i for i in idx],
+                               ["%d\n    ]" % j for j in idx], ",\n")
         return "".join((
             '{\n  "mode": ', json.dumps(g.mode), ',\n  "n": ', json.dumps(g.n),
             ',\n  "vertices": ', f"[\n{vertices}\n  ]" if masks else "[]",
-            ',\n  "edges": ', f"[\n{edge_text}\n  ]" if edges else "[]",
+            ',\n  "edges": ', f"[\n{edge_text}\n  ]" if edge_text else "[]",
             "\n}\n"))
     if fmt == "dot":
-        lines = ["graph In {"]
-        for m in masks:
-            lines.append(f"  {_vertex_name(m, g.n)};")
-        for u, v in edges:
-            lines.append(f"  {_vertex_name(masks[u], g.n)} -- {_vertex_name(masks[v], g.n)};")
+        names = [_vertex_name(m, g.n) for m in masks]
+        edge_text = _edge_text(dense.adj, [f"  {name} -- " for name in names],
+                               [f"{name};" for name in names], "\n")
+        lines = ["graph In {", *[f"  {name};" for name in names]]
+        if edge_text:
+            lines.append(edge_text)
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

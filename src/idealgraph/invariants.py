@@ -409,7 +409,12 @@ def _exact_chromatic(dense: DenseGraph) -> tuple[int, list[int]]:
 
 
 def _k_coloring(dense: DenseGraph, k: int) -> list[int] | None:
-    """Backtracking k-coloring in saturation order; None if infeasible."""
+    """Backtracking k-coloring in saturation order; None if infeasible.
+
+    The search keeps an explicit stack of [vertex, colour, neighbours newly
+    forbidden that colour] frames, so its depth is not bounded by the
+    recursion limit.
+    """
     n = dense.size
     adj = dense.adj
     colors = [0] * n  # 1..k when assigned
@@ -427,32 +432,34 @@ def _k_coloring(dense: DenseGraph, k: int) -> list[int] | None:
                     bestv = v
         return bestv
 
-    def rec(assigned: int) -> bool:
-        if assigned == n:
-            return True
-        v = pick()
-        for c in range(1, k + 1):
-            if (forbidden[v] >> (c - 1)) & 1:
-                continue
-            colors[v] = c
-            touched = []
-            m = adj[v]
-            while m:
-                b = m & -m
-                w = b.bit_length() - 1
-                m ^= b
-                if colors[w] == 0 and not (forbidden[w] >> (c - 1)) & 1:
-                    forbidden[w] |= 1 << (c - 1)
-                    touched.append(w)
-            if rec(assigned + 1):
-                return True
+    stack = [[pick(), 0, []]]
+    while stack:
+        frame = stack[-1]
+        v, c, touched = frame
+        if c:  # undo the colour that failed below this frame
             colors[v] = 0
             for w in touched:
                 forbidden[w] &= ~(1 << (c - 1))
-        return False
-
-    if rec(0):
-        return colors
+        c += 1
+        while c <= k and (forbidden[v] >> (c - 1)) & 1:
+            c += 1
+        if c > k:
+            stack.pop()
+            continue
+        colors[v] = c
+        touched = []
+        m = adj[v]
+        while m:
+            b = m & -m
+            w = b.bit_length() - 1
+            m ^= b
+            if colors[w] == 0 and not (forbidden[w] >> (c - 1)) & 1:
+                forbidden[w] |= 1 << (c - 1)
+                touched.append(w)
+        frame[1], frame[2] = c, touched
+        if len(stack) == n:
+            return colors
+        stack.append([pick(), 0, []])
     return None
 
 

@@ -3,9 +3,12 @@ layer's associativity test, every labeled semigroup table of a small order
 (against which the isomorphism classes are checked), the union closure of
 an ideal family by a scan of every pair of members, the diameter and girth
 by a BFS from every vertex, Hopcroft-Karp and König over adjacency lists,
-the graph export through ``json.dumps``, the blossom matching that scans
-every vertex per contraction, the automorphism search by recursive
-extension, and edge transitivity by a union-find over all edges."""
+the graph export through ``json.dumps`` and as DOT one line per edge (both
+with edges from a scan of every pair of masks), clique, chromatic,
+independence and domination numbers of raw graphs from tables over all
+vertex subsets, the blossom matching that scans every vertex per
+contraction, the automorphism search by recursive extension, and edge
+transitivity by a union-find over all edges."""
 
 import json
 import math
@@ -246,19 +249,82 @@ def koenig_cover_lists(n_left, n_right, adj, match_l, match_r):
     return left_cover, right_cover
 
 
+def edges_by_pairwise_scan(masks):
+    """The edges (i, j), i < j, of the inclusion graph on ``masks`` listed in
+    canonical (popcount, mask) order, by testing every pair for containment."""
+    return [(i, j) for i, a in enumerate(masks) for j in range(i + 1, len(masks))
+            if a & masks[j] == a]
+
+
 def export_json_document(g):
     """The JSON export of ``g`` by ``json.dumps`` of the whole document."""
-    dense = g.dense()
+    masks = g.dense().masks
     doc = {
         "mode": g.mode,
         "n": g.n,
         "vertices": [
             {"id": i, "mask": m, "size": m.bit_count()}
-            for i, m in enumerate(dense.masks)
+            for i, m in enumerate(masks)
         ],
-        "edges": [[u, v] for u, v in dense.edge_list()],
+        "edges": [[u, v] for u, v in edges_by_pairwise_scan(masks)],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def dot_vertex_name(mask, boolean_n):
+    """I_ followed by the members of ``mask``: 1-based and unseparated in a
+    Boolean model on at most nine points, else joined by "_" (0-based for
+    generic graphs)."""
+    members = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    if boolean_n is None:
+        return "I_" + "_".join(str(b) for b in members)
+    return "I_" + ("" if boolean_n <= 9 else "_").join(str(b + 1) for b in members)
+
+
+def export_dot_document(g):
+    """The DOT export of ``g``, one line per vertex and then one per edge."""
+    masks = g.dense().masks
+    lines = ["graph In {"]
+    for m in masks:
+        lines.append(f"  {dot_vertex_name(m, g.n)};")
+    for u, v in edges_by_pairwise_scan(masks):
+        lines.append(f"  {dot_vertex_name(masks[u], g.n)} -- {dot_vertex_name(masks[v], g.n)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def raw_graph_numbers(nv, edges):
+    """(clique, chromatic, independence, domination number) of the raw graph
+    on vertices 0..nv-1 with ``edges``, from tables over all 2^nv vertex
+    subsets. Chromatic: the least k for which the k-tuples of independent
+    sets covering every vertex number more than zero, counted by
+    inclusion-exclusion over the independent subsets of each vertex subset
+    (Björklund, Husfeldt & Koivisto 2009)."""
+    adj = [0] * nv
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    size = 1 << nv
+    clique = [True] * size
+    indep = [True] * size
+    cover = [0] * size
+    n_indep = [1] * size  # independent subsets of S, the empty one included
+    for s in range(1, size):
+        low = s & -s
+        v = low.bit_length() - 1
+        rest = s ^ low
+        clique[s] = clique[rest] and adj[v] & rest == rest
+        indep[s] = indep[rest] and not adj[v] & rest
+        cover[s] = cover[rest] | adj[v] | low
+        n_indep[s] = n_indep[rest] + n_indep[rest & ~adj[v]]
+    full = size - 1
+    omega = max(s.bit_count() for s in range(size) if clique[s])
+    alpha = max(s.bit_count() for s in range(size) if indep[s])
+    gamma = min(s.bit_count() for s in range(size) if cover[s] == full)
+    chi = next(k for k in range(nv + 1)
+               if sum((-1) ** (nv - s.bit_count()) * n_indep[s] ** k
+                      for s in range(size)) > 0)
+    return omega, chi, alpha, gamma
 
 
 def maximum_matching_full_scan(n, adj):

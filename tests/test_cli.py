@@ -11,7 +11,7 @@ import pytest
 from idealgraph import graph, invariants, rectangular_band, semigroup, symmetry
 from idealgraph.cli import main
 from idealgraph.graph import DEFAULT_VERTEX_CAP, vertex_cap
-from oracles import first_nonassociative_triple
+from oracles import export_dot_document, first_nonassociative_triple
 
 RIGHT_ZERO_3 = "3\n0 1 2\n0 1 2\n0 1 2\n"
 NULL_3 = "3\n0 0 0\n0 0 0\n0 0 0\n"
@@ -210,6 +210,21 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"girth": 6}
+
+
+def test_graph_dot_n10_fresh_process(tmp_path):
+    # Compared as lists of lines: pytest's diff of two megabyte strings
+    # takes minutes.
+    want = export_dot_document(graph.build_boolean(10)).encode().splitlines(True)
+    cmd = [sys.executable, "-m", "idealgraph.cli", "graph", "--n", "10", "--format", "dot"]
+    proc = subprocess.run(cmd, capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines(True) == want
+    out = tmp_path / "in10.dot"
+    proc = subprocess.run([*cmd, "-o", str(out)], capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout == b""
+    assert out.read_bytes().splitlines(True) == want
 
 
 def test_max_vertices_cap(capsys):

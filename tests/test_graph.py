@@ -24,7 +24,7 @@ from idealgraph import (
     right_zero,
 )
 from idealgraph.graph import bits
-from oracles import export_json_document
+from oracles import export_dot_document, export_json_document
 
 
 def test_build_from_family_null_semigroup_is_path():
@@ -277,3 +277,25 @@ def test_export_json_matches_json_dumps_edge_cases():
 def test_export_json_matches_json_dumps_mask_families(masks):
     g = InclusionGraph("generic", vertices=tuple(masks))
     assert export_graph(g, "json") == export_json_document(g)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_export_dot_matches_per_edge_writer_boolean(n):
+    # From n = 10 on, the member labels of a name are joined by "_". Compared
+    # as lists of lines: pytest's diff of two megabyte strings takes minutes.
+    g = build_boolean(n)
+    assert export_graph(g, "dot").splitlines(True) == export_dot_document(g).splitlines(True)
+
+
+def test_export_dot_matches_per_edge_writer_edge_cases():
+    empty = build_from_family(enumerate_left_ideals(cyclic_group(3)))
+    antichain = InclusionGraph("generic", vertices=(0b0011, 0b0101, 0b1001, 0b0110))
+    for g in (empty, antichain):
+        assert export_graph(g, "dot") == export_dot_document(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(masks_st)
+def test_export_dot_matches_per_edge_writer_mask_families(masks):
+    g = InclusionGraph("generic", vertices=tuple(masks))
+    assert export_graph(g, "dot") == export_dot_document(g)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealgraph import (
@@ -39,7 +39,7 @@ from idealgraph import invariants
 from idealgraph.cli import main
 from idealgraph.semigroup import parse_cayley_table
 from idealgraph.theorems import builtin_corpus
-from oracles import diameter_per_source, girth_per_vertex_bfs
+from oracles import diameter_per_source, girth_per_vertex_bfs, raw_graph_numbers
 
 INF = math.inf
 
@@ -388,6 +388,12 @@ def test_chromatic_c5_needs_three():
     assert chromatic_number(c5)[0] == 3
 
 
+def test_chromatic_of_a_raw_path_deeper_than_the_recursion_limit():
+    path = dense_from_edges(1100, [(i, i + 1) for i in range(1099)])
+    assert chromatic_number(path)[0] == 2
+    assert compute_report(path).chromatic_number == 2
+
+
 # --- independence ------------------------------------------------------------
 
 def test_independence_examples():
@@ -483,6 +489,36 @@ def test_domination_against_bruteforce():
                  if rng.random() < 0.3]
         g = dense_from_edges(nv, edges)
         assert domination_number(g)[0] == brute_domination(to_nx(g))
+
+
+def _raw_edge_sets(nv):
+    pairs = list(itertools.combinations(range(nv), 2))
+    edges = st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
+    return edges.map(lambda e: (nv, sorted(e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10).flatmap(_raw_edge_sets))
+# χ = 4, and the 4-colouring search must backtrack and undo what it forbade.
+@example((9, [(0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (1, 3), (1, 6), (1, 8), (2, 4),
+              (2, 7), (2, 8), (3, 5), (3, 6), (3, 8), (4, 7), (4, 8), (5, 6), (5, 8), (7, 8)]))
+def test_raw_graph_numbers_and_witnesses_match_subset_tables(graph):
+    nv, edges = graph
+    g = dense_from_edges(nv, edges)
+    adjacent = {*edges, *((v, u) for u, v in edges)}
+    omega, clique = clique_number(g)
+    chi, coloring = chromatic_number(g)
+    alpha, independent = independence_number(g)
+    gamma, dominating = domination_number(g)
+    assert (omega, chi, alpha, gamma) == raw_graph_numbers(nv, edges)
+    assert len(clique) == omega
+    assert all(e in adjacent for e in itertools.combinations(clique, 2))
+    assert len(independent) == alpha
+    assert not any(e in adjacent for e in itertools.combinations(independent, 2))
+    assert len(set(coloring.values())) == chi
+    assert all(coloring[u] != coloring[v] for u, v in edges)
+    assert len(dominating) == gamma
+    assert {*dominating, *(v for u, v in adjacent if u in dominating)} == set(range(nv))
 
 
 def test_domination_cap():
