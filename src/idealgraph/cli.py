@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
-3 internal failure (a failed cross-check, witness check or identity,
-recursion or memory exhausted).
+3 internal failure (a failed certificate or identity, recursion or memory
+exhausted).
 All stdout is valid in the requested format and byte-identical across
 identical invocations.
 """
@@ -174,7 +174,7 @@ def _cmd_invariants(args) -> int:
         if not res.planar:
             out["kuratowski_kind"] = res.kuratowski_kind
     if "perfect" in selected:
-        out["perfect"], _, _ = invariants.perfect_verdict(g)
+        out["perfect"] = invariants.perfect_verdict(g)
     if "flags" in selected:
         eul, bip, tri = invariants.structural_flags(g)
         out.update(eulerian=eul, bipartite=bip, triangulated=tri)

@@ -152,7 +152,8 @@ class DenseGraph:
 
 
 def dense_from_edges(n_vertices: int, edges) -> DenseGraph:
-    """Raw graph constructor for arbitrary adjacency (used to cross-check solvers)."""
+    """Raw graph with arbitrary adjacency and no containment order, for tests
+    of the solvers that take any graph."""
     adj = [0] * n_vertices
     for u, v in edges:
         if u == v:

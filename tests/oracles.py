@@ -6,16 +6,17 @@ by a BFS from every vertex, Hopcroft-Karp and König over adjacency lists,
 the graph export through ``json.dumps`` and as DOT one line per edge (both
 with edges from a scan of every pair of masks), clique, chromatic,
 independence and domination numbers of raw graphs from tables over all
-vertex subsets, the blossom matching that scans every vertex per
-contraction, the automorphism search by recursive extension, and edge
-transitivity by a union-find over all edges."""
+vertex subsets, the generic branch-and-bound clique search and exact
+colouring search, which take any graph, the blossom matching that scans
+every vertex per contraction, the automorphism search by recursive
+extension, and edge transitivity by a union-find over all edges."""
 
 import json
 import math
 from collections import deque
 from math import factorial
 
-from idealgraph import AutGroupReport, CayleyTable, InclusionGraph
+from idealgraph import AutGroupReport, CayleyTable, DenseGraph, InclusionGraph
 from idealgraph.catalog import _consistent
 from idealgraph.graph import bits
 from idealgraph.symmetry import _decorate, _orbits
@@ -325,6 +326,118 @@ def raw_graph_numbers(nv, edges):
                if sum((-1) ** (nv - s.bit_count()) * n_indep[s] ** k
                       for s in range(size)) > 0)
     return omega, chi, alpha, gamma
+
+
+def max_clique_bb(dense: DenseGraph) -> tuple[int, list[int]]:
+    """Branch and bound maximum clique with greedy-coloring bounds."""
+    n = dense.size
+    adj = dense.adj
+    best_size = 0
+    best: list[int] = []
+
+    def color_sort(cand: int) -> list[tuple[int, int]]:
+        order = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                b = avail & -avail
+                v = b.bit_length() - 1
+                avail ^= b
+                avail &= ~adj[v]
+                rest ^= b
+                order.append((v, color))
+        return order
+
+    def expand(current: list[int], cand: int) -> None:
+        nonlocal best_size, best
+        order = color_sort(cand)
+        for v, color in reversed(order):
+            if len(current) + color <= best_size:
+                return
+            current.append(v)
+            new_cand = cand & adj[v]
+            if new_cand:
+                expand(current, new_cand)
+            elif len(current) > best_size:
+                best_size = len(current)
+                best = current[:]
+            current.pop()
+            cand &= ~(1 << v)
+
+    expand([], (1 << n) - 1)
+    return best_size, best
+
+
+def exact_chromatic(dense: DenseGraph) -> tuple[int, list[int]]:
+    """Exact chromatic number: clique lower bound, then k-coloring search."""
+    n = dense.size
+    if n == 0:
+        return 0, []
+    lb, _ = max_clique_bb(dense)
+    k = max(lb, 1)
+    while True:
+        colors = k_coloring(dense, k)
+        if colors is not None:
+            return k, colors
+        k += 1
+
+
+def k_coloring(dense: DenseGraph, k: int) -> list[int] | None:
+    """Backtracking k-coloring in saturation order; None if infeasible.
+
+    The search keeps an explicit stack of [vertex, colour, neighbours newly
+    forbidden that colour] frames, so its depth is not bounded by the
+    recursion limit.
+    """
+    n = dense.size
+    adj = dense.adj
+    colors = [0] * n  # 1..k when assigned
+    forbidden = [0] * n  # bitmask of colors 1..k seen on neighbors
+
+    def pick() -> int:
+        bestv = -1
+        key = (-1, -1)
+        for v in range(n):
+            if colors[v] == 0:
+                sat = forbidden[v].bit_count()
+                deg = adj[v].bit_count()
+                if (sat, deg) > key:
+                    key = (sat, deg)
+                    bestv = v
+        return bestv
+
+    stack = [[pick(), 0, []]]
+    while stack:
+        frame = stack[-1]
+        v, c, touched = frame
+        if c:  # undo the colour that failed below this frame
+            colors[v] = 0
+            for w in touched:
+                forbidden[w] &= ~(1 << (c - 1))
+        c += 1
+        while c <= k and (forbidden[v] >> (c - 1)) & 1:
+            c += 1
+        if c > k:
+            stack.pop()
+            continue
+        colors[v] = c
+        touched = []
+        m = adj[v]
+        while m:
+            b = m & -m
+            w = b.bit_length() - 1
+            m ^= b
+            if colors[w] == 0 and not (forbidden[w] >> (c - 1)) & 1:
+                forbidden[w] |= 1 << (c - 1)
+                touched.append(w)
+        frame[1], frame[2] = c, touched
+        if len(stack) == n:
+            return colors
+        stack.append([pick(), 0, []])
+    return None
 
 
 def maximum_matching_full_scan(n, adj):

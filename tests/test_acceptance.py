@@ -34,9 +34,8 @@ from idealgraph import (
     right_zero_with_identity,
     transitivity,
 )
-from idealgraph.invariants import _exact_chromatic, _max_clique_bb
 from idealgraph.symmetry import automorphism_group
-from oracles import enumerate_associative_tables
+from oracles import enumerate_associative_tables, exact_chromatic, max_clique_bb
 
 
 @contextmanager
@@ -84,9 +83,8 @@ def test_03_girth():
 
 
 def test_04_clique_and_chromatic():
-    # The operations cross-check the chain solvers against generic exact
-    # search automatically whenever |V| <= 30 (independence) / 64 (clique,
-    # coloring), so n <= 5 and n <= 6 here run both routes.
+    # Each call checks its chain and its colouring by chain levels as
+    # witnesses, at every n.
     with criterion("clique and chromatic numbers, n=3..10"):
         for n in range(3, 11):
             omega, chain = clique_number(build_boolean(n))
@@ -180,8 +178,8 @@ def test_10_perfectness():
         for _ in range(500):
             keep = [i for i in range(dense.size) if rng.random() < 0.5]
             sub = _induced_subgraph(dense, keep)
-            omega, _ = _max_clique_bb(sub)
-            chi, _ = _exact_chromatic(sub)
+            omega, _ = max_clique_bb(sub)
+            chi, _ = exact_chromatic(sub)
             assert omega == chi
 
 

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import networkx as nx
@@ -39,7 +41,13 @@ from idealgraph import invariants
 from idealgraph.cli import main
 from idealgraph.semigroup import parse_cayley_table
 from idealgraph.theorems import builtin_corpus
-from oracles import diameter_per_source, girth_per_vertex_bfs, raw_graph_numbers
+from oracles import (
+    diameter_per_source,
+    exact_chromatic,
+    girth_per_vertex_bfs,
+    max_clique_bb,
+    raw_graph_numbers,
+)
 
 INF = math.inf
 
@@ -135,21 +143,19 @@ def test_lockstep_diameter_matches_per_source_oracle():
     assert connectivity(paths[200]) == (1, 199)  # 199 rounds, past the oracle's size
 
 
-def test_diameter_cross_check_is_a_real_check(monkeypatch):
-    real = invariants._diameter_lockstep
-    monkeypatch.setattr(invariants, "_diameter_lockstep",
-                        lambda dense: real(dense) + 1)
-    with pytest.raises(RuntimeError, match="diameter cross-check failed"):
-        connectivity(build_boolean(5))
-
-
 def check_diameter_routes(g):
-    """The extremes diameter equals the per-source oracle up to 3 and gives
-    way to the lockstep BFS above it; connectivity agrees either way."""
+    """The extremes diameter equals the per-source oracle from 2 to 3, with
+    a witness pair at that distance, and gives way to the lockstep BFS above
+    it; connectivity agrees either way."""
     dense = g.dense()
     want = diameter_per_source(dense)
     assert connectivity(g)[1] == want
-    assert invariants._diameter_extremes(dense) == (want if want <= 3 else None)
+    found = invariants._diameter_extremes(dense)
+    if not 2 <= want <= 3:
+        assert found is None
+        return
+    diam, u, v = found
+    assert diam == want == nx.shortest_path_length(to_nx(dense), u, v)
 
 
 def check_girth_routes(g):
@@ -213,12 +219,6 @@ def test_layered_girth_matches_oracle_on_raw_graphs(dense):
     assert girth(dense) == girth_per_vertex_bfs(dense)
 
 
-def test_girth_cross_check_is_a_real_check(monkeypatch):
-    monkeypatch.setattr(invariants, "_girth_bfs", lambda dense: 4)
-    with pytest.raises(RuntimeError, match="girth cross-check failed"):
-        girth(build_boolean(4))
-
-
 # --- girth -------------------------------------------------------------------
 
 def test_girth_examples():
@@ -269,11 +269,14 @@ def test_clique_against_networkx():
 
 
 def test_clique_raw_graph():
-    # Raw graphs have no containment structure; branch and bound only.
+    # Raw graphs have no containment structure: clique_number refuses them,
+    # and the generic branch and bound of the oracles takes them.
     edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
-    size, members = clique_number(dense_from_edges(4, edges))
+    size, members = max_clique_bb(dense_from_edges(4, edges))
     assert size == 3
     assert set(members) == {0, 1, 2}
+    with pytest.raises(ValueError, match="a raw graph has no containment order"):
+        clique_number(dense_from_edges(4, edges))
 
 
 def test_containment_order_against_masks():
@@ -339,7 +342,7 @@ def test_complement_is_a_raw_graph():
         g = build_boolean(n)
         complement = g.dense().complement()
         assert complement.masks is None
-        assert clique_number(complement)[0] == independence_number(g)[0]
+        assert max_clique_bb(complement)[0] == independence_number(g)[0]
 
 
 # --- chromatic ---------------------------------------------------------------
@@ -380,18 +383,32 @@ def test_chromatic_against_bruteforce():
                  if rng.random() < 0.4]
         g = dense_from_edges(nv, edges)
         G = to_nx(g)
-        assert chromatic_number(g)[0] == brute_chromatic(G)
+        assert exact_chromatic(g)[0] == brute_chromatic(G)
 
 
 def test_chromatic_c5_needs_three():
     c5 = dense_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert chromatic_number(c5)[0] == 3
+    assert exact_chromatic(c5)[0] == 3
 
 
 def test_chromatic_of_a_raw_path_deeper_than_the_recursion_limit():
     path = dense_from_edges(1100, [(i, i + 1) for i in range(1099)])
-    assert chromatic_number(path)[0] == 2
-    assert compute_report(path).chromatic_number == 2
+    assert exact_chromatic(path)[0] == 2
+
+
+def test_raw_graph_is_refused_before_any_solver_runs(monkeypatch):
+    # The report and the order-based solvers need the containment order; a
+    # raw graph is refused up front, not after a quadratic BFS.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran on a raw graph")
+
+    for name in ("connectivity", "girth", "hopcroft_karp", "_chain"):
+        monkeypatch.setattr(invariants, name, refuse)
+    path = dense_from_edges(1100, [(i, i + 1) for i in range(1099)])
+    for solver in (compute_report, clique_number, chromatic_number, independence_number,
+                   invariants.perfect_verdict):
+        with pytest.raises(ValueError, match="a raw graph has no containment order"):
+            solver(path)
 
 
 # --- independence ------------------------------------------------------------
@@ -506,19 +523,30 @@ def test_raw_graph_numbers_and_witnesses_match_subset_tables(graph):
     nv, edges = graph
     g = dense_from_edges(nv, edges)
     adjacent = {*edges, *((v, u) for u, v in edges)}
-    omega, clique = clique_number(g)
-    chi, coloring = chromatic_number(g)
-    alpha, independent = independence_number(g)
+    omega, clique = max_clique_bb(g)
+    chi, coloring = exact_chromatic(g)
+    alpha, independent = max_clique_bb(g.complement())
     gamma, dominating = domination_number(g)
     assert (omega, chi, alpha, gamma) == raw_graph_numbers(nv, edges)
     assert len(clique) == omega
     assert all(e in adjacent for e in itertools.combinations(clique, 2))
     assert len(independent) == alpha
     assert not any(e in adjacent for e in itertools.combinations(independent, 2))
-    assert len(set(coloring.values())) == chi
+    assert len(set(coloring)) == chi
     assert all(coloring[u] != coloring[v] for u, v in edges)
     assert len(dominating) == gamma
     assert {*dominating, *(v for u, v in adjacent if u in dominating)} == set(range(nv))
+
+
+def test_domination_deeper_than_the_recursion_limit():
+    # 1,100 vertices with no edges need all of them: the search goes 1,100
+    # levels deep, on an inclusion graph (an antichain of singletons) and on
+    # a raw graph.
+    antichain = InclusionGraph("generic", vertices=tuple(1 << i for i in range(1100)))
+    for g in (antichain, dense_from_edges(1100, [])):
+        gamma, witness = domination_number(g)
+        assert gamma == len(witness) == 1100
+    assert compute_report(antichain).domination_number == 1100
 
 
 def test_domination_cap():
@@ -592,11 +620,12 @@ def test_planarity_decided_by_chain_without_networkx(monkeypatch):
                                     (3, 15), (3, 31), (7, 15), (7, 31), (15, 31))
 
 
-def check_wrong_witness_fails(argv, match, capsys):
-    """A wrong Kuratowski witness raises RuntimeError from planarity, and
-    the CLI turns it into exit 3 with one stderr line."""
+def check_wrong_witness_fails(argv, match, capsys, solver=planarity):
+    """A wrong witness raises RuntimeError from the solver (by default a
+    wrong Kuratowski witness from planarity), and the CLI turns it into
+    exit 3 with one stderr line."""
     with pytest.raises(RuntimeError, match=match):
-        planarity(build_boolean(int(argv[2])))
+        solver(build_boolean(int(argv[2])))
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -801,12 +830,12 @@ def test_perfectness_boolean5_bounded_unknown():
 
 
 def test_perfect_verdict_routes():
-    assert invariants.perfect_verdict(build_boolean(7)) == (True, None, "comparability")
+    # An inclusion graph is perfect by comparability. A raw graph is refused;
+    # perfectness, the search tested above, finds its odd holes.
+    assert invariants.perfect_verdict(build_boolean(7)) is True
     c5 = dense_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    verdict, witness, method = invariants.perfect_verdict(c5)
-    assert (verdict, witness[0], method) == (False, "hole", "odd-hole-search<=(5)")
-    path = dense_from_edges(40, [(i, i + 1) for i in range(39)])
-    assert invariants.perfect_verdict(path) == (None, None, "skipped-size")
+    with pytest.raises(ValueError, match="a raw graph has no containment order"):
+        invariants.perfect_verdict(c5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -817,11 +846,15 @@ def test_report_perfect_matches_exhaustive_hole_search(masks):
     assert compute_report(g).perfect is verdict is True
 
 
-def test_perfectness_cross_check_is_a_real_check(monkeypatch):
-    monkeypatch.setattr(invariants, "perfectness",
-                        lambda g, max_len: (False, ("hole", (1, 2, 3, 4, 5))))
-    with pytest.raises(RuntimeError, match="perfectness cross-check failed"):
-        compute_report(build_boolean(3))
+def test_inclusion_graph_is_perfect_without_a_search(monkeypatch):
+    # Comparability graphs are perfect: the report's verdict runs no odd-hole
+    # search, whose rows in the theorem suite stay the independent oracle.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the odd-hole search ran")
+
+    monkeypatch.setattr(invariants, "perfectness", refuse)
+    r = compute_report(build_boolean(4))
+    assert (r.perfect, r.methods["perfectness"]) == (True, "comparability")
 
 
 def test_perfectness_finds_planted_hole():
@@ -861,9 +894,8 @@ def test_report_identities_and_edge_cover_undefined():
 
 
 def test_random_subset_families_cross_solvers():
-    # Random containment families: the chain/Dilworth solvers cross-check
-    # themselves against exhaustive search inside the ops, and networkx
-    # supplies a third opinion.
+    # Random containment families: the chain/Dilworth solvers check their
+    # own witnesses inside the ops, and networkx supplies a second opinion.
     from idealgraph import InclusionGraph
 
     rng = random.Random(31415)
@@ -934,3 +966,103 @@ def test_report_identity_is_a_real_check(monkeypatch):
     monkeypatch.setattr(invariants, "chromatic_number", one_colour_short)
     with pytest.raises(RuntimeError, match="clique number exceeds chromatic number"):
         compute_report(build_boolean(4))
+
+
+# --- certificates ----------------------------------------------------------------
+# Each answer's witnesses are checked on every call: a corrupted witness is
+# an internal failure (RuntimeError, exit 3), also under python -O.
+
+def test_clique_certificate_is_a_real_check(monkeypatch, capsys):
+    # Four singletons of Boolean n=5 are no chain: no edge among them.
+    monkeypatch.setattr(invariants, "_chain", lambda dense, length: list(range(length)))
+    for solver, flag in ((clique_number, "--clique"), (chromatic_number, "--chromatic")):
+        check_wrong_witness_fails(["invariants", "--n", "5", flag],
+                                  "clique certificate failed", capsys, solver)
+
+
+@pytest.mark.parametrize("recolour", [
+    lambda down: [1 if d == 2 else d for d in down],  # {1} and {1,2} share colour 1
+    lambda down: [0] + down[1:],  # colour 0 would be a (k+1)-th colour
+])
+def test_colouring_certificate_is_a_real_check(monkeypatch, capsys, recolour):
+    build = DenseGraph.containment.func
+
+    def recoloured(self):
+        order = build(self)
+        return order._replace(down=recolour(order.down))
+
+    prop = functools.cached_property(recoloured)
+    prop.__set_name__(DenseGraph, "containment")
+    monkeypatch.setattr(DenseGraph, "containment", prop)
+    for solver, flag in ((chromatic_number, "--chromatic"), (clique_number, "--clique")):
+        check_wrong_witness_fails(["invariants", "--n", "5", flag],
+                                  "colouring certificate failed", capsys, solver)
+
+
+def test_chain_partition_certificate_is_a_real_check(monkeypatch, capsys):
+    # Relink the first matched vertex, {1}, to a chain head it is not
+    # comparable with. The König antichain reads only the unmatched left
+    # vertices and match_r, so it still passes; the chain partition fails.
+    real = invariants.hopcroft_karp
+    adj = build_boolean(5).dense().adj
+
+    def bad_link(n_left, n_right, above):
+        size, match_l, match_r = real(n_left, n_right, above)
+        u = next(u for u in range(n_left) if match_l[u] >= 0)
+        match_l[u] = next(w for w in range(n_right)
+                          if match_r[w] == -1 and w != u and not adj[u] >> w & 1)
+        return size, match_l, match_r
+
+    monkeypatch.setattr(invariants, "hopcroft_karp", bad_link)
+    check_wrong_witness_fails(["invariants", "--n", "5", "--independence"],
+                              "independence certificate failed", capsys,
+                              independence_number)
+
+
+def test_chain_partition_check_counts_chains_and_entries():
+    # The links must make exactly alpha chains, and no vertex may be entered
+    # by two links even where the count of chain heads agrees.
+    dense = build_boolean(4).dense()
+    above = dense.containment.above
+    size, match_l, _ = invariants.hopcroft_karp(dense.size, dense.size, above)
+    alpha = dense.size - size
+    invariants._check_chain_partition(dense, match_l, alpha)
+    for wrong in (alpha - 1, alpha + 1):
+        with pytest.raises(RuntimeError, match=f"chains, not {wrong}"):
+            invariants._check_chain_partition(dense, match_l, wrong)
+    u, v = next((u, v) for u, v in enumerate(match_l) if v >= 0)
+    twice = list(match_l)
+    twice[next(w for w in range(dense.size) if w != u and above[w] >> v & 1)] = v
+    heads = dense.size - len({t for t in twice if t >= 0})
+    with pytest.raises(RuntimeError, match="enters a vertex twice"):
+        invariants._check_chain_partition(dense, twice, heads)
+
+
+def test_triangle_certificate_is_a_real_check(monkeypatch, capsys):
+    monkeypatch.setattr(invariants, "_triangle", lambda adj: (0, 1, 2))
+    check_wrong_witness_fails(["invariants", "--n", "5", "--girth"],
+                              "girth certificate failed", capsys, girth)
+
+
+def test_diameter_certificate_is_a_real_check(monkeypatch, capsys):
+    # {1} and {2} have the common neighbour {1,2}: no witness of distance 3.
+    real = invariants._diameter_extremes
+    monkeypatch.setattr(invariants, "_diameter_extremes",
+                        lambda dense: (real(dense)[0], 0, 1))
+    check_wrong_witness_fails(["invariants", "--n", "5", "--diameter"],
+                              "diameter certificate failed", capsys, connectivity)
+
+
+def test_certificate_failure_exits_3_under_python_O():
+    script = (
+        "import sys\n"
+        "from idealgraph import invariants\n"
+        "from idealgraph.cli import main\n"
+        "invariants._chain = lambda dense, length: list(range(length))\n"
+        "print(sys.flags.optimize)\n"
+        "sys.exit(main(['invariants', '--n', '5', '--clique']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "1\n")
+    assert proc.stderr.startswith(
+        "error: internal failure: RuntimeError: clique certificate failed")
