@@ -14,10 +14,13 @@ import json
 import sys
 from pathlib import Path
 
-from . import constructions, invariants, symmetry, theorems
+from . import constructions, invariants, semigroup, symmetry, theorems
 from .errors import IdealGraphError, NotAssociativeError
 from .graph import build_boolean, build_from_family, command_vertex_cap, export_graph
 from .semigroup import enumerate_left_ideals, parse_cayley_table, serialize_cayley_table
+
+INVARIANT_FLAGS = ("diameter", "girth", "clique", "chromatic", "independence",
+                   "matching", "domination", "planarity", "perfect", "flags")
 
 
 def _add_source(p: argparse.ArgumentParser) -> None:
@@ -47,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideals", help="enumerate the nontrivial left ideals")
     p.add_argument("file")
-    p.add_argument("--max-ideals", type=_positive, default=1_000_000)
+    p.add_argument("--max-ideals", type=_positive, default=semigroup.DEFAULT_IDEAL_CAP)
 
     p = sub.add_parser("graph", help="emit the inclusion graph")
     _add_source(p)
@@ -57,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="compute exact graph invariants")
     _add_source(p)
     p.add_argument("--all", action="store_true")
-    for flag in ("diameter", "girth", "clique", "chromatic", "independence",
-                 "matching", "domination", "planarity", "perfect", "flags"):
+    for flag in INVARIANT_FLAGS:
         p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--domination-cap", type=_positive,
                    default=invariants.DOMINATION_CAP)
@@ -93,11 +95,11 @@ def _load_graph(args):
 
 
 def _parse_range(spec: str) -> range:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    n = int(spec)
-    return range(n, n + 1)
+    lo, sep, hi = spec.partition("..")
+    ns = range(int(lo), int(hi if sep else lo) + 1)
+    if not ns:
+        raise ValueError(f"--boolean {spec} is an empty range")
+    return ns
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -139,10 +141,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = _load_graph(args)
-    selected = {k for k in ("diameter", "girth", "clique", "chromatic",
-                            "independence", "matching", "domination",
-                            "planarity", "perfect", "flags")
-                if getattr(args, k)}
+    selected = {k for k in INVARIANT_FLAGS if getattr(args, k)}
     if args.all or not selected:
         report = invariants.compute_report(g, domination_cap=args.domination_cap)
         sys.stdout.write(json.dumps(report.to_jsonable(), indent=2) + "\n")

@@ -50,14 +50,6 @@ class LayerGraph:
     lower: tuple[int, ...]
     upper: tuple[int, ...]
 
-    @property
-    def lower_degree(self) -> int:
-        return self.n - self.k
-
-    @property
-    def upper_degree(self) -> int:
-        return self.k + 1
-
     def edges(self) -> list[tuple[int, int]]:
         return [(m, s) for m in self.lower for s in _supersets_one_more(self.n, m)]
 

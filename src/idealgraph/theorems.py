@@ -7,27 +7,34 @@ Each check compares an expected value (tagged with its provenance:
 for values computed by an independent oracle) against the value the library
 computes. Vacuous instances (empty graphs) are reported explicitly rather
 than folded into pass counts.
+
+The corpus rows are declared once, in ``CORPUS_ROWS``, as predicates on a
+per-table case (the family and, for a complete nonempty family, the graph
+with its distances, girth and extremes). One pass over the corpus builds
+each case, runs every row on it and drops it, so one graph is alive at a time.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import catalog
 from .constructions import (canonical_dominating_set, canonical_maximum_chain,
                             layer_matching, perfect_matching)
 from .errors import CorpusLoadError
-from .graph import (bits, build_boolean, build_from_family, command_vertex_cap,
-                    element_columns, minimal_ideal_coordinates)
+from .graph import (InclusionGraph, bits, build_boolean, build_from_family,
+                    command_vertex_cap, element_columns, minimal_ideal_coordinates)
 from .invariants import (chromatic_number, clique_number, connectivity,
                          domination_number, girth, independence_number,
                          maximum_matching, perfectness, planarity,
                          structural_flags)
-from .semigroup import (CayleyTable, enumerate_left_ideals, is_left_ideal,
-                        is_maximal_left_ideal, is_completely_simple,
+from .semigroup import (CayleyTable, IdealFamily, enumerate_left_ideals,
+                        is_left_ideal, is_maximal_left_ideal, is_completely_simple,
                         parse_cayley_table)
 from .symmetry import (automorphism_group, complement_automorphism, compose,
                        relabel_automorphism, transitivity)
@@ -141,35 +148,29 @@ REGISTRY: dict[str, str] = {
 }
 
 
-class _Emitter:
-    def __init__(self, corrupt_check_id: str | None = None):
-        self.checks: list[TheoremCheck] = []
-        self.corrupt_check_id = corrupt_check_id
-
-    def emit(self, check_id: str, instance: str, provenance: str,
-             expected: str, computed: str, vacuous: bool = False) -> None:
-        if check_id not in REGISTRY:
-            raise KeyError(f"check id {check_id!r} is not registered")
-        if self.corrupt_check_id == check_id:
-            expected = expected + " [corrupted]"
-        if vacuous:
-            verdict = "vacuous"
-        else:
-            verdict = "pass" if expected == computed else "fail"
-        self.checks.append(TheoremCheck(
-            check_id=check_id, instance=instance, provenance=provenance,
-            expected=expected, computed=computed, verdict=verdict))
+def _emit(checks: list[TheoremCheck], check_id: str, instance: str,
+          provenance: str, expected: str, computed: str,
+          vacuous: bool = False) -> None:
+    if check_id not in REGISTRY:
+        raise KeyError(f"check id {check_id!r} is not registered")
+    if vacuous:
+        verdict = "vacuous"
+    else:
+        verdict = "pass" if expected == computed else "fail"
+    checks.append(TheoremCheck(
+        check_id=check_id, instance=instance, provenance=provenance,
+        expected=expected, computed=computed, verdict=verdict))
 
 
 # ---------------------------------------------------------------------------
 # Boolean-model checks
 
 
-def _boolean_checks(n: int, em: _Emitter) -> None:
+def _boolean_checks(n: int, checks: list[TheoremCheck]) -> None:
     inst = f"boolean n={n}"
     g = build_boolean(n)
-    em.emit("boolean-order", inst, "theory",
-            f"{2 ** n - 2} vertices", f"{g.vertex_count} vertices")
+    _emit(checks, "boolean-order", inst, "theory",
+          f"{2 ** n - 2} vertices", f"{g.vertex_count} vertices")
 
     bad = None
     for v in g.vertices():
@@ -177,77 +178,77 @@ def _boolean_checks(n: int, em: _Emitter) -> None:
         if g.degree(v) != (2 ** k - 2) + (2 ** (n - k) - 2):
             bad = v
             break
-    em.emit("boolean-degree-formula", inst, "theory", "all degrees match",
-            "all degrees match" if bad is None else f"mismatch at {bad:#x}")
+    _emit(checks, "boolean-degree-formula", inst, "theory", "all degrees match",
+          "all degrees match" if bad is None else f"mismatch at {bad:#x}")
 
     components, diameter = connectivity(g)
     if n == 2:
-        em.emit("boolean-connectivity-diameter", inst, "theory",
-                "2 components", f"{components} components")
+        _emit(checks, "boolean-connectivity-diameter", inst, "theory",
+              "2 components", f"{components} components")
     else:
-        em.emit("boolean-connectivity-diameter", inst, "theory",
-                "connected, diameter 3",
-                f"{'connected' if components == 1 else 'disconnected'}, diameter {diameter}")
+        _emit(checks, "boolean-connectivity-diameter", inst, "theory",
+              "connected, diameter 3",
+              f"{'connected' if components == 1 else 'disconnected'}, diameter {diameter}")
 
     expected_girth = {2: "inf", 3: "6"}.get(n, "3")
     gv = girth(g)
-    em.emit("boolean-girth", inst, "theory", expected_girth,
-            "inf" if gv == float("inf") else str(int(gv)))
+    _emit(checks, "boolean-girth", inst, "theory", expected_girth,
+          "inf" if gv == float("inf") else str(int(gv)))
 
     omega, chain = clique_number(g)
     chain_ok = list(chain)[:len(canonical_maximum_chain(n))] == canonical_maximum_chain(n)
-    em.emit("boolean-clique-number", inst, "theory",
-            f"{n - 1} (canonical chain maximal)",
-            f"{omega} ({'canonical chain maximal' if chain_ok and omega == len(canonical_maximum_chain(n)) else 'other witness'})")
+    _emit(checks, "boolean-clique-number", inst, "theory",
+          f"{n - 1} (canonical chain maximal)",
+          f"{omega} ({'canonical chain maximal' if chain_ok and omega == len(canonical_maximum_chain(n)) else 'other witness'})")
 
     chi, _ = chromatic_number(g)
-    em.emit("boolean-chromatic-number", inst, "theory", str(n - 1), str(chi))
+    _emit(checks, "boolean-chromatic-number", inst, "theory", str(n - 1), str(chi))
 
     eulerian, bipartite, triangulated = structural_flags(g)
     if n >= 3:
-        em.emit("boolean-bipartite-iff", inst, "theory",
-                str(n == 3), str(bipartite))
-    em.emit("boolean-eulerian", inst, "theory", str(n >= 3), str(eulerian))
-    em.emit("boolean-triangulated", inst, "theory", str(n >= 4), str(triangulated))
+        _emit(checks, "boolean-bipartite-iff", inst, "theory",
+              str(n == 3), str(bipartite))
+    _emit(checks, "boolean-eulerian", inst, "theory", str(n >= 3), str(eulerian))
+    _emit(checks, "boolean-triangulated", inst, "theory", str(n >= 4), str(triangulated))
 
     gamma, _ = domination_number(g)
-    em.emit("boolean-domination-number", inst, "theory",
-            "2" if n >= 3 else "2 (two isolated vertices)",
-            str(gamma) if n >= 3 else f"{gamma} (two isolated vertices)")
+    _emit(checks, "boolean-domination-number", inst, "theory",
+          "2" if n >= 3 else "2 (two isolated vertices)",
+          str(gamma) if n >= 3 else f"{gamma} (two isolated vertices)")
     if n >= 3:
         try:
             canonical_dominating_set(n)
             got = "dominates"
         except RuntimeError as e:
             got = str(e)
-        em.emit("boolean-canonical-dominating-set", inst, "theory",
-                "dominates", got)
+        _emit(checks, "boolean-canonical-dominating-set", inst, "theory",
+              "dominates", got)
 
     alpha, antichain = independence_number(g)
-    em.emit("boolean-independence-number", inst, "theory",
-            str(comb(n, n // 2)), str(alpha))
-    em.emit("boolean-vertex-cover", inst, "theory",
-            str((2 ** n - 2) - comb(n, n // 2)), str(g.vertex_count - alpha))
+    _emit(checks, "boolean-independence-number", inst, "theory",
+          str(comb(n, n // 2)), str(alpha))
+    _emit(checks, "boolean-vertex-cover", inst, "theory",
+          str((2 ** n - 2) - comb(n, n // 2)), str(g.vertex_count - alpha))
 
     if n >= 3:
         size, _, perfect = maximum_matching(g)
         built = perfect_matching(n)
-        em.emit("boolean-matching-and-construction", inst, "theory",
-                f"{2 ** (n - 1) - 1} edges, perfect, construction verifies",
-                f"{size} edges, {'perfect' if perfect else 'imperfect'}, "
-                f"construction {'verifies' if len(built) == 2 ** (n - 1) - 1 else 'broken'}")
-        em.emit("boolean-edge-cover", inst, "theory",
-                str(2 ** (n - 1) - 1), str(g.vertex_count - size))
+        _emit(checks, "boolean-matching-and-construction", inst, "theory",
+              f"{2 ** (n - 1) - 1} edges, perfect, construction verifies",
+              f"{size} edges, {'perfect' if perfect else 'imperfect'}, "
+              f"construction {'verifies' if len(built) == 2 ** (n - 1) - 1 else 'broken'}")
+        _emit(checks, "boolean-edge-cover", inst, "theory",
+              str(2 ** (n - 1) - 1), str(g.vertex_count - size))
 
         sat = all(
             layer_matching(n, k).covers == ("lower" if k <= n // 2 - 1 else "upper")
             for k in range(1, n - 1)
         )
-        em.emit("boolean-layer-matchings", inst, "theory",
-                "all saturating", "all saturating" if sat else "saturation failed")
+        _emit(checks, "boolean-layer-matchings", inst, "theory",
+              "all saturating", "all saturating" if sat else "saturation failed")
 
     pl = planarity(g)
-    em.emit("boolean-planarity", inst, "theory", str(n <= 4), str(pl.planar))
+    _emit(checks, "boolean-planarity", inst, "theory", str(n <= 4), str(pl.planar))
 
     if 3 <= n <= PERFECTNESS_CHECK_MAX_N:
         bound = g.vertex_count if g.vertex_count <= 14 else HOLE_SEARCH_BOUND
@@ -255,8 +256,8 @@ def _boolean_checks(n: int, em: _Emitter) -> None:
         expected = "perfect" if g.vertex_count <= 14 else f"no witness up to length {bound}"
         computed = {True: "perfect", None: f"no witness up to length {bound}"}.get(
             verdict, "odd hole or antihole found")
-        em.emit("boolean-perfectness-search", inst,
-                "theory" if g.vertex_count <= 14 else "derived", expected, computed)
+        _emit(checks, "boolean-perfectness-search", inst,
+              "theory" if g.vertex_count <= 14 else "derived", expected, computed)
 
     layers_ok = True
     vs = list(g.vertices())
@@ -264,14 +265,14 @@ def _boolean_checks(n: int, em: _Emitter) -> None:
         for j in range(i + 1, len(vs)):
             if vs[i].bit_count() == vs[j].bit_count() and g.adjacent(vs[i], vs[j]):
                 layers_ok = False
-    em.emit("boolean-equal-layers-nonadjacent", inst, "theory",
-            "no equal-size adjacency", "no equal-size adjacency" if layers_ok else "violated")
+    _emit(checks, "boolean-equal-layers-nonadjacent", inst, "theory",
+          "no equal-size adjacency", "no equal-size adjacency" if layers_ok else "violated")
 
     if n <= AUT_CHECK_MAX_N:
-        _boolean_symmetry_checks(n, g, em, inst)
+        _boolean_symmetry_checks(n, g, checks, inst)
 
 
-def _boolean_symmetry_checks(n: int, g, em: _Emitter, inst: str) -> None:
+def _boolean_symmetry_checks(n: int, g, checks: list[TheoremCheck], inst: str) -> None:
     dense = g.dense()
     swap = relabel_automorphism(n, [1, 0] + list(range(2, n)))
     cycle = relabel_automorphism(n, list(range(1, n)) + [0])
@@ -283,34 +284,32 @@ def _boolean_symmetry_checks(n: int, g, em: _Emitter, inst: str) -> None:
 
     commute = compose(swap, comp).images == compose(comp, swap).images
     ok = preserves(swap) and preserves(cycle) and preserves(comp) and commute
-    em.emit("boolean-relabel-complement-automorphisms", inst, "theory",
-            "preserve adjacency and commute",
-            "preserve adjacency and commute" if ok else "violated")
+    _emit(checks, "boolean-relabel-complement-automorphisms", inst, "theory",
+          "preserve adjacency and commute",
+          "preserve adjacency and commute" if ok else "violated")
 
     report = automorphism_group(g)
     expected_order = 2 if n == 2 else 2 * factorial(n)
-    em.emit("boolean-automorphism-order", inst, "theory",
-            str(expected_order), str(report.order))
+    _emit(checks, "boolean-automorphism-order", inst, "theory",
+          str(expected_order), str(report.order))
 
     decomposed = all(a.base_perm is not None for a in report.generators)
-    em.emit("boolean-automorphism-decomposition", inst, "theory",
-            "all generators decompose",
-            "all generators decompose" if decomposed else "some generator resists")
+    _emit(checks, "boolean-automorphism-decomposition", inst, "theory",
+          "all generators decompose",
+          "all generators decompose" if decomposed else "some generator resists")
 
     span = _closure_size([swap.images, cycle.images, comp.images])
-    em.emit("boolean-generators-span-group", inst, "theory",
-            str(expected_order), str(span))
+    _emit(checks, "boolean-generators-span-group", inst, "theory",
+          str(expected_order), str(span))
 
     vt, et = transitivity(g, report)
-    em.emit("boolean-vertex-transitive-iff", inst, "theory",
-            str(n in (2, 3)), str(vt))
-    em.emit("boolean-edge-transitive-iff", inst, "theory",
-            str(n in (2, 3)), str(et))
+    _emit(checks, "boolean-vertex-transitive-iff", inst, "theory",
+          str(n in (2, 3)), str(vt))
+    _emit(checks, "boolean-edge-transitive-iff", inst, "theory",
+          str(n in (2, 3)), str(et))
 
 
 def _closure_size(generators: list[tuple[int, ...]], cap: int = 10 ** 7) -> int:
-    if not generators:
-        return 1
     identity = tuple(range(len(generators[0])))
     seen = {identity}
     frontier = [identity]
@@ -330,34 +329,6 @@ def _closure_size(generators: list[tuple[int, ...]], cap: int = 10 ** 7) -> int:
 
 # ---------------------------------------------------------------------------
 # Corpus checks
-
-
-def _aggregate(em: _Emitter, check_id: str, label: str, provenance: str,
-               expected: str, corpus, fn) -> None:
-    """fn(table) -> (applicable, ok, detail); one emitted row per corpus.
-
-    ``corpus`` holds (table, weight) pairs: an applicable table adds its
-    weight, the number of labeled tables it stands for, to the count. A
-    counterexample names the table that failed.
-    """
-    first_bad = None
-    applicable = 0
-    for t, weight in corpus:
-        app, ok, detail = fn(t)
-        if app:
-            applicable += weight
-            if not ok and first_bad is None:
-                rows = json.dumps(t.rows, separators=(",", ":"))
-                first_bad = f"{detail} in {rows}"
-    instance = f"{label} ({applicable} applicable)"
-    if applicable == 0:
-        em.emit(check_id, instance, provenance, expected,
-                "vacuous: empty graph", vacuous=True)
-    elif first_bad is not None:
-        em.emit(check_id, instance, provenance, expected,
-                f"counterexample: {first_bad}")
-    else:
-        em.emit(check_id, instance, provenance, expected, expected)
 
 
 def _union_closed(masks: tuple[int, ...], full: int) -> bool:
@@ -388,225 +359,217 @@ def _union_closed(masks: tuple[int, ...], full: int) -> bool:
     return all(x | j in closed for x in masks for j in irreducible)
 
 
+class _Case(NamedTuple):
+    """What the corpus rows read of one table. The graph and the fields after
+    it are set only when the family is complete and nonempty; the extremes
+    are read from the containment order, by definition, rather than from the
+    principal ideals."""
+
+    table: CayleyTable
+    family: IdealFamily
+    graph: InclusionGraph | None = None
+    components: int = 0
+    diameter: float = 0
+    girth: float = 0
+    minimals: tuple[int, ...] = ()
+    maximals: frozenset[int] = frozenset()
+    union: int = 0  # of the minimal ideals
+
+
+def _case(t: CayleyTable) -> _Case:
+    fam = enumerate_left_ideals(t)
+    if fam.truncated or not fam.ideals:
+        return _Case(t, fam)
+    g = build_from_family(fam)
+    dense = g.dense()
+    order = dense.containment
+    minimals = tuple(m for m, b in zip(dense.masks, order.below) if not b)
+    union = 0
+    for m in minimals:
+        union |= m
+    return _Case(t, fam, g, *connectivity(g), girth(g), minimals,
+                 frozenset(m for m, a in zip(dense.masks, order.above) if not a), union)
+
+
+# Each predicate returns None when its row does not apply to the case, else
+# the counterexample, which is empty when the result holds; the table's
+# order and rows are added to it where it is reported.
+
+
+def _minimals_disjoint(c: _Case) -> str | None:
+    # Disjoint exactly when their sizes add up to the size of their union.
+    if sum(m.bit_count() for m in c.minimals) != c.union.bit_count():
+        return "minimals intersect"
+    return ""
+
+
+def _closure_vs_bruteforce(c: _Case) -> str | None:
+    t = c.table
+    if t.order > 12:
+        return None
+    brute = sorted(m for m in range(1, t.full_mask) if is_left_ideal(t, m))
+    return "" if sorted(c.family.masks) == brute else "families differ"
+
+
+def _maximality(c: _Case) -> str | None:
+    for m in c.family.masks:
+        if is_maximal_left_ideal(c.table, m) != (m in c.maximals):
+            return f"ideal {m:#x}"
+    return ""
+
+
+def _family_union_closed(c: _Case) -> str | None:
+    if not c.family.ideals:
+        return None
+    if not _union_closed(c.family.masks, c.table.full_mask):
+        return "union escapes"
+    return ""
+
+
+def _two_minimal_iff(c: _Case) -> str | None:
+    disconnected = c.components >= 2
+    n_min = len(c.minimals)
+    char_union = n_min == 2 and c.union == c.table.full_mask
+    min_and_max = n_min >= 2 and n_min == len(c.maximals) == c.graph.vertex_count
+    if disconnected == char_union == min_and_max:
+        return ""
+    return (f"disconnected={disconnected}, two-minimal-union={char_union}, "
+            f"all-min-max={min_and_max}")
+
+
+def _disconnected_edgeless(c: _Case) -> str | None:
+    if c.components >= 2 and c.graph.edge_count() != 0:
+        return "disconnected with edges"
+    return ""
+
+
+def _diameter_bound(c: _Case) -> str | None:
+    if c.components == 1 and c.diameter > 3:
+        return f"diameter {c.diameter}"
+    return ""
+
+
+def _girth_class(c: _Case) -> str | None:
+    if c.girth not in (3, 6, float("inf")):
+        return f"girth {c.girth}"
+    return ""
+
+
+def _no_45_girth(c: _Case) -> str | None:
+    if c.girth in (4, 5):
+        return f"girth {c.girth}"
+    return ""
+
+
+def _perfect_bounded(c: _Case) -> str | None:
+    if c.graph.vertex_count > 20:
+        return None
+    verdict, witness = perfectness(c.graph, c.graph.vertex_count)
+    return "" if verdict is True else f"witness {witness}"
+
+
+def _clique_union_criterion(c: _Case) -> str | None:
+    n_min = len(c.minimals)
+    omega, _ = clique_number(c.graph)
+    union_is_s = c.union == c.table.full_mask
+    if union_is_s:
+        ok = omega == n_min - 1
+    else:
+        ok = (omega == n_min) == is_maximal_left_ideal(c.table, c.union)
+    return "" if ok else f"omega={omega}, minimals={n_min}, union-is-S={union_is_s}"
+
+
+def _planar_minimals(c: _Case) -> str | None:
+    # Contrapositive: more than 4 minimal ideals forces nonplanarity.
+    if len(c.minimals) <= 4:
+        return None
+    if planarity(c.graph).planar:
+        return f"planar with {len(c.minimals)} minimals"
+    return ""
+
+
+def _cs_boolean_model(c: _Case) -> str | None:
+    if not is_completely_simple(c.table):
+        return None
+    try:
+        n, coords = minimal_ideal_coordinates(c.family)
+    except ValueError as e:
+        return str(e)
+    if n < 2:
+        return f"completely simple with {n} minimal ideal but a nonempty family"
+    if coords != tuple(build_boolean(n).vertices()):
+        return "coordinates differ"
+    return ""
+
+
+# (check id, provenance, predicate, needs a nonempty graph), in emission order.
+CORPUS_ROWS = (
+    ("semigroup-minimals-disjoint", "theory", _minimals_disjoint, True),
+    ("semigroup-ideal-closure-bruteforce", "derived", _closure_vs_bruteforce, False),
+    ("semigroup-maximality-lclass", "theory", _maximality, True),
+    ("semigroup-family-union-closed", "theory", _family_union_closed, False),
+    ("graph-disconnected-iff-two-minimal", "theory", _two_minimal_iff, True),
+    ("graph-disconnected-implies-edgeless", "theory", _disconnected_edgeless, True),
+    ("graph-diameter-bound", "theory", _diameter_bound, True),
+    ("graph-girth-classification", "theory", _girth_class, True),
+    ("graph-no-4-5-girth", "theory", _no_45_girth, True),
+    ("graph-perfect-bounded", "theory", _perfect_bounded, True),
+    ("graph-clique-union-criterion", "theory", _clique_union_criterion, True),
+    ("graph-planar-minimals-bound", "theory", _planar_minimals, True),
+    ("completely-simple-boolean-model", "theory", _cs_boolean_model, True),
+)
+
+
+def _outcomes(t: CayleyTable) -> list[str | None]:
+    """Every row's predicate on one table. The case, graph and all, is
+    dropped on return, so a corpus pass holds one table's graph at a time."""
+    case = _case(t)
+    return [None if needs_graph and case.graph is None else predicate(case)
+            for _, _, predicate, needs_graph in CORPUS_ROWS]
+
+
 def _corpus_checks(corpus: list[tuple[CayleyTable, int]], label: str,
-                   em: _Emitter) -> None:
-    """Every corpus check over (table, weight) pairs. Each check is
-    invariant under relabeling the table, so one representative of an
-    isomorphism class, weighted by its orbit size, counts as the whole orbit."""
-    cache: dict[int, tuple] = {}
-
-    def data(t: CayleyTable):
-        """(family, graph, (components, diameter, girth)); the graph and its
-        distances are None when the family is truncated."""
-        key = id(t)
-        if key not in cache:
-            fam = enumerate_left_ideals(t)
-            if fam.truncated:
-                cache[key] = (fam, None, None)
-            else:
-                g = build_from_family(fam)
-                cache[key] = (fam, g, (*connectivity(g), girth(g)))
-        return cache[key]
-
-    def extremes(g):
-        """Minimal and maximal ideals by definition, from the containment
-        order of the graph rather than from the principal ideals."""
-        dense = g.dense()
-        order = dense.containment
-        return ([m for m, b in zip(dense.masks, order.below) if not b],
-                [m for m, a in zip(dense.masks, order.above) if not a])
-
-    def minimals_disjoint(t):
-        _, g, _ = data(t)
-        if g is None or g.vertex_count == 0:
-            return False, True, ""
-        ms, _ = extremes(g)
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                if ms[i] & ms[j]:
-                    return True, False, f"order {t.order}: minimals intersect"
-        return True, True, ""
-
-    _aggregate(em, "semigroup-minimals-disjoint", label, "theory",
-               "0 counterexamples", corpus, minimals_disjoint)
-
-    def closure_vs_bruteforce(t):
-        if t.order > 12:
-            return False, True, ""
-        fam, _, _ = data(t)
-        brute = sorted(
-            m for m in range(1, t.full_mask) if is_left_ideal(t, m))
-        return True, sorted(fam.masks) == brute, f"order {t.order}: families differ"
-
-    _aggregate(em, "semigroup-ideal-closure-bruteforce", label, "derived",
-               "0 counterexamples", corpus, closure_vs_bruteforce)
-
-    def maximality(t):
-        _, g, _ = data(t)
-        if g is None or g.vertex_count == 0:
-            return False, True, ""
-        maximal = set(extremes(g)[1])
-        for m in g.dense().masks:
-            if is_maximal_left_ideal(t, m) != (m in maximal):
-                return True, False, f"order {t.order}: ideal {m:#x}"
-        return True, True, ""
-
-    _aggregate(em, "semigroup-maximality-lclass", label, "theory",
-               "0 counterexamples", corpus, maximality)
-
-    def union_closed(t):
-        fam, _, _ = data(t)
-        if not fam.ideals:
-            return False, True, ""
-        if not _union_closed(fam.masks, t.full_mask):
-            return True, False, f"order {t.order}: union escapes"
-        return True, True, ""
-
-    _aggregate(em, "semigroup-family-union-closed", label, "theory",
-               "0 counterexamples", corpus, union_closed)
-
-    def two_minimal_iff(t):
-        fam, g, dist = data(t)
-        if g is None or g.vertex_count == 0:
-            return False, True, ""
-        components, _, _ = dist
-        disconnected = components >= 2
-        minimals = fam.minimal_masks
-        union = 0
-        for m in minimals:
-            union |= m
-        char_union = len(minimals) == 2 and union == t.full_mask
-        min_and_max = (len(minimals) >= 2
-                       and set(fam.minimal_indices) == set(range(len(fam.ideals)))
-                       and set(fam.maximal_indices) == set(range(len(fam.ideals))))
-        if disconnected == char_union == min_and_max:
-            return True, True, ""
-        return True, False, (f"order {t.order}: disconnected={disconnected}, "
-                             f"two-minimal-union={char_union}, all-min-max={min_and_max}")
-
-    _aggregate(em, "graph-disconnected-iff-two-minimal", label, "theory",
-               "0 counterexamples", corpus, two_minimal_iff)
-
-    def disconnected_edgeless(t):
-        _, g, dist = data(t)
-        if g is None or g.vertex_count == 0:
-            return False, True, ""
-        components, _, _ = dist
-        if components >= 2 and g.edge_count() != 0:
-            return True, False, f"order {t.order}: disconnected with edges"
-        return True, True, ""
-
-    _aggregate(em, "graph-disconnected-implies-edgeless", label, "theory",
-               "0 counterexamples", corpus, disconnected_edgeless)
-
-    def diameter_bound(t):
-        _, g, dist = data(t)
-        if g is None or g.vertex_count == 0:
-            return False, True, ""
-        components, diameter, _ = dist
-        if components == 1 and diameter > 3:
-            return True, False, f"order {t.order}: diameter {diameter}"
-        return True, True, ""
-
-    _aggregate(em, "graph-diameter-bound", label, "theory",
-               "0 counterexamples", corpus, diameter_bound)
-
-    def girth_class(t):
-        _, g, dist = data(t)
-        if g is None or g.vertex_count == 0:
-            return False, True, ""
-        _, _, gv = dist
-        if gv not in (3, 6, float("inf")):
-            return True, False, f"order {t.order}: girth {gv}"
-        return True, True, ""
-
-    _aggregate(em, "graph-girth-classification", label, "theory",
-               "0 counterexamples", corpus, girth_class)
-
-    def no_45_girth(t):
-        _, g, dist = data(t)
-        if g is None or g.vertex_count == 0:
-            return False, True, ""
-        _, _, gv = dist
-        return True, gv not in (4, 5), f"order {t.order}: girth {gv}"
-
-    _aggregate(em, "graph-no-4-5-girth", label, "theory",
-               "0 counterexamples", corpus, no_45_girth)
-
-    def perfect_bounded(t):
-        _, g, _ = data(t)
-        if g is None or g.vertex_count == 0:
-            return False, True, ""
-        if g.vertex_count > 20:
-            return False, True, ""
-        verdict, witness = perfectness(g, g.vertex_count)
-        return True, verdict is True, f"order {t.order}: witness {witness}"
-
-    _aggregate(em, "graph-perfect-bounded", label, "theory",
-               "0 counterexamples", corpus, perfect_bounded)
-
-    def clique_union_criterion(t):
-        fam, g, _ = data(t)
-        if g is None or not fam.ideals:
-            return False, True, ""
-        minimals = fam.minimal_masks
-        n_min = len(minimals)
-        union = 0
-        for m in minimals:
-            union |= m
-        omega, _ = clique_number(g)
-        if union == t.full_mask:
-            ok = omega == n_min - 1
+                   checks: list[TheoremCheck]) -> None:
+    """Every corpus row over (table, weight) pairs, in one pass. An
+    applicable table adds its weight, the number of labeled tables it
+    stands for, to the row's count: each row is invariant under relabeling
+    the table, so one representative of an isomorphism class, weighted by
+    its orbit size, counts as the whole orbit. A counterexample names the
+    first table that failed."""
+    applicable = [0] * len(CORPUS_ROWS)
+    first_bad: list[str | None] = [None] * len(CORPUS_ROWS)
+    for t, weight in corpus:
+        for i, detail in enumerate(_outcomes(t)):
+            if detail is None:
+                continue
+            applicable[i] += weight
+            if detail and first_bad[i] is None:
+                rows = json.dumps(t.rows, separators=(",", ":"))
+                first_bad[i] = f"order {t.order}: {detail} in {rows}"
+    expected = "0 counterexamples"
+    for (check_id, provenance, _, _), count, bad in zip(CORPUS_ROWS, applicable, first_bad):
+        if count == 0:
+            computed = "vacuous: empty graph"
+        elif bad is not None:
+            computed = f"counterexample: {bad}"
         else:
-            ok = (omega == n_min) == is_maximal_left_ideal(t, union)
-        return True, ok, (f"order {t.order}: omega={omega}, minimals={n_min}, "
-                          f"union-is-S={union == t.full_mask}")
-
-    _aggregate(em, "graph-clique-union-criterion", label, "theory",
-               "0 counterexamples", corpus, clique_union_criterion)
-
-    def planar_minimals(t):
-        # Contrapositive: more than 4 minimal ideals forces nonplanarity.
-        fam, g, _ = data(t)
-        if g is None or len(fam.minimal_masks) <= 4:
-            return False, True, ""
-        if planarity(g).planar:
-            return True, False, f"order {t.order}: planar with {len(fam.minimal_masks)} minimals"
-        return True, True, ""
-
-    _aggregate(em, "graph-planar-minimals-bound", label, "theory",
-               "0 counterexamples", corpus, planar_minimals)
-
-    def cs_boolean_model(t):
-        fam, g, _ = data(t)
-        if g is None or not is_completely_simple(t) or not fam.ideals:
-            return False, True, ""
-        try:
-            n, coords = minimal_ideal_coordinates(fam)
-        except ValueError as e:
-            return True, False, f"order {t.order}: {e}"
-        if n < 2:
-            return True, False, (f"order {t.order}: completely simple with {n} "
-                                 "minimal ideal but a nonempty family")
-        ok = coords == tuple(build_boolean(n).vertices())
-        return True, ok, f"order {t.order}: coordinates differ"
-
-    _aggregate(em, "completely-simple-boolean-model", label, "theory",
-               "0 counterexamples", corpus, cs_boolean_model)
+            computed = expected
+        _emit(checks, check_id, f"{label} ({count} applicable)", provenance,
+              expected, computed, vacuous=count == 0)
 
 
 # ---------------------------------------------------------------------------
 # Named-instance checks
 
 
-def _named_checks(em: _Emitter) -> None:
+def _named_checks(checks: list[TheoremCheck]) -> None:
     for n in range(3, 9):
         fam = enumerate_left_ideals(catalog.right_zero(n))
         got_n, coords = minimal_ideal_coordinates(fam)
         expected = tuple(build_boolean(n).vertices())
-        em.emit("right-zero-boolean-bridge", f"right-zero({n})", "derived",
-                f"n={n}, all nonempty proper subsets",
-                f"n={got_n}, {'all nonempty proper subsets' if coords == expected else 'mismatch'}")
+        _emit(checks, "right-zero-boolean-bridge", f"right-zero({n})", "derived",
+              f"n={n}, all nonempty proper subsets",
+              f"n={got_n}, {'all nonempty proper subsets' if coords == expected else 'mismatch'}")
 
     for n in (3, 4):
         with_id = build_from_family(
@@ -614,9 +577,9 @@ def _named_checks(em: _Emitter) -> None:
         plain = build_from_family(enumerate_left_ideals(catalog.right_zero(n)))
         om_id, _ = clique_number(with_id)
         om_plain, _ = clique_number(plain)
-        em.emit("clique-number-with-identity", f"right-zero({n}) with/without identity",
-                "theory", f"{n} with identity, {n - 1} without",
-                f"{om_id} with identity, {om_plain} without")
+        _emit(checks, "clique-number-with-identity", f"right-zero({n}) with/without identity",
+              "theory", f"{n} with identity, {n - 1} without",
+              f"{om_id} with identity, {om_plain} without")
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +625,7 @@ def builtin_corpus() -> tuple[list[tuple[CayleyTable, int]], str]:
 
 
 def run_suite(boolean_ns=None, corpus: list[CayleyTable] | None = None,
-              corpus_label: str = "corpus", include_named: bool | None = None,
-              corrupt_check_id: str | None = None) -> SuiteResult:
+              corpus_label: str = "corpus") -> SuiteResult:
     """Run the registered checks.
 
     With no arguments (``scope all``): Boolean sizes 2..8, the built-in
@@ -672,23 +634,20 @@ def run_suite(boolean_ns=None, corpus: list[CayleyTable] | None = None,
     weight 1. Every check is deterministic. The vertex cap is read once for
     the whole run, or taken from the enclosing command.
     """
-    em = _Emitter(corrupt_check_id=corrupt_check_id)
+    checks: list[TheoremCheck] = []
     weighted = None if corpus is None else [(t, 1) for t in corpus]
+    scope_all = boolean_ns is None and corpus is None
     with command_vertex_cap():
-        if boolean_ns is None and corpus is None:
+        if scope_all:
             boolean_ns = DEFAULT_BOOLEAN_RANGE
             weighted, corpus_label = builtin_corpus()
-            if include_named is None:
-                include_named = True
         if boolean_ns is not None:
             for n in boolean_ns:
-                _boolean_checks(n, em)
+                _boolean_checks(n, checks)
         if weighted is not None:
-            _corpus_checks(weighted, corpus_label, em)
-        if include_named:
-            _named_checks(em)
-    passed = sum(1 for c in em.checks if c.verdict == "pass")
-    failed = sum(1 for c in em.checks if c.verdict == "fail")
-    vacuous = sum(1 for c in em.checks if c.verdict == "vacuous")
-    return SuiteResult(checks=em.checks, passed=passed, failed=failed,
-                       vacuous=vacuous)
+            _corpus_checks(weighted, corpus_label, checks)
+        if scope_all:
+            _named_checks(checks)
+    verdicts = Counter(c.verdict for c in checks)
+    return SuiteResult(checks=checks, passed=verdicts["pass"],
+                       failed=verdicts["fail"], vacuous=verdicts["vacuous"])

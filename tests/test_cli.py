@@ -174,6 +174,13 @@ def test_verify_boolean_range(capsys):
     assert "passed:" in out and "failed: 0" in out
 
 
+def test_verify_rejects_an_empty_boolean_range(capsys):
+    assert main(["verify", "--boolean", "5..2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --boolean 5..2 is an empty range\n"
+
+
 def test_verify_json_deterministic(capsys):
     assert main(["verify", "--boolean", "2..3", "--format", "json"]) == 0
     first = capsys.readouterr().out

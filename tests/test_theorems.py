@@ -1,7 +1,9 @@
 """The executable check suite: registry, verdicts, determinism."""
 
 import functools
+import gc
 import itertools
+import weakref
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -123,13 +125,37 @@ def test_join_irreducible_union_check_on_pinned_and_truncated_families():
     assert verdicts == {True, False}
 
 
-def test_corrupted_expected_fails_only_that_check():
-    result = run_suite(corpus=[right_zero(3)], corpus_label="self-test",
-                       corrupt_check_id="graph-girth-classification")
+def test_corrupted_expected_fails_only_that_check(monkeypatch):
+    monkeypatch.setattr(theorems, "girth", lambda g: 7)
+    result = run_suite(corpus=[right_zero(3)], corpus_label="self-test")
     bad = [c for c in result.checks if c.verdict == "fail"]
     assert len(bad) == 1
     assert bad[0].check_id == "graph-girth-classification"
     assert result.exit_code == 1
+
+
+def test_default_suite_emits_every_registered_row():
+    assert {c.check_id for c in run_suite().checks} == set(REGISTRY)
+
+
+def test_corpus_pass_holds_one_graph_at_a_time(monkeypatch):
+    # Each new build finds every earlier table's graph already collected.
+    real = theorems.build_from_family
+    built = []
+    alive_at_build = []
+
+    def recording(family):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        g = real(family)
+        built.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(theorems, "build_from_family", recording)
+    corpus = [t for t, _ in catalog.small_semigroup_corpus(3)] + [right_zero(4), right_zero(5)]
+    assert run_suite(corpus=corpus, corpus_label="small").failed == 0
+    assert len(built) > 20
+    assert alive_at_build == [0] * len(built)
 
 
 def test_json_deterministic():
@@ -160,10 +186,10 @@ def test_builtin_corpus_counts():
 
 
 def suite_rows(corpus):
-    em = theorems._Emitter()
-    theorems._corpus_checks(corpus, "corpus", em)
+    checks = []
+    theorems._corpus_checks(corpus, "corpus", checks)
     return [(c.check_id, c.instance, c.expected, c.computed, c.verdict)
-            for c in em.checks]
+            for c in checks]
 
 
 @functools.cache
