@@ -5,19 +5,22 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
 exhausted).
 All stdout is valid in the requested format and byte-identical across
 identical invocations.
+
+Each command imports the modules it runs when it runs, so a process loads
+and compiles only those: ``--help`` and usage errors none, ``validate`` the
+semigroup parser alone. The cap flags default to None and fall back to the
+constant of the module that owns them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
-from . import constructions, invariants, semigroup, symmetry, theorems
 from .errors import IdealGraphError, NotAssociativeError
-from .graph import build_boolean, build_from_family, command_vertex_cap, export_graph
-from .semigroup import enumerate_left_ideals, parse_cayley_table, serialize_cayley_table
 
 INVARIANT_FLAGS = ("diameter", "girth", "clique", "chromatic", "independence",
                    "matching", "domination", "planarity", "perfect", "flags")
@@ -50,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideals", help="enumerate the nontrivial left ideals")
     p.add_argument("file")
-    p.add_argument("--max-ideals", type=_positive, default=semigroup.DEFAULT_IDEAL_CAP)
+    p.add_argument("--max-ideals", type=_positive)
 
     p = sub.add_parser("graph", help="emit the inclusion graph")
     _add_source(p)
@@ -62,12 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     for flag in INVARIANT_FLAGS:
         p.add_argument(f"--{flag}", action="store_true")
-    p.add_argument("--domination-cap", type=_positive,
-                   default=invariants.DOMINATION_CAP)
+    p.add_argument("--domination-cap", type=_positive)
 
     p = sub.add_parser("aut", help="automorphism group and transitivity")
     _add_source(p)
-    p.add_argument("--aut-cap", type=_positive, default=symmetry.DEFAULT_AUT_CAP)
+    p.add_argument("--aut-cap", type=_positive)
 
     p = sub.add_parser("construct", help="explicit Boolean-model constructions")
     p.add_argument("--n", type=int, required=True)
@@ -87,11 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(args):
+    from .graph import build_boolean, build_from_family
     if args.n is not None:
         return build_boolean(args.n)
-    text = Path(args.file).read_text(encoding="utf-8")
-    table = parse_cayley_table(text)
-    return build_from_family(enumerate_left_ideals(table))
+    from .semigroup import enumerate_left_ideals
+    return build_from_family(enumerate_left_ideals(_load_table(args.file)))
+
+
+def _load_table(path: str):
+    from .semigroup import parse_cayley_table
+    return parse_cayley_table(Path(path).read_text(encoding="utf-8"))
 
 
 def _parse_range(spec: str) -> range:
@@ -110,17 +117,17 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_validate(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
-    table = parse_cayley_table(text)
+    from .semigroup import serialize_cayley_table
+    table = _load_table(args.file)
     sys.stdout.write(f"valid semigroup of order {table.order}\n")
     sys.stdout.write(serialize_cayley_table(table))
     return 0
 
 
 def _cmd_ideals(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
-    table = parse_cayley_table(text)
-    fam = enumerate_left_ideals(table, cap=args.max_ideals)
+    from . import semigroup
+    cap = semigroup.DEFAULT_IDEAL_CAP if args.max_ideals is None else args.max_ideals
+    fam = semigroup.enumerate_left_ideals(_load_table(args.file), cap=cap)
     doc = {
         "order": fam.order,
         "count": len(fam.ideals),
@@ -134,16 +141,19 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .graph import export_graph
     g = _load_graph(args)
     _emit(export_graph(g, fmt=args.format), args.output)
     return 0
 
 
 def _cmd_invariants(args) -> int:
+    from . import invariants
     g = _load_graph(args)
+    cap = invariants.DOMINATION_CAP if args.domination_cap is None else args.domination_cap
     selected = {k for k in INVARIANT_FLAGS if getattr(args, k)}
     if args.all or not selected:
-        report = invariants.compute_report(g, domination_cap=args.domination_cap)
+        report = invariants.compute_report(g, domination_cap=cap)
         sys.stdout.write(json.dumps(report.to_jsonable(), indent=2) + "\n")
         return 0
     out: dict = {}
@@ -165,8 +175,7 @@ def _cmd_invariants(args) -> int:
         out["matching_number"] = size
         out["perfect_matching"] = perfect
     if "domination" in selected:
-        out["domination_number"], _ = invariants.domination_number(
-            g, cap=args.domination_cap)
+        out["domination_number"], _ = invariants.domination_number(g, cap=cap)
     if "planarity" in selected:
         res = invariants.planarity(g)
         out["planar"] = res.planar
@@ -182,8 +191,10 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_aut(args) -> int:
+    from . import symmetry
     g = _load_graph(args)
-    report = symmetry.automorphism_group(g, cap=args.aut_cap)
+    cap = symmetry.DEFAULT_AUT_CAP if args.aut_cap is None else args.aut_cap
+    report = symmetry.automorphism_group(g, cap=cap)
     vt, et = symmetry.transitivity(g, report)
     doc = {
         "order": report.order,
@@ -204,6 +215,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions
     n = args.n
     if args.perfect_matching:
         doc = {"perfect_matching": constructions.perfect_matching(n)}
@@ -220,6 +232,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import theorems
     boolean_ns = _parse_range(args.boolean) if args.boolean else None
     corpus = None
     corpus_label = "corpus"
@@ -249,10 +262,15 @@ def main(argv=None) -> int:
         "construct": _cmd_construct,
         "verify": _cmd_verify,
     }
-    try:
+    if args.command in ("validate", "ideals"):
+        bound = contextlib.nullcontext()  # a table alone: no graph to cap
+    else:
+        from .graph import command_vertex_cap
         # One vertex cap binds every dense() call of the command and ends
         # with it, so one in-process call does not cap the next.
-        with command_vertex_cap(args.max_vertices):
+        bound = command_vertex_cap(args.max_vertices)
+    try:
+        with bound:
             return handlers[args.command](args)
     except NotAssociativeError as e:
         a, b, c = e.triple

@@ -8,7 +8,9 @@ and girth. Every answer's witnesses are checked on every call in O(V)
 bitset operations (McConnell, Mehlhorn, Näher & Schweitzer 2011): a chain
 that is a clique and chain levels that colour properly give ω = χ, an
 antichain and as many chains covering the vertices give α, a triangle gives
-girth 3, and a pair that far apart bounds a diameter of 2 or 3 from below.
+girth 3, a pair that far apart bounds a diameter of 2 or 3 from below, and
+a dominating set's closed neighbourhoods cover every vertex. The chain
+certificate is kept with its graph, so ω and χ check it once.
 A failed check raises RuntimeError.
 
 Raw graphs (``dense_from_edges``, complements) have no containment order
@@ -332,7 +334,13 @@ def _certified_chain(dense: DenseGraph) -> list[int]:
     The chain is k vertices, each strictly inside the next, so ω ≥ k.
     Colouring vertex i with ``down[i]`` in 1..k makes each colour class
     independent, so χ ≤ k. With ω ≤ χ both equal k.
+
+    Built and checked once per graph and kept in its ``__dict__``, as
+    ``DenseGraph.containment`` is, so clique and chromatic number share it.
     """
+    kept = vars(dense).get("certified_chain")
+    if kept is not None:
+        return kept
     adj = dense.adj
     _, above, down, _ = dense.containment
     k = max(down)
@@ -349,6 +357,7 @@ def _certified_chain(dense: DenseGraph) -> list[int]:
         raise RuntimeError(
             f"clique certificate failed: {_labels(dense, chain)} is not a chain "
             f"of {k} vertices")
+    vars(dense)["certified_chain"] = chain
     return chain
 
 
@@ -447,12 +456,10 @@ def maximum_matching(g) -> tuple[int, tuple, bool]:
 
 def domination_number(g, cap: int = DOMINATION_CAP) -> tuple[int, tuple]:
     """(domination number, witness) by iterative-deepening set cover
-    over closed neighborhoods.
+    over closed neighborhoods (``_dominating_set``).
 
-    Each depth branches on an uncovered vertex with the fewest potential
-    dominators and tries them lowest first. The search keeps an explicit
-    stack of the candidates still to try at each depth, so its depth is not
-    bounded by the recursion limit.
+    The witness is checked before it is returned: the union of its closed
+    neighbourhoods must be every vertex.
     """
     dense = _dense(g)
     n = dense.size
@@ -460,7 +467,27 @@ def domination_number(g, cap: int = DOMINATION_CAP) -> tuple[int, tuple]:
         raise TooLargeError(f"{n} vertices exceed the domination cap {cap}")
     if n == 0:
         return 0, ()
-    closed = [dense.adj[i] | (1 << i) for i in range(n)]
+    witness = _dominating_set(dense.adj)
+    uncovered = (1 << n) - 1
+    for i in witness:
+        uncovered &= ~(dense.adj[i] | 1 << i)
+    if uncovered:
+        raise RuntimeError(
+            f"domination certificate failed: {_labels(dense, witness)} leaves "
+            f"{_label(dense, _low(uncovered))} undominated")
+    return len(witness), _labels(dense, witness)
+
+
+def _dominating_set(adj: list[int]) -> list[int]:
+    """A smallest dominating set of a nonempty graph, sorted.
+
+    Each depth branches on an uncovered vertex with the fewest potential
+    dominators and tries them lowest first. The search keeps an explicit
+    stack of the candidates still to try at each depth, so its depth is not
+    bounded by the recursion limit.
+    """
+    n = len(adj)
+    closed = [adj[i] | (1 << i) for i in range(n)]
     allv = (1 << n) - 1
     max_closed = max(c.bit_count() for c in closed)
 
@@ -501,7 +528,7 @@ def domination_number(g, cap: int = DOMINATION_CAP) -> tuple[int, tuple]:
             w = b.bit_length() - 1
             covered = covers[-1] | closed[w]
             if covered == allv:
-                return k, _labels(dense, sorted(chosen + [w]))
+                return sorted(chosen + [w])
             chosen.append(w)
             covers.append(covered)
             todo.append(candidates(covered, k - len(chosen)))

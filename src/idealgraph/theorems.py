@@ -12,6 +12,10 @@ The corpus rows are declared once, in ``CORPUS_ROWS``, as predicates on a
 per-table case (the family and, for a complete nonempty family, the graph
 with its distances, girth and extremes). One pass over the corpus builds
 each case, runs every row on it and drops it, so one graph is alive at a time.
+
+The constructions, the automorphism search and the catalog are imported by
+the Boolean and named-instance checks that use them, so a corpus-only run
+does not load them.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ from math import comb, factorial
 from pathlib import Path
 from typing import NamedTuple
 
-from . import catalog
-from .constructions import (canonical_dominating_set, canonical_maximum_chain,
-                            layer_matching, perfect_matching)
 from .errors import CorpusLoadError
 from .graph import (InclusionGraph, bits, build_boolean, build_from_family,
                     command_vertex_cap, element_columns, minimal_ideal_coordinates)
@@ -36,8 +37,6 @@ from .invariants import (chromatic_number, clique_number, connectivity,
 from .semigroup import (CayleyTable, IdealFamily, enumerate_left_ideals,
                         is_left_ideal, is_maximal_left_ideal, is_completely_simple,
                         parse_cayley_table)
-from .symmetry import (automorphism_group, complement_automorphism, compose,
-                       relabel_automorphism, transitivity)
 
 DEFAULT_BOOLEAN_RANGE = range(2, 9)
 AUT_CHECK_MAX_N = 6
@@ -167,6 +166,8 @@ def _emit(checks: list[TheoremCheck], check_id: str, instance: str,
 
 
 def _boolean_checks(n: int, checks: list[TheoremCheck]) -> None:
+    from .constructions import (canonical_dominating_set, canonical_maximum_chain,
+                                layer_matching, perfect_matching)
     inst = f"boolean n={n}"
     g = build_boolean(n)
     _emit(checks, "boolean-order", inst, "theory",
@@ -273,6 +274,8 @@ def _boolean_checks(n: int, checks: list[TheoremCheck]) -> None:
 
 
 def _boolean_symmetry_checks(n: int, g, checks: list[TheoremCheck], inst: str) -> None:
+    from .symmetry import (automorphism_group, complement_automorphism, compose,
+                           relabel_automorphism, transitivity)
     dense = g.dense()
     swap = relabel_automorphism(n, [1, 0] + list(range(2, n)))
     cycle = relabel_automorphism(n, list(range(1, n)) + [0])
@@ -563,6 +566,7 @@ def _corpus_checks(corpus: list[tuple[CayleyTable, int]], label: str,
 
 
 def _named_checks(checks: list[TheoremCheck]) -> None:
+    from . import catalog
     for n in range(3, 9):
         fam = enumerate_left_ideals(catalog.right_zero(n))
         got_n, coords = minimal_ideal_coordinates(fam)
@@ -607,6 +611,7 @@ def builtin_corpus() -> tuple[list[tuple[CayleyTable, int]], str]:
     isomorphism, as its lex-least table weighted by its orbit size m!/|Aut(S)|
     (188 classes of order 4 standing for 3,492 labeled tables), plus
     structured named instances of weight 1."""
+    from . import catalog
     classes = catalog.small_semigroup_corpus(4)
     extras = [
         catalog.right_zero(5),

@@ -334,6 +334,47 @@ def test_networkx_is_imported_only_for_left_right(tmp_path):
     assert networkx_imports([["verify"]]) == ["verify 0 True"]
 
 
+# The package modules each benchmark command loads besides the package and
+# its CLI; networkx would be listed too. A command compiles only what it runs.
+TABLE_ONLY = ["errors", "semigroup"]
+GRAPH = TABLE_ONLY + ["graph"]
+SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching", "semigroup"]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["--help"], ["errors"]),
+    (["validate", "{band}"], TABLE_ONLY),
+    (["ideals", "{band}"], TABLE_ONLY),
+    (["graph", "--n", "11"], GRAPH),
+    (["aut", "--n", "7"], GRAPH + ["symmetry"]),
+    (["invariants", "--n", "11", "--all"], SOLVERS),
+    (["invariants", "--n", "12", "--clique", "--chromatic", "--independence"], SOLVERS),
+    (["invariants", "{band}", "--all"], SOLVERS),
+    (["verify", "--corpus", "{corpus}"], SOLVERS + ["theorems"]),
+])
+def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):
+    band = DATA / "rectangular_band_2x6.txt"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(band, corpus)
+    argv = [a.format(band=band, corpus=corpus) for a in argv]
+    script = (
+        "import contextlib, os, sys\n"
+        "from idealgraph.cli import main\n"
+        "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+        "    try:\n"
+        f"        rc = main({argv!r})\n"
+        "    except SystemExit as e:\n"
+        "        rc = e.code\n"
+        "print(rc, *sorted(m.partition('.')[2] for m in sys.modules\n"
+        "                  if m.startswith('idealgraph.') and m != 'idealgraph.cli'),\n"
+        "      *['networkx'] * ('networkx' in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", *sorted(loaded)]
+
+
 def networkx_imports(cases):
     """Run the CLI cases in order in one fresh process; one line per case:
     command, exit code, whether networkx has been imported by then."""

@@ -330,6 +330,25 @@ def test_containment_built_once_per_graph(monkeypatch):
     assert built == [dense]
 
 
+def test_certified_chain_built_once_per_report(monkeypatch):
+    # Clique and chromatic number share one checked chain. Boolean n=5 has
+    # a K3,3 subgraph, so planarity asks for no 5-chain of its own.
+    lengths = []
+    real = invariants._chain
+
+    def counted(dense, length):
+        lengths.append(length)
+        return real(dense, length)
+
+    monkeypatch.setattr(invariants, "_chain", counted)
+    report = compute_report(build_boolean(5))
+    assert report.clique_number == report.chromatic_number == 4
+    assert lengths == [4]
+    dense = build_boolean(5).dense()
+    assert clique_number(dense)[0] == chromatic_number(dense)[0] == 4
+    assert lengths == [4, 4]
+
+
 def test_containment_refuses_raw_graphs():
     with pytest.raises(ValueError):
         dense_from_edges(3, [(0, 1)]).containment
@@ -1036,6 +1055,16 @@ def test_chain_partition_check_counts_chains_and_entries():
     heads = dense.size - len({t for t in twice if t >= 0})
     with pytest.raises(RuntimeError, match="enters a vertex twice"):
         invariants._check_chain_partition(dense, twice, heads)
+
+
+def test_domination_certificate_is_a_real_check(monkeypatch, capsys):
+    # Boolean n=4 is dominated by {1} and its complement {2,3,4}; {1} alone
+    # leaves {2} undominated.
+    real = invariants._dominating_set
+    monkeypatch.setattr(invariants, "_dominating_set", lambda adj: real(adj)[:-1])
+    check_wrong_witness_fails(["invariants", "--n", "4", "--domination"],
+                              r"domination certificate failed: \(1,\) leaves 2 undominated",
+                              capsys, domination_number)
 
 
 def test_triangle_certificate_is_a_real_check(monkeypatch, capsys):

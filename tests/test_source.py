@@ -1,7 +1,12 @@
 """Rules on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
+
+import idealgraph
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "idealgraph"
 
@@ -15,3 +20,48 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def module_level_imports(tree: ast.Module):
+    """The import statements that run when the module is imported: all but
+    those inside function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def imports_networkx(node) -> bool:
+    names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+        alias.name for alias in node.names]
+    return any(name.partition(".")[0] == "networkx" for name in names)
+
+
+def test_no_module_imports_networkx_at_module_level():
+    # networkx costs about 0.1 s to import; only left-right planarity needs
+    # it, so it is imported there, when that path runs.
+    assert any(map(imports_networkx, module_level_imports(ast.parse(
+        "try:\n    from networkx.algorithms import planarity\nexcept ImportError:\n"
+        "    pass\n"))))
+    assert not any(map(imports_networkx, module_level_imports(ast.parse(
+        "def f():\n    import networkx as nx\n"))))
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+             if imports_networkx(node)]
+    assert found == []
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    assert len(idealgraph.__all__) == len(set(idealgraph.__all__)) >= 60
+    for name in idealgraph.__all__:
+        obj = getattr(idealgraph, name)
+        assert obj.__module__.startswith("idealgraph.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    assert set(idealgraph.__all__) <= set(dir(idealgraph))
+    assert "__version__" in dir(idealgraph)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        idealgraph.no_such_name
