@@ -10,8 +10,9 @@ that is a clique and chain levels that colour properly give ω = χ, an
 antichain and as many chains covering the vertices give α, a triangle gives
 girth 3, a pair that far apart bounds a diameter of 2 or 3 from below, and
 a dominating set's closed neighbourhoods cover every vertex. The chain
-certificate is kept with its graph, so ω and χ check it once.
-A failed check raises RuntimeError.
+certificate is kept with its graph, so ω and χ check it once. A planar
+embedding is checked by tracing its faces (``planar.check_rotation``), a
+Kuratowski witness edge by edge. A failed check raises RuntimeError.
 
 Raw graphs (``dense_from_edges``, complements) have no containment order
 and serve as test scaffolding: clique, chromatic and independence numbers,
@@ -576,22 +577,27 @@ def _bipartite(adj: list[int], comps: list[int]) -> bool:
 @dataclass(frozen=True)
 class PlanarityResult:
     planar: bool
-    method: str  # "k5-chain", "k33-subgraph" or "left-right"
+    method: str  # "k5-chain", "k33-subgraph" or "path-addition"
     embedding: dict | None = None
     kuratowski_edges: tuple = ()
     kuratowski_kind: str | None = None  # "K5" or "K3,3" subdivision
 
 
 def planarity(g) -> PlanarityResult:
-    """Exact planarity with a combinatorial embedding or Kuratowski witness.
+    """Exact planarity with a checked embedding or Kuratowski witness.
 
     A chain of five pairwise-comparable vertices is a K5 outright, so an
-    inclusion graph whose containment order is that deep is decided without
-    networkx. Otherwise three vertices with three common neighbours are a
-    K3,3 subgraph. Left-right decides every other graph; its counterexample
-    extraction re-tests planarity per edge, so it runs only when no K3,3
-    subgraph exists. networkx is imported only on the left-right path.
-    Every witness is checked edge by edge before it is reported.
+    inclusion graph whose containment order is that deep is decided from
+    the order. Otherwise three vertices with three common neighbours are a
+    K3,3 subgraph. Path addition (``planar.embedding``) decides every other
+    graph; its rotation system is checked by tracing its faces, and a
+    nonplanar graph gets its witness by edge deletion. That search is
+    bounded: the left ideals of S with the empty set and S are closed under
+    union and intersection, a distributive lattice. Without a 5-chain of
+    vertices it has length at most 5, hence at most 2^5 elements (Birkhoff),
+    so a graph built from a table or ``--n`` that reaches path addition has
+    at most 30 vertices. Every witness is checked edge by edge before it is
+    reported.
     """
     dense = _dense(g)
     if dense.masks is not None and max(dense.containment.down, default=0) >= 5:
@@ -600,19 +606,14 @@ def planarity(g) -> PlanarityResult:
     k33 = _k33_subgraph(dense.adj)
     if k33 is not None:
         return _nonplanar(dense, k33, "k33-subgraph")
-    import networkx as nx
-    G = nx.Graph()
-    G.add_nodes_from(range(dense.size))
-    G.add_edges_from(dense.edge_list())
-    ok, cert = nx.check_planarity(G, counterexample=False)
-    if ok:
-        data = cert.get_data()
-        emb = {_label(dense, v): [_label(dense, w) for w in nbrs]
-               for v, nbrs in sorted(data.items())}
-        return PlanarityResult(planar=True, method="left-right", embedding=emb)
-    cert = nx.algorithms.planarity.get_counterexample(G)
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in cert.edges()))
-    return _nonplanar(dense, edges, "left-right")
+    from . import planar
+    rotation = planar.embedding(dense.adj)
+    if rotation is None:
+        return _nonplanar(dense, planar.kuratowski_edges(dense.adj), "path-addition")
+    planar.check_rotation(dense.adj, rotation)
+    emb = {_label(dense, v): [_label(dense, w) for w in rot]
+           for v, rot in enumerate(rotation)}
+    return PlanarityResult(planar=True, method="path-addition", embedding=emb)
 
 
 def _k33_subgraph(adj: list[int]) -> tuple | None:

@@ -313,29 +313,41 @@ def test_perfect_flag_takes_the_report_route(capsys):
     assert doc["perfect"] is True and doc["methods"]["perfectness"] == "comparability"
 
 
-def test_networkx_is_imported_only_for_left_right(tmp_path):
-    # The commands below never reach left-right planarity: their nonplanar
-    # graphs have a 5-chain (Boolean n=6 and n=7, the 62-vertex band) or a
-    # K3,3 subgraph (Boolean n=5), and the witness is checked without
-    # networkx at every size. A planar graph (n=4) and default verify, whose
-    # Boolean n <= 4 rows are planar, do import it.
+def test_no_command_imports_networkx(tmp_path):
+    # Planarity is decided in the package: from a 5-chain (Boolean n=6 and
+    # n=7, the 62-vertex band), a K3,3 subgraph (Boolean n=5) or by path
+    # addition (the planar Boolean n <= 4 and default verify's planar rows).
+    # networkx is a test oracle only.
+    corpus = band_corpus(tmp_path)
     band = str(DATA / "rectangular_band_2x6.txt")
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    shutil.copy(band, corpus)
     cases = [["--help"], ["aut", "--n", "4"], ["graph", "--n", "5"],
              ["ideals", band], ["validate", band], ["invariants", "--n", "7", "--all"],
              ["invariants", "--n", "6", "--all"], ["invariants", "--n", "5", "--planarity"],
-             ["verify", "--corpus", str(corpus)], ["invariants", "--n", "4", "--planarity"]]
-    assert networkx_imports(cases) == [
-        "--help 0 False", "aut 0 False", "graph 0 False", "ideals 0 False",
-        "validate 0 False", "invariants 0 False", "invariants 0 False",
-        "invariants 0 False", "verify 0 False", "invariants 0 True"]
-    assert networkx_imports([["verify"]]) == ["verify 0 True"]
+             ["verify", "--corpus", str(corpus)], ["invariants", "--n", "4", "--planarity"],
+             ["verify"]]
+    assert run_in_one_process(cases) == [f"{argv[0]} 0 False" for argv in cases]
+
+
+def test_commands_run_with_networkx_unimportable(tmp_path):
+    # With every import of networkx made to fail, the verify and invariants
+    # jobs of the benchmark still succeed: the package has no runtime
+    # dependency.
+    cases = [["verify"], ["verify", "--corpus", str(band_corpus(tmp_path))],
+             ["invariants", "--n", "4", "--all"], ["invariants", "--n", "11", "--all"]]
+    assert run_in_one_process(cases, block_networkx=True) == [
+        f"{argv[0]} 0 False" for argv in cases]
+
+
+def band_corpus(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(DATA / "rectangular_band_2x6.txt", corpus)
+    return corpus
 
 
 # The package modules each benchmark command loads besides the package and
-# its CLI; networkx would be listed too. A command compiles only what it runs.
+# its CLI; networkx would be listed too. A command compiles only what it runs:
+# path addition (planar) only where a graph has neither a 5-chain nor a K3,3.
 TABLE_ONLY = ["errors", "semigroup"]
 GRAPH = TABLE_ONLY + ["graph"]
 SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching", "semigroup"]
@@ -351,12 +363,10 @@ SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching", "semigroup"
     (["invariants", "--n", "12", "--clique", "--chromatic", "--independence"], SOLVERS),
     (["invariants", "{band}", "--all"], SOLVERS),
     (["verify", "--corpus", "{corpus}"], SOLVERS + ["theorems"]),
+    (["verify"], SOLVERS + ["catalog", "constructions", "planar", "symmetry", "theorems"]),
 ])
 def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):
-    band = DATA / "rectangular_band_2x6.txt"
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    shutil.copy(band, corpus)
+    band, corpus = DATA / "rectangular_band_2x6.txt", band_corpus(tmp_path)
     argv = [a.format(band=band, corpus=corpus) for a in argv]
     script = (
         "import contextlib, os, sys\n"
@@ -375,11 +385,14 @@ def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):
     assert proc.stdout.split() == ["0", *sorted(loaded)]
 
 
-def networkx_imports(cases):
-    """Run the CLI cases in order in one fresh process; one line per case:
-    command, exit code, whether networkx has been imported by then."""
+def run_in_one_process(cases, block_networkx=False):
+    """Run the CLI cases in order in one fresh process, where importing
+    networkx fails if ``block_networkx``; one line per case: command, exit
+    code, whether networkx has been imported by then."""
     script = (
         "import contextlib, io, sys\n"
+        f"if {block_networkx!r}:\n"
+        "    sys.modules['networkx'] = None\n"
         "from idealgraph.cli import main\n"
         f"for argv in {cases!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -387,7 +400,7 @@ def networkx_imports(cases):
         "            rc = main(argv)\n"
         "        except SystemExit as e:\n"
         "            rc = e.code\n"
-        "    print(argv[0], rc, 'networkx' in sys.modules)\n")
+        "    print(argv[0], rc, sys.modules.get('networkx') is not None)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

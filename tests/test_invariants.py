@@ -37,8 +37,9 @@ from idealgraph import (
     right_zero_with_identity,
     structural_flags,
 )
-from idealgraph import invariants
+from idealgraph import invariants, planar
 from idealgraph.cli import main
+from idealgraph.invariants import classify_kuratowski
 from idealgraph.semigroup import parse_cayley_table
 from idealgraph.theorems import builtin_corpus
 from oracles import (
@@ -601,8 +602,25 @@ def test_flags_against_networkx():
 def test_planarity_small_boolean():
     for n in (2, 3, 4):
         res = planarity(build_boolean(n))
-        assert res.planar
-        assert res.embedding is not None
+        assert (res.planar, res.method) == (True, "path-addition")
+        check_embedding_with_networkx(build_boolean(n), res.embedding)
+
+
+def check_embedding_with_networkx(g, embedding):
+    """networkx's own structure check of a reported embedding (keyed by
+    vertex label), independent of the package's face trace: every rotation
+    is a cycle over the neighbours and Euler's formula holds per component."""
+    dense = g.dense() if hasattr(g, "dense") else g
+    index = vertex_index(dense)
+    emb = nx.PlanarEmbedding()
+    emb.set_data({index[v]: [index[w] for w in rot] for v, rot in embedding.items()})
+    emb.check_structure()
+    assert sorted(emb.edges()) == sorted(to_nx(dense).to_directed().edges())
+
+
+def vertex_index(dense):
+    """Vertex label (a mask, or the index of a raw graph) -> index."""
+    return {label: i for i, label in enumerate(dense.masks or range(dense.size))}
 
 
 def test_planarity_witness_n5_n6():
@@ -625,14 +643,16 @@ def test_boolean6_contains_k5_on_nested_chain():
         assert g.adjacent(a, b)
 
 
-def test_planarity_decided_by_chain_without_networkx(monkeypatch):
-    # Boolean n=9 has 510 vertices, past the left-right cross-check, so
-    # networkx must not run at all. The witness is the K5 on the chain that
-    # is smallest by mask: {1} < {1,2} < ... < {1,..,5}.
-    def refuse(*args, **kwargs):
-        raise AssertionError("networkx planarity ran")
+def refuse(*args, **kwargs):
+    raise AssertionError("path addition ran")
 
-    monkeypatch.setattr(nx, "check_planarity", refuse)
+
+def test_planarity_decided_by_chain_without_networkx(monkeypatch):
+    # Boolean n=9 has 510 vertices, far past the 30 a graph without a
+    # 5-chain can have, so path addition must not run at all. The witness is
+    # the K5 on the chain that is smallest by mask: {1} < {1,2} < ... <
+    # {1,..,5}.
+    monkeypatch.setattr(planar, "embedding", refuse)
     res = planarity(build_boolean(9))
     assert (res.planar, res.method, res.kuratowski_kind) == (False, "k5-chain", "K5")
     assert res.kuratowski_edges == ((1, 3), (1, 7), (1, 15), (1, 31), (3, 7),
@@ -685,28 +705,83 @@ def test_planarity_k33_witness_check_is_a_real_check(monkeypatch, capsys):
     check_wrong_witness_fails(argv, "not a K5 or K3,3 subdivision", capsys)
 
 
-def test_planarity_left_right_witness_check(monkeypatch):
+def test_planarity_path_addition_witness_check(monkeypatch):
     # A subdivided K5 has no 5-chain (a raw graph) and no K3,3 subgraph, so
-    # its witness comes from networkx. A path from it is no Kuratowski
-    # subgraph: an internal failure (RuntimeError, exit 3), not bad input.
+    # its witness comes from the deletion extraction, which keeps all 20
+    # edges. Its first four edges, a star, are no Kuratowski subgraph, and a
+    # non-edge is no witness edge: each is an internal failure
+    # (RuntimeError, exit 3), not bad input.
     edges, nxt = [], 5
     for a, b in itertools.combinations(range(5), 2):
         edges += [(a, nxt), (nxt, b)]
         nxt += 1
     g = dense_from_edges(nxt, edges)
     res = planarity(g)
-    assert (res.planar, res.method, res.kuratowski_kind) == (False, "left-right", "K5")
-    monkeypatch.setattr(nx.algorithms.planarity, "get_counterexample",
-                        lambda G: nx.Graph(edges[:4]))
-    with pytest.raises(RuntimeError, match="not a K5 or K3,3 subdivision"):
+    assert (res.planar, res.method, res.kuratowski_kind) == (False, "path-addition", "K5")
+    assert res.kuratowski_edges == tuple(sorted((min(e), max(e)) for e in edges))
+    real = planar.kuratowski_edges
+    monkeypatch.setattr(planar, "kuratowski_edges", lambda adj: real(adj)[:4])
+    with pytest.raises(RuntimeError, match="Kuratowski witness is not a subdivision"):
         planarity(g)
+    monkeypatch.setattr(planar, "kuratowski_edges", lambda adj: ((0, 1),) + real(adj))
+    with pytest.raises(RuntimeError, match="witness edge \\(0, 1\\) is not an edge"):
+        planarity(g)
+
+
+def corrupt_rotation(corrupt):
+    """planar.embedding with the rotation of its first vertex of degree at
+    least 3 corrupted in place."""
+    real = planar.embedding
+
+    def embedding(adj):
+        rotation = real(adj)
+        corrupt(next(rot for rot in rotation if len(rot) >= 3))
+        return rotation
+    return embedding
+
+
+def swap_two(rot):
+    rot[0], rot[1] = rot[1], rot[0]
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    (swap_two, "V - E \\+ F = 0 on the component of vertex 0"),
+    (list.pop, "rotation at vertex 0 is not a permutation of its neighbours"),
+])
+def test_planarity_embedding_check_is_a_real_check(corrupt, match, monkeypatch, capsys):
+    # Boolean n=4 is planar and decided by path addition. Swapping two
+    # neighbours in the rotation at {1} (degree 6) leaves a permutation but
+    # loses two faces, an embedding in the torus; dropping one neighbour is
+    # no permutation. Both exit 3 with one stderr line.
+    monkeypatch.setattr(planar, "embedding", corrupt_rotation(corrupt))
+    check_wrong_witness_fails(["invariants", "--n", "4", "--planarity"], match, capsys)
+
+
+def test_planarity_checks_survive_python_O():
+    script = (
+        "import sys\n"
+        "from idealgraph import planar\n"
+        "from idealgraph.cli import main\n"
+        "real = planar.embedding\n"
+        "def embedding(adj):\n"
+        "    rotation = real(adj)\n"
+        "    rotation[0].pop()\n"
+        "    return rotation\n"
+        "planar.embedding = embedding\n"
+        "print(sys.flags.optimize)\n"
+        "sys.exit(main(['invariants', '--n', '4', '--planarity']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "1\n")
+    assert proc.stderr.startswith(
+        "error: internal failure: RuntimeError: planarity certificate check failed")
 
 
 @settings(max_examples=100, deadline=None)
 @given(mask_families, st.booleans())
 def test_planarity_property_mask_families(masks, plant_chain):
     # A planted 5-chain forces the chain route; nonzero masks on four
-    # elements have no chain longer than four, which forces left-right.
+    # elements have no chain longer than four, which forces path addition.
     masks = [m | 0b10000 if plant_chain else m & 0b1111 or 1 for m in masks]
     if plant_chain:
         masks += [0b1, 0b11, 0b111, 0b1111, 0b11111]
@@ -719,10 +794,23 @@ def test_planarity_property_mask_families(masks, plant_chain):
         masks = g.dense().masks
         assert res.kuratowski_edges == tuple((masks[u], masks[v]) for u, v in k33)
     else:
-        assert res.method == "left-right"
-    assert res.planar == nx.check_planarity(to_nx(g))[0]
-    for u, v in res.kuratowski_edges:
-        assert g.adjacent(u, v)
+        assert res.method == "path-addition"
+    check_planarity_against_networkx(g, res)
+
+
+def check_planarity_against_networkx(g, res):
+    """The verdict equals left-right's; an embedding passes networkx's
+    structure check; a witness is a Kuratowski subgraph of g."""
+    dense = g.dense() if hasattr(g, "dense") else g
+    assert res.planar == nx.check_planarity(to_nx(dense))[0]
+    if res.planar:
+        check_embedding_with_networkx(dense, res.embedding)
+        return
+    index = vertex_index(dense)
+    edges = [(index[u], index[v]) for u, v in res.kuratowski_edges]
+    assert res.kuratowski_kind == classify_kuratowski(edges) in ("K5", "K3,3")
+    for u, v in edges:
+        assert dense.adj[u] >> v & 1
 
 
 def first_k33_subgraph(G):
@@ -745,10 +833,8 @@ def test_planarity_k33_subgraph_avoids_counterexample_search(monkeypatch):
     # K3,3 found from the adjacency bitsets.
     import time
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("networkx planarity ran")
-
-    monkeypatch.setattr(nx, "check_planarity", refuse)
+    monkeypatch.setattr(planar, "embedding", refuse)
+    monkeypatch.setattr(planar, "kuratowski_edges", refuse)
     masks = [m for m in range(1, 1 << 8) if m.bit_count() <= 4]
     g = InclusionGraph("generic", vertices=tuple(masks))
     assert (g.vertex_count, g.edge_count()) == (162, 1372)
@@ -780,8 +866,8 @@ def test_planarity_matches_left_right_on_corpus_and_boolean_models():
     for g in graphs:
         res = planarity(g)
         methods.add(res.method)
-        assert res.planar == nx.check_planarity(to_nx(g))[0]
-    assert methods == {"k5-chain", "k33-subgraph", "left-right"}
+        check_planarity_against_networkx(g, res)
+    assert methods == {"k5-chain", "k33-subgraph", "path-addition"}
 
 
 def _any_density_raw_graphs(nv):
@@ -794,15 +880,24 @@ def _any_density_raw_graphs(nv):
 @given(st.integers(min_value=0, max_value=12).flatmap(_any_density_raw_graphs))
 def test_planarity_property_raw_graphs(dense):
     res = planarity(dense)
-    G = to_nx(dense)
-    assert res.planar == nx.check_planarity(G)[0]
-    k33 = first_k33_subgraph(G)
+    k33 = first_k33_subgraph(to_nx(dense))
     if k33 is not None:
         assert (res.method, res.kuratowski_edges) == ("k33-subgraph", k33)
     else:
-        assert res.method == "left-right"
-    for u, v in res.kuratowski_edges:
-        assert dense.adj[u] >> v & 1
+        assert res.method == "path-addition"
+    check_planarity_against_networkx(dense, res)
+
+
+def test_planarity_deletion_extraction_at_the_vertex_bound(monkeypatch):
+    # Boolean n=5 is the largest graph without a 5-chain (30 vertices, 150
+    # edges). With its K3,3 route bypassed, path addition decides it and the
+    # deletion extraction runs at the largest size the CLI can hand it.
+    monkeypatch.setattr(invariants, "_k33_subgraph", lambda adj: None)
+    g = build_boolean(5)
+    assert (g.vertex_count, g.edge_count()) == (30, 150)
+    res = planarity(g)
+    assert (res.planar, res.method) == (False, "path-addition")
+    check_planarity_against_networkx(g, res)
 
 
 def test_planarity_raw_graphs():

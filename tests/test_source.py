@@ -22,35 +22,24 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def module_level_imports(tree: ast.Module):
-    """The import statements that run when the module is imported: all but
-    those inside function bodies."""
-    todo = list(tree.body)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        todo.extend(ast.iter_child_nodes(node))
-
-
 def imports_networkx(node) -> bool:
-    names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
-        alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return False
     return any(name.partition(".")[0] == "networkx" for name in names)
 
 
-def test_no_module_imports_networkx_at_module_level():
-    # networkx costs about 0.1 s to import; only left-right planarity needs
-    # it, so it is imported there, when that path runs.
-    assert any(map(imports_networkx, module_level_imports(ast.parse(
-        "try:\n    from networkx.algorithms import planarity\nexcept ImportError:\n"
-        "    pass\n"))))
-    assert not any(map(imports_networkx, module_level_imports(ast.parse(
+def test_no_module_imports_networkx():
+    # networkx is a test oracle, not a dependency: no package module imports
+    # it, at module level or inside a function.
+    assert imports_networkx(ast.parse("from networkx.algorithms import planarity").body[0])
+    assert any(map(imports_networkx, ast.walk(ast.parse(
         "def f():\n    import networkx as nx\n"))))
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
-             for node in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if imports_networkx(node)]
     assert found == []
 
