@@ -15,10 +15,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OutOfRangeError, TooLargeError, TruncatedFamilyError, UnknownVertexError
-from .semigroup import IdealFamily
+
+if TYPE_CHECKING:  # annotations only: a Boolean graph needs no semigroup code
+    from .semigroup import IdealFamily
 
 DEFAULT_VERTEX_CAP = 1 << 22
 MAX_BOOLEAN_N = 62

@@ -8,9 +8,10 @@ and girth. Every answer's witnesses are checked on every call in O(V)
 bitset operations (McConnell, Mehlhorn, Näher & Schweitzer 2011): a chain
 that is a clique and chain levels that colour properly give ω = χ, an
 antichain and as many chains covering the vertices give α, a triangle gives
-girth 3, a pair that far apart bounds a diameter of 2 or 3 from below, and
-a dominating set's closed neighbourhoods cover every vertex. The chain
-certificate is kept with its graph, so ω and χ check it once. A planar
+girth 3, a pair that far apart bounds a diameter of 2 or 3 from below, a
+dominating set's closed neighbourhoods cover every vertex, and an odd hole
+or antihole is an odd cycle with no chord. The chain certificate is kept
+with its graph, so ω and χ check it once. A planar
 embedding is checked by tracing its faces (``planar.check_rotation``), a
 Kuratowski witness edge by edge. A failed check raises RuntimeError.
 
@@ -714,60 +715,97 @@ def perfectness(g, max_len: int) -> tuple[bool | None, tuple | None]:
 
     Returns (True, None) when the search was exhaustive (max_len >= |V|) and
     found nothing; (False, witness) when an odd hole or antihole exists;
-    (None, None) when the bounded search found nothing.
+    (None, None) when the bounded search found nothing. Holes are searched
+    before antiholes, each by ``_odd_hole``, one pass that closes every odd
+    length as its induced paths grow. A witness is checked before it is
+    returned: an odd cycle of length >= 5 in the graph searched, with no
+    chord; a failed check raises RuntimeError.
     """
     dense = _dense(g)
     n = dense.size
     for kind, h in (("hole", dense), ("antihole", dense.complement())):
-        for length in range(5, min(max_len, n) + 1, 2):
-            cycle = _find_hole_of_length(n, h.adj, length)
-            if cycle is not None:
-                return False, (kind, _labels(dense, cycle))
+        cycle = _odd_hole(h.adj, max_len)
+        if cycle is not None:
+            _check_hole(h.adj, cycle)
+            return False, (kind, _labels(dense, cycle))
     if max_len >= n:
         return True, None
     return None, None
 
 
-def _find_hole_of_length(n: int, adj: list[int], length: int) -> list[int] | None:
-    """Induced cycle of exactly `length`, anchored at its smallest vertex."""
-    for a in range(n):
-        above = ((1 << n) - 1) & ~((1 << (a + 1)) - 1)
-        f = adj[a] & above
-        while f:
-            b = f & -f
-            first = b.bit_length() - 1
-            f ^= b
-            allowed = above & ~adj[a] & ~(1 << first)
-            res = _extend_induced_path(adj, a, [a, first], allowed, length)
-            if res is not None:
-                return res
+def _odd_hole(adj: list[int], max_len: int) -> list[int] | None:
+    """An induced cycle of odd length 5..max_len, or None.
+
+    A cycle is anchored at its smallest vertex a and oriented so that the
+    vertex closing it is above the first vertex after a. One depth-first
+    search per anchor grows induced paths a, first, ... on an explicit
+    stack, one frame per path vertex after a with three bitsets: the
+    vertices that may still extend the path (adjacent to its head), the
+    vertices that may follow them (above a, adjacent to no path vertex),
+    and the vertices adjacent to an inner path vertex, which may not close
+    it. A path of an even number k of vertices closes a cycle of length
+    k + 1 through any neighbour of a and of its head above ``first`` that
+    no inner vertex blocks. A path is extended only while such a closer
+    remains and it can still reach an even length that closes.
+    """
+    n = len(adj)
+    longest = (max_len - 1) & ~1  # most path vertices before the closer
+    full = (1 << n) - 1
+    for a in range(n - 4):  # a hole has four vertices above its anchor
+        above = full & ~((2 << a) - 1)
+        free = above & ~adj[a]
+        # The third and fourth vertices of a cycle through a are adjacent,
+        # both above a and away from it.
+        p2s = free
+        while p2s and not adj[_low(p2s)] & free:
+            p2s &= p2s - 1
+        if not p2s:
+            continue
+        firsts = adj[a] & above
+        while firsts:
+            first = _low(firsts)
+            firsts &= firsts - 1
+            closers = firsts  # the closer is adjacent to a and above first
+            if not closers & ~adj[first] or not free & ~adj[first]:
+                # The closer may not touch first, an inner vertex of any
+                # path of four or more; and a path of three must extend.
+                continue
+            path = [a, first]
+            frames = [(adj[first] & free, free & ~adj[first], adj[first])]
+            while frames:
+                ext, allowed, blocked = frames[-1]
+                if not ext:
+                    frames.pop()
+                    path.pop()
+                    continue
+                w = _low(ext)
+                frames[-1] = (ext & (ext - 1), allowed, blocked)
+                k = len(path) + 1  # vertices on the path ending at w, k >= 3
+                if not k & 1:
+                    close = closers & adj[w] & ~blocked
+                    if close:
+                        return path + [w, _low(close)]
+                if k < longest and closers & ~(blocked | adj[w]):
+                    nxt = adj[w] & allowed
+                    if nxt and (k & 1 or allowed & ~adj[w]):
+                        frames.append((nxt, allowed & ~adj[w], blocked | adj[w]))
+                        path.append(w)
     return None
 
 
-def _extend_induced_path(adj, a, path, allowed, length):
-    head = path[-1]
-    if len(path) == length - 1:
-        cand = adj[head] & adj[a]
-        for v in path[1:-1]:
-            cand &= ~adj[v]
-        for v in path:
-            cand &= ~(1 << v)
-        cand &= ~((1 << (a + 1)) - 1)
-        cand &= ~((1 << (path[1] + 1)) - 1)  # orient the cycle: closer > second
-        if cand:
-            w = (cand & -cand).bit_length() - 1
-            return path + [w]
-        return None
-    ext = adj[head] & allowed
-    while ext:
-        b = ext & -ext
-        w = b.bit_length() - 1
-        ext ^= b
-        res = _extend_induced_path(adj, a, path + [w],
-                                   allowed & ~adj[head] & ~b, length)
-        if res is not None:
-            return res
-    return None
+def _check_hole(adj: list[int], cycle: list[int]) -> None:
+    """An odd hole certificate: distinct vertices, odd length >= 5, and each
+    vertex adjacent, among the cycle's vertices, to exactly its two
+    neighbours on the cycle."""
+    k = len(cycle)
+    on_cycle = sum(1 << v for v in cycle)
+    if k < 5 or not k & 1 or on_cycle.bit_count() != k:
+        raise RuntimeError(f"perfectness certificate failed: {cycle} is no odd "
+                           "cycle of distinct vertices and length >= 5")
+    for i, v in enumerate(cycle):
+        if adj[v] & on_cycle != (1 << cycle[i - 1]) | (1 << cycle[(i + 1) % k]):
+            raise RuntimeError(f"perfectness certificate failed: vertex {v} of "
+                               f"{cycle} has a chord or a missing cycle edge")
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ class CayleyTable:
         if len(self.rows) != m or any(len(r) != m for r in self.rows):
             raise TableSyntaxError(f"table must be {m}x{m}")
         for r in self.rows:
-            for x in r:
-                if not 0 <= x < m:
-                    raise TableSyntaxError(f"entry {x} out of range [0, {m})")
+            if min(r) < 0 or max(r) >= m:
+                x = next(x for x in r if not 0 <= x < m)
+                raise TableSyntaxError(f"entry {x} out of range [0, {m})")
         if self.labels is not None:
             if len(self.labels) != m:
                 raise TableSyntaxError("label count must equal order")
@@ -58,6 +58,15 @@ class CayleyTable:
         return tuple(sum(1 << x for x in {a, *col})
                      for a, col in enumerate(zip(*self.rows)))
 
+    @cached_property
+    def l_class_by_ideal(self) -> dict[int, int]:
+        """Each principal left ideal, mapped to the elements that generate
+        it: its L-class."""
+        by_ideal: dict[int, int] = {}
+        for a, key in enumerate(self.principal_masks):
+            by_ideal[key] = by_ideal.get(key, 0) | (1 << a)
+        return by_ideal
+
 
 def _check_associative(m: int, rows) -> None:
     """Light's associativity test over a greedy generating set.
@@ -66,8 +75,10 @@ def _check_associative(m: int, rows) -> None:
     closed subset (Clifford & Preston 1961, *The Algebraic Theory of
     Semigroups* I, section 1.2), so checking the generators decides the
     whole table. For a generator b, row (x*b) must equal row x composed with
-    row b. On failure the witness is still the lexicographically first
-    violating triple.
+    row b. Up to 256 elements a row is a bytes object and the composition is
+    ``bytes.translate`` of row b through row x; above that the rows are
+    composed with ``itemgetter``. On failure the witness is still the
+    lexicographically first violating triple.
     """
     if m == 1:
         # The only 1x1 table is associative, and the row check below needs
@@ -75,10 +86,16 @@ def _check_associative(m: int, rows) -> None:
         return
     rows = tuple(map(tuple, rows))
     cols = tuple(zip(*rows))
-    for b in _generating_set(m, rows, cols):
-        if tuple(map(itemgetter(*rows[b]), rows)) != itemgetter(*cols[b])(rows):
-            break
+    gens = _generating_set(m, rows, cols)
+    if m <= 256:
+        as_bytes = tuple(map(bytes, rows))
+        through = [r.ljust(256, b"\0") for r in as_bytes]  # translate tables
+        holds = all(list(map(as_bytes[b].translate, through))
+                    == list(map(as_bytes.__getitem__, cols[b])) for b in gens)
     else:
+        holds = all(tuple(map(itemgetter(*rows[b]), rows)) == itemgetter(*cols[b])(rows)
+                    for b in gens)
+    if holds:
         return
     composed = [itemgetter(*rb) for rb in rows]
     for a, ra in enumerate(rows):
@@ -145,7 +162,7 @@ def parse_cayley_table(text: str) -> CayleyTable:
         if len(toks) != m:
             raise TableSyntaxError(f"row {i - 1} has {len(toks)} entries, expected {m}")
         try:
-            row = tuple(int(t) for t in toks)
+            row = tuple(map(int, toks))
         except ValueError:
             raise TableSyntaxError(f"row {i - 1} has a non-integer entry") from None
         rows.append(row)
@@ -245,18 +262,10 @@ def l_classes(t: CayleyTable) -> list[LClass]:
     """Partition of the elements by equality of their principal left ideals."""
     classes = [
         LClass(representative=(members & -members).bit_length() - 1, members=members)
-        for members in _generators(t).values()
+        for members in t.l_class_by_ideal.values()
     ]
     classes.sort(key=lambda c: c.representative)
     return classes
-
-
-def _generators(t: CayleyTable) -> dict[int, int]:
-    """Each principal left ideal, mapped to the elements that generate it."""
-    by_ideal: dict[int, int] = {}
-    for a, key in enumerate(t.principal_masks):
-        by_ideal[key] = by_ideal.get(key, 0) | (1 << a)
-    return by_ideal
 
 
 def enumerate_left_ideals(t: CayleyTable, cap: int = DEFAULT_IDEAL_CAP) -> IdealFamily:
@@ -276,7 +285,7 @@ def enumerate_left_ideals(t: CayleyTable, cap: int = DEFAULT_IDEAL_CAP) -> Ideal
     if cap < 1:
         raise ValueError("cap must be positive")
     full = t.full_mask
-    generators = _generators(t)
+    generators = t.l_class_by_ideal
     principals = sorted(generators)
     found: set[int] = set(p for p in principals if p != full)
     truncated = len(found) > cap
@@ -312,22 +321,7 @@ def is_maximal_left_ideal(t: CayleyTable, k: LeftIdeal | int) -> bool:
             or any(mask >> a & 1 and p & ~mask for a, p in enumerate(pm))):
         raise ValueError("argument must be a nontrivial left ideal")
     rest = t.full_mask & ~mask
-    a = (rest & -rest).bit_length() - 1
-    return sum(1 << b for b, p in enumerate(pm) if p == pm[a]) == rest
-
-
-def _two_sided_closure(t: CayleyTable, a: int) -> int:
-    """Smallest two-sided ideal containing ``a``."""
-    mask = 1 << a
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        for s in range(t.order):
-            for y in (t.rows[s][x], t.rows[x][s]):
-                if not (mask >> y) & 1:
-                    mask |= 1 << y
-                    stack.append(y)
-    return mask
+    return t.l_class_by_ideal[pm[(rest & -rest).bit_length() - 1]] == rest
 
 
 def idempotents(t: CayleyTable) -> list[int]:
@@ -337,12 +331,17 @@ def idempotents(t: CayleyTable) -> list[int]:
 def is_completely_simple(t: CayleyTable) -> bool:
     """True when S has no proper two-sided ideal and a primitive idempotent.
 
-    The product of all elements lies in every two-sided ideal, so the ideal
-    it generates is the least one (the kernel), and S is simple iff that is
-    S. An idempotent e is primitive when no other idempotent f satisfies
+    The product z of all elements lies in every two-sided ideal, so the
+    ideal it generates is the least one (the kernel), and S is simple iff
+    that is S. The kernel S^1 z S^1 is the union of x S^1 over the members x
+    of S^1 z, ``principal_masks[z]``, and x S^1 is x together with its row
+    of the table: one set union of rows, with no closure to iterate. An
+    idempotent e is primitive when no other idempotent f satisfies
     ef = fe = f.
     """
-    if _two_sided_closure(t, reduce(t.mul, range(t.order))) != t.full_mask:
+    z_mask = t.principal_masks[reduce(t.mul, range(t.order))]
+    members = [x for x in range(t.order) if z_mask >> x & 1]
+    if len(set(members).union(*map(t.rows.__getitem__, members))) != t.order:
         return False
     es = idempotents(t)
     for e in es:

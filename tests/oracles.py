@@ -6,10 +6,12 @@ by a BFS from every vertex, Hopcroft-Karp and König over adjacency lists,
 the graph export through ``json.dumps`` and as DOT one line per edge (both
 with edges from a scan of every pair of masks), clique, chromatic,
 independence and domination numbers of raw graphs from tables over all
-vertex subsets, the generic branch-and-bound clique search and exact
-colouring search, which take any graph, the blossom matching that scans
-every vertex per contraction, the automorphism search by recursive
-extension, and edge transitivity by a union-find over all edges."""
+vertex subsets, the odd-hole search one cycle length at a time by a
+recursive induced-path extension, the generic branch-and-bound clique
+search and exact colouring search, which take any graph, the blossom
+matching that scans every vertex per contraction, the automorphism search
+by recursive extension, and edge transitivity by a union-find over all
+edges."""
 
 import json
 import math
@@ -326,6 +328,48 @@ def raw_graph_numbers(nv, edges):
                if sum((-1) ** (nv - s.bit_count()) * n_indep[s] ** k
                       for s in range(size)) > 0)
     return omega, chi, alpha, gamma
+
+
+def _find_hole_of_length(n: int, adj: list[int], length: int) -> list[int] | None:
+    """Induced cycle of exactly `length`, anchored at its smallest vertex."""
+    for a in range(n):
+        above = ((1 << n) - 1) & ~((1 << (a + 1)) - 1)
+        f = adj[a] & above
+        while f:
+            b = f & -f
+            first = b.bit_length() - 1
+            f ^= b
+            allowed = above & ~adj[a] & ~(1 << first)
+            res = _extend_induced_path(adj, a, [a, first], allowed, length)
+            if res is not None:
+                return res
+    return None
+
+
+def _extend_induced_path(adj, a, path, allowed, length):
+    head = path[-1]
+    if len(path) == length - 1:
+        cand = adj[head] & adj[a]
+        for v in path[1:-1]:
+            cand &= ~adj[v]
+        for v in path:
+            cand &= ~(1 << v)
+        cand &= ~((1 << (a + 1)) - 1)
+        cand &= ~((1 << (path[1] + 1)) - 1)  # orient the cycle: closer > second
+        if cand:
+            w = (cand & -cand).bit_length() - 1
+            return path + [w]
+        return None
+    ext = adj[head] & allowed
+    while ext:
+        b = ext & -ext
+        w = b.bit_length() - 1
+        ext ^= b
+        res = _extend_induced_path(adj, a, path + [w],
+                                   allowed & ~adj[head] & ~b, length)
+        if res is not None:
+            return res
+    return None
 
 
 def max_clique_bb(dense: DenseGraph) -> tuple[int, list[int]]:

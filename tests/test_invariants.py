@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -43,6 +44,7 @@ from idealgraph.invariants import classify_kuratowski
 from idealgraph.semigroup import parse_cayley_table
 from idealgraph.theorems import builtin_corpus
 from oracles import (
+    _find_hole_of_length,
     diameter_per_source,
     exact_chromatic,
     girth_per_vertex_bfs,
@@ -977,6 +979,89 @@ def test_perfectness_finds_planted_hole():
     verdict, witness = perfectness(dense_from_edges(7, edges), 7)
     assert verdict is False
     assert witness[0] == "hole" and sorted(witness[1]) == [0, 1, 2, 3, 4]
+
+
+def test_odd_hole_search_matches_per_length_oracle():
+    # The one-pass search against the per-length search it replaced, at
+    # every bound from 5 to n+1, on graphs of every density.
+    rng = random.Random(16180)
+    imperfect = 0
+    for _ in range(400):
+        nv = rng.randint(5, 12)
+        p = rng.random()
+        g = dense_from_edges(nv, [(u, v) for u in range(nv) for v in range(u + 1, nv)
+                                  if rng.random() < p])
+        found = [length for length in range(5, nv + 1, 2)
+                 if any(_find_hole_of_length(nv, h.adj, length) is not None
+                        for h in (g, g.complement()))]
+        for max_len in range(5, nv + 2):
+            want = (False if found and found[0] <= max_len
+                    else True if max_len >= nv else None)
+            verdict, witness = perfectness(g, max_len)
+            assert verdict is want, (nv, g.adj, max_len)
+            if witness is not None:
+                assert 5 <= len(witness[1]) <= max_len
+        imperfect += bool(found)
+    assert 50 < imperfect < 350
+
+
+def test_perfectness_on_a_long_path_needs_no_recursion():
+    # Exhaustive on 1,100 vertices: the search keeps its own stack, where
+    # the recursive oracle exceeds the interpreter's recursion limit.
+    n = 1100
+    g = dense_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    start = time.perf_counter()
+    assert perfectness(g, n) == (True, None)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(RecursionError):
+        _find_hole_of_length(n, g.adj, n - 1)
+
+
+@pytest.mark.parametrize("edges, cycle", [
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)], [0, 1, 2, 3, 4]),  # chord 0-2
+    ([(0, 1), (1, 2), (2, 3), (3, 4)], [0, 1, 2, 3, 4]),  # 4-0 is no edge
+    ([(i, (i + 1) % 6) for i in range(6)], [0, 1, 2, 3, 4, 5]),  # even
+    ([(0, 1), (1, 2), (2, 0)], [0, 1, 2]),  # too short
+    ([(0, 1), (1, 2), (2, 3), (3, 1), (1, 4), (4, 0)], [0, 1, 2, 3, 1]),  # repeats 1
+])
+def test_perfectness_witness_check_is_a_real_check(monkeypatch, edges, cycle):
+    monkeypatch.setattr(invariants, "_odd_hole", lambda adj, max_len: cycle)
+    with pytest.raises(RuntimeError, match="perfectness certificate failed"):
+        perfectness(dense_from_edges(max(map(max, edges)) + 1, edges), 7)
+
+
+# {1} < {1,2} < {1,2,3} > {3} < {1,3} > {1} in Boolean n=4, with the chords
+# {1} < {1,2,3} and {1,3} < {1,2,3}.
+CHORDED_BOOLEAN4_CYCLE = (0b1, 0b11, 0b111, 0b100, 0b101)
+
+
+def test_perfectness_witness_failure_exits_3(monkeypatch, capsys):
+    masks = build_boolean(4).dense().masks
+    cycle = [masks.index(m) for m in CHORDED_BOOLEAN4_CYCLE]
+    monkeypatch.setattr(invariants, "_odd_hole", lambda adj, max_len: cycle)
+    assert main(["verify", "--boolean", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: internal failure: RuntimeError: perfectness certificate failed")
+    assert captured.err.count("\n") == 1
+
+
+def test_perfectness_witness_check_survives_python_O():
+    script = (
+        "import sys\n"
+        "from idealgraph import build_boolean, invariants\n"
+        "from idealgraph.cli import main\n"
+        "masks = build_boolean(4).dense().masks\n"
+        f"cycle = [masks.index(m) for m in {CHORDED_BOOLEAN4_CYCLE!r}]\n"
+        "invariants._odd_hole = lambda adj, max_len: cycle\n"
+        "print(sys.flags.optimize)\n"
+        "sys.exit(main(['verify', '--boolean', '4']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "1\n")
+    assert proc.stderr.startswith(
+        "error: internal failure: RuntimeError: perfectness certificate failed")
 
 
 # --- aggregate report ----------------------------------------------------------

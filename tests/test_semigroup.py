@@ -445,3 +445,28 @@ def test_light_matches_triple_loop_on_perturbed_large_tables(make, cells):
     # The lex-first witness need not involve a generator, so the test that
     # decides the table cannot be the one that names it.
     assert off_generators
+
+
+@pytest.mark.parametrize("m", [256, 257])
+def test_light_at_the_bytes_boundary(m):
+    # Up to 256 elements rows compose by bytes.translate, above by itemgetter.
+    rz = right_zero(m)
+    assert light_witness(rz.rows) is None
+    assert light_witness(cyclic_group(m).rows) is None
+    assert light_witness(perturbed(rz, 0, 0, 1)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("m", [256, 257])
+@pytest.mark.parametrize("bad", [-1, "m"])
+def test_out_of_range_entry_names_the_first_one(m, bad):
+    # Rows are range-checked whole; the message still names the first entry
+    # out of range in row-major order.
+    bad = m if bad == "m" else bad
+    rows = [list(range(m)) for _ in range(m)]  # right zero: x*y = y
+    message = rf"^entry {bad} out of range \[0, {m}\)$"
+    rows[3][9] = bad
+    with pytest.raises(TableSyntaxError, match=message):
+        CayleyTable(m, tuple(map(tuple, rows)))
+    rows[3][20], rows[7][0] = m + 7, -5  # later entries out of range too
+    with pytest.raises(TableSyntaxError, match=message):
+        CayleyTable(m, tuple(map(tuple, rows)))
