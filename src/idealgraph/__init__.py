@@ -26,7 +26,7 @@ _SUBMODULE = {
                    "TableSyntaxError", "TooLargeError", "TruncatedFamilyError",
                    "UnknownVertexError"),
         "graph": ("DenseGraph", "InclusionGraph", "build_boolean", "build_from_family",
-                  "dense_from_edges", "export_graph", "minimal_ideal_coordinates"),
+                  "export_graph", "minimal_ideal_coordinates"),
         "invariants": ("InvariantReport", "PlanarityResult", "chromatic_number",
                        "clique_number", "compute_report", "connectivity",
                        "domination_number", "girth", "independence_number",

@@ -4,7 +4,9 @@ Vertices are bit masks; two vertices are adjacent iff one strictly contains
 the other. Generic mode carries an explicit vertex list (left-ideal masks),
 Boolean mode represents all nonempty proper subsets of [n] implicitly, so
 graphs with 2^n - 2 vertices stay cheap until an algorithm genuinely needs
-the vertex set in memory.
+the vertex set in memory. There is one materialized graph kind,
+``DenseGraph``: adjacency bitsets together with the masks they join, so
+every graph carries the containment order its solvers read.
 """
 
 from __future__ import annotations
@@ -104,15 +106,15 @@ def _mirsky_levels(rel: list[int]) -> list[int]:
 
 @dataclass
 class DenseGraph:
-    """Materialized graph: index-based adjacency bitsets, optional vertex masks.
+    """Materialized inclusion graph: index-based adjacency bitsets and the
+    vertex masks (index -> set mask, sorted by (popcount, mask)).
 
-    ``masks`` is present for inclusion graphs (index -> set mask, sorted by
-    (popcount, mask)) and None for raw test graphs with no containment
-    structure.
+    Every graph is the comparability graph of its masks' containment, which
+    ``containment`` reads off the adjacency.
     """
 
     adj: list[int]
-    masks: tuple[int, ...] | None = None
+    masks: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -121,48 +123,17 @@ class DenseGraph:
     def degree(self, i: int) -> int:
         return self.adj[i].bit_count()
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.size):
-            m = self.adj[i] >> (i + 1)
-            j = i + 1
-            while m:
-                b = m & -m
-                out.append((i, j + b.bit_length() - 1))
-                m ^= b
-        return out
-
-    def complement(self) -> "DenseGraph":
-        """The complement as a raw graph: it is no inclusion graph, so it
-        keeps no masks and the containment solvers never run on it."""
-        full = (1 << self.size) - 1
-        return DenseGraph(adj=[full & ~self.adj[i] & ~(1 << i) for i in range(self.size)])
-
     @cached_property
     def containment(self) -> Containment:
-        """The containment order of an inclusion graph, built once per graph.
+        """The containment order, built once per graph.
 
         Vertices are sorted by (popcount, mask), so index order is a linear
         extension of containment: a neighbour at a lower index is a strict
         subset, one at a higher index a strict superset.
         """
-        if self.masks is None:
-            raise ValueError("a raw graph has no containment order")
         below = [a & ((1 << i) - 1) for i, a in enumerate(self.adj)]
         above = [a >> (i + 1) << (i + 1) for i, a in enumerate(self.adj)]
         return Containment(below, above, _mirsky_levels(below), _mirsky_levels(above))
-
-
-def dense_from_edges(n_vertices: int, edges) -> DenseGraph:
-    """Raw graph with arbitrary adjacency and no containment order, for tests
-    of the solvers that take any graph."""
-    adj = [0] * n_vertices
-    for u, v in edges:
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return DenseGraph(adj=adj)
 
 
 def element_columns(masks) -> set[int]:
@@ -305,9 +276,10 @@ class InclusionGraph:
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in self.vertices()) // 2
 
-    def dense(self, cap: int | None = None) -> DenseGraph:
-        """Materialize adjacency bitsets once; refuses above the vertex cap."""
-        limit = cap if cap is not None else vertex_cap()
+    def dense(self) -> DenseGraph:
+        """Materialize adjacency bitsets once; refuses above the vertex cap
+        (see ``vertex_cap``)."""
+        limit = vertex_cap()
         if self.vertex_count > limit:
             raise TooLargeError(
                 f"{self.vertex_count} vertices exceed the cap of {limit}")

@@ -15,9 +15,10 @@ with its graph, so ω and χ check it once. A planar
 embedding is checked by tracing its faces (``planar.check_rotation``), a
 Kuratowski witness edge by edge. A failed check raises RuntimeError.
 
-Raw graphs (``dense_from_edges``, complements) have no containment order
-and serve as test scaffolding: clique, chromatic and independence numbers,
-the perfect verdict and the full report refuse them.
+Every solver takes an inclusion graph, an ``InclusionGraph`` or the
+``DenseGraph`` it materializes, and labels its witnesses by vertex mask.
+The kernels under them (matching, domination, girth BFS, K3,3 and odd-hole
+searches, path addition) read only adjacency bitsets.
 """
 
 from __future__ import annotations
@@ -42,21 +43,8 @@ def _dense(g) -> DenseGraph:
     return g.dense()
 
 
-def _label(dense: DenseGraph, i: int):
-    return dense.masks[i] if dense.masks is not None else i
-
-
 def _labels(dense: DenseGraph, idxs):
-    return tuple(_label(dense, i) for i in idxs)
-
-
-def _inclusion(g) -> DenseGraph:
-    """The dense form of an inclusion graph; a raw graph is refused before
-    any solver runs."""
-    dense = _dense(g)
-    if dense.masks is None:
-        raise ValueError("a raw graph has no containment order")
-    return dense
+    return tuple(dense.masks[i] for i in idxs)
 
 
 def _low(m: int) -> int:
@@ -68,8 +56,9 @@ def _low(m: int) -> int:
 # connectivity / distances
 
 
-def _components(dense: DenseGraph) -> list[int]:
-    n = dense.size
+def _components(adj: list[int]) -> list[int]:
+    """The vertex bitset of each connected component, by bitset BFS."""
+    n = len(adj)
     seen = 0
     comps = []
     for s in range(n):
@@ -82,7 +71,7 @@ def _components(dense: DenseGraph) -> list[int]:
             f = frontier
             while f:
                 b = f & -f
-                nxt |= dense.adj[b.bit_length() - 1]
+                nxt |= adj[b.bit_length() - 1]
                 f ^= b
             frontier = nxt & ~comp
             comp |= frontier
@@ -94,12 +83,11 @@ def _components(dense: DenseGraph) -> list[int]:
 def connectivity(g) -> tuple[int, int | float]:
     """(number of components, diameter); diameter is inf unless connected.
 
-    An inclusion graph of diameter 2 or 3 takes it from the extremes of its
-    containment order, and the pair of vertices found that far apart is
-    checked as a lower witness: they are not adjacent, and at distance 3
-    they have no common neighbour either. Raw graphs, disconnected graphs
-    and inclusion graphs of diameter above 3 take the component search and
-    the lockstep BFS.
+    The diameter comes from the extremes of the containment order
+    (``_diameter_extremes``), and the pair of vertices found that far apart
+    is checked as a lower witness: they are not adjacent, and from distance
+    3 on they have no common neighbour either. Only a disconnected graph
+    has its components counted.
     """
     dense = _dense(g)
     n = dense.size
@@ -109,18 +97,15 @@ def connectivity(g) -> tuple[int, int | float]:
     full = (1 << n) - 1
     if all(a | (1 << v) == full for v, a in enumerate(adj)):
         return 1, (1 if n > 1 else 0)  # complete
-    found = _diameter_extremes(dense) if dense.masks is not None else None
-    if found is not None:
-        diam, u, v = found
-        if u == v or adj[u] >> v & 1 or diam == 3 and adj[u] & adj[v]:
-            raise RuntimeError(
-                f"diameter certificate failed: {_label(dense, u)} and "
-                f"{_label(dense, v)} are closer than {diam}")
-        return 1, diam
-    comps = _components(dense)
-    if len(comps) != 1:
-        return len(comps), INFINITY
-    return 1, _diameter_lockstep(dense)
+    found = _diameter_extremes(dense)
+    if found is None:
+        return len(_components(adj)), INFINITY
+    diam, u, v = found
+    if u == v or adj[u] >> v & 1 or diam >= 3 and adj[u] & adj[v]:
+        raise RuntimeError(
+            f"diameter certificate failed: {dense.masks[u]} and "
+            f"{dense.masks[v]} are closer than {diam}")
+    return 1, diam
 
 
 def _extremes(adj: list[int]) -> int:
@@ -137,19 +122,22 @@ def _extremes(adj: list[int]) -> int:
 
 
 def _diameter_extremes(dense: DenseGraph) -> tuple[int, int, int] | None:
-    """(diameter, u, v) of an inclusion graph from the extremes (minimal and
-    maximal vertices) of its containment order, with v outside u's ball of
-    radius diameter - 1; None when the graph is complete or the diameter
-    exceeds 3 or is infinite.
+    """(diameter, u, v) of a graph that is not complete, from the extremes
+    (minimal and maximal vertices) of its containment order, with v outside
+    u's ball of radius diameter - 1; None when the graph is complete or
+    disconnected.
 
-    Two incomparable vertices are at distance 2 iff an extreme is adjacent
-    to both: a minimal one below both or a maximal one above both. So the
-    radius-2 ball of u is the union of the closed neighbourhoods N[e] of the
-    extremes e in N[u]; N[e] is the closed up-set of a minimal e and the
-    closed down-set of a maximal one. The radius-3 ball is the same union of
-    far[e], the union of N[f] over the extremes f adjacent to e. Both are
-    exact in any finite poset. A vertex costs one OR per extreme comparable
-    to it, n in the Boolean model.
+    The inner vertices of a shortest path alternate up and down the order,
+    so each can be replaced by an extreme above or below it: the ball of
+    radius r + 1 is the ball of radius r together with the closed
+    neighbourhoods N[e] of its extremes e, N[e] being the closed up-set of a
+    minimal e and the closed down-set of a maximal one. This is exact in any
+    finite poset. Radius 2 takes the extremes in N[u]; radius 3 the union of
+    far[e] over them, far[e] being the union of N[f] over the extremes f
+    adjacent to e. A vertex costs one OR per extreme comparable to it, n in
+    the Boolean model. A ball still short after radius 3 keeps growing from
+    the extremes it has newly reached, and one that stops growing short of
+    every vertex means the graph is disconnected.
     """
     adj = dense.adj
     n = len(adj)
@@ -184,51 +172,20 @@ def _diameter_extremes(dense: DenseGraph) -> tuple[int, int, int] | None:
             if acc == full:
                 break
             m ^= b
-        if acc != full:
-            return None
+        if acc == full:
+            continue
+        inner, ball, r = 0, acc | closed, 3
+        while ball != full:
+            grown = ball
+            for e in bits(ball & ~inner & extremes):
+                grown |= adj[e] | 1 << e
+            if grown == ball:
+                return None
+            inner, ball = ball, grown
+            r += 1
+        if r > diam:
+            diam, pair = r, (u, _low(full & ~inner))
     return None if pair is None else (diam, *pair)
-
-
-def _diameter_lockstep(dense: DenseGraph) -> int | float:
-    """Largest eccentricity, growing the balls of all vertices in lockstep.
-
-    Each round turns every radius-r ball into the radius-(r+1) ball, the
-    union of the balls of the vertex and its neighbours (multi-source BFS;
-    Then et al. 2014). A vertex whose ball is full drops out, and its
-    neighbour loop stops once the union is full, which is exact because
-    balls only grow. That is about diameter passes over the edges instead
-    of one BFS per vertex. Inf when some ball stops growing short of the
-    full set (disconnected).
-    """
-    adj = dense.adj
-    n = len(adj)
-    if n <= 1:
-        return 0
-    full = (1 << n) - 1
-    ball = [a | (1 << v) for v, a in enumerate(adj)]
-    still_open = [v for v in range(n) if ball[v] != full]
-    diam = 1
-    while still_open:
-        diam += 1
-        grown = ball[:]
-        next_open = []
-        for v in still_open:
-            acc = ball[v]
-            m = adj[v]
-            while m:
-                b = m & -m
-                acc |= ball[b.bit_length() - 1]
-                if acc == full:
-                    break
-                m ^= b
-            if acc == ball[v]:
-                return INFINITY
-            grown[v] = acc
-            if acc != full:
-                next_open.append(v)
-        ball = grown
-        still_open = next_open
-    return diam
 
 
 def girth(g) -> int | float:
@@ -241,9 +198,9 @@ def girth(g) -> int | float:
     dense = _dense(g)
     if dense.size < 3:
         return INFINITY
-    triangle = _triangle(dense.adj) if dense.masks is not None else None
+    triangle = _triangle(dense.adj)
     if triangle is None:
-        return _girth_bfs(dense)
+        return _girth_bfs(dense.adj)
     a, v, b = triangle
     adj = dense.adj
     if not (adj[a] >> v & 1 and adj[v] >> b & 1 and adj[a] >> b & 1):
@@ -265,7 +222,7 @@ def _triangle(adj: list[int]) -> tuple[int, int, int] | None:
     return None
 
 
-def _girth_bfs(dense: DenseGraph) -> int | float:
+def _girth_bfs(adj: list[int]) -> int | float:
     """Length of a shortest cycle by BFS from every vertex; inf for forests.
 
     Each BFS grows layer by layer on bitsets. An edge inside layer k closes
@@ -273,7 +230,6 @@ def _girth_bfs(dense: DenseGraph) -> int | float:
     neighbours in layer k one of at most 2k + 2. A root on a shortest cycle
     finds its length exactly, so the least find over all roots is the girth.
     """
-    adj = dense.adj
     best = INFINITY
     for root in range(len(adj)):
         if best == 3:
@@ -352,7 +308,7 @@ def _certified_chain(dense: DenseGraph) -> list[int]:
     for i, d in enumerate(down):
         if d < 1 or adj[i] & cls[d]:
             raise RuntimeError(
-                f"colouring certificate failed: {_label(dense, i)} has colour {d} "
+                f"colouring certificate failed: {dense.masks[i]} has colour {d} "
                 "and a neighbour of that colour")
     chain = _chain(dense, k)
     if len(chain) != k or any(not above[a] >> b & 1 for a, b in zip(chain, chain[1:])):
@@ -369,7 +325,7 @@ def clique_number(g) -> tuple[int, tuple]:
     Cliques are chains, so the clique number is the longest chain length;
     the witness is a longest chain, certified by ``_certified_chain``.
     """
-    dense = _inclusion(g)
+    dense = _dense(g)
     if dense.size == 0:
         return 0, ()
     chain = _certified_chain(dense)
@@ -384,7 +340,7 @@ def chromatic_number(g) -> tuple[int, dict]:
     colors, which is optimal since a chain of that length is a clique; both
     are certified by ``_certified_chain``.
     """
-    dense = _inclusion(g)
+    dense = _dense(g)
     if dense.size == 0:
         return 0, {}
     chi = len(_certified_chain(dense))
@@ -401,7 +357,7 @@ def independence_number(g) -> tuple[int, tuple]:
     size, a lower witness, and the matching's links split the vertices into
     as many chains, an upper witness; both are checked.
     """
-    dense = _inclusion(g)
+    dense = _dense(g)
     n = dense.size
     if n == 0:
         return 0, ()
@@ -436,8 +392,8 @@ def _check_chain_partition(dense: DenseGraph, match_l: list[int], alpha: int) ->
             continue
         if not above[u] >> v & 1 or entered[v]:
             raise RuntimeError(
-                f"independence certificate failed: the link {_label(dense, u)} -> "
-                f"{_label(dense, v)} is not a containment or enters a vertex twice")
+                f"independence certificate failed: the link {dense.masks[u]} -> "
+                f"{dense.masks[v]} is not a containment or enters a vertex twice")
         entered[v] = True
     if entered.count(False) != alpha:
         raise RuntimeError(
@@ -452,7 +408,7 @@ def maximum_matching(g) -> tuple[int, tuple, bool]:
     pairs = matching_edges(mate)
     size = len(pairs)
     return (size,
-            tuple((_label(dense, u), _label(dense, v)) for u, v in pairs),
+            tuple((dense.masks[u], dense.masks[v]) for u, v in pairs),
             dense.size > 0 and 2 * size == dense.size)
 
 
@@ -476,7 +432,7 @@ def domination_number(g, cap: int = DOMINATION_CAP) -> tuple[int, tuple]:
     if uncovered:
         raise RuntimeError(
             f"domination certificate failed: {_labels(dense, witness)} leaves "
-            f"{_label(dense, _low(uncovered))} undominated")
+            f"{dense.masks[_low(uncovered)]} undominated")
     return len(witness), _labels(dense, witness)
 
 
@@ -538,37 +494,22 @@ def _dominating_set(adj: list[int]) -> list[int]:
 
 
 def structural_flags(g) -> tuple[bool, bool, bool]:
-    """(eulerian, bipartite, triangulated): connected with even degrees; no
-    edge inside one BFS layer; every vertex on a triangle."""
+    """(eulerian, bipartite, triangulated), the last two from the
+    containment order.
+
+    Eulerian: connected with even degrees. An inclusion graph is a
+    comparability graph, so χ = ω, the longest chain length: it is bipartite
+    iff no chain has three vertices. Three pairwise comparable vertices are
+    a 3-chain, so a vertex lies on a triangle iff a 3-chain passes through
+    it, ``down + up >= 4``; triangulated means every vertex does, in a
+    nonempty graph.
+    """
     dense = _dense(g)
     adj = dense.adj
-    comps = _components(dense)
-    eulerian = len(comps) == 1 and all(a.bit_count() % 2 == 0 for a in adj)
-    triangulated = dense.size > 0
-    for a in adj:
-        m = a
-        while m and not adj[_low(m)] & a:
-            m &= m - 1
-        if not m:
-            triangulated = False
-            break
-    return eulerian, _bipartite(adj, comps), triangulated
-
-
-def _bipartite(adj: list[int], comps: list[int]) -> bool:
-    """Whether no edge joins two vertices of one layer of a BFS from each
-    component's lowest vertex; layers alternate the two colours."""
-    for comp in comps:
-        seen = layer = comp & -comp
-        while layer:
-            nxt = 0
-            for v in bits(layer):
-                if adj[v] & layer:
-                    return False
-                nxt |= adj[v]
-            layer = nxt & ~seen
-            seen |= layer
-    return True
+    _, _, down, up = dense.containment
+    eulerian = len(_components(adj)) == 1 and all(a.bit_count() % 2 == 0 for a in adj)
+    triangulated = dense.size > 0 and all(d + u >= 4 for d, u in zip(down, up))
+    return eulerian, max(down, default=0) <= 2, triangulated
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +542,7 @@ def planarity(g) -> PlanarityResult:
     reported.
     """
     dense = _dense(g)
-    if dense.masks is not None and max(dense.containment.down, default=0) >= 5:
+    if max(dense.containment.down, default=0) >= 5:
         return _nonplanar(
             dense, tuple(combinations(sorted(_chain(dense, 5)), 2)), "k5-chain")
     k33 = _k33_subgraph(dense.adj)
@@ -612,7 +553,7 @@ def planarity(g) -> PlanarityResult:
     if rotation is None:
         return _nonplanar(dense, planar.kuratowski_edges(dense.adj), "path-addition")
     planar.check_rotation(dense.adj, rotation)
-    emb = {_label(dense, v): [_label(dense, w) for w in rot]
+    emb = {dense.masks[v]: [dense.masks[w] for w in rot]
            for v, rot in enumerate(rotation)}
     return PlanarityResult(planar=True, method="path-addition", embedding=emb)
 
@@ -658,8 +599,8 @@ def _nonplanar(dense: DenseGraph, edges: tuple, method: str) -> PlanarityResult:
         if not dense.adj[u] >> v & 1:
             raise RuntimeError(
                 f"planarity witness check failed: {method} witness edge "
-                f"({_label(dense, u)}, {_label(dense, v)}) is not an edge")
-    labeled = tuple((_label(dense, u), _label(dense, v)) for u, v in edges)
+                f"({dense.masks[u]}, {dense.masks[v]}) is not an edge")
+    labeled = tuple((dense.masks[u], dense.masks[v]) for u, v in edges)
     return PlanarityResult(planar=False, method=method, kuratowski_edges=labeled,
                            kuratowski_kind=classify_kuratowski(edges))
 
@@ -723,10 +664,12 @@ def perfectness(g, max_len: int) -> tuple[bool | None, tuple | None]:
     """
     dense = _dense(g)
     n = dense.size
-    for kind, h in (("hole", dense), ("antihole", dense.complement())):
-        cycle = _odd_hole(h.adj, max_len)
+    full = (1 << n) - 1
+    co_adj = [full & ~a & ~(1 << i) for i, a in enumerate(dense.adj)]
+    for kind, adj in (("hole", dense.adj), ("antihole", co_adj)):
+        cycle = _odd_hole(adj, max_len)
         if cycle is not None:
-            _check_hole(h.adj, cycle)
+            _check_hole(adj, cycle)
             return False, (kind, _labels(dense, cycle))
     if max_len >= n:
         return True, None
@@ -857,24 +800,26 @@ def _jsonify(obj):
 def perfect_verdict(g) -> bool:
     """Whether the inclusion graph g is perfect: True, with no search.
 
-    An inclusion graph is the comparability graph of set inclusion, and
-    comparability graphs are perfect (Golumbic 1980, ch. 5). A raw graph is
-    refused; ``perfectness`` searches its odd holes and antiholes.
+    Every graph here is an inclusion graph, the comparability graph of set
+    inclusion, and comparability graphs are perfect (Golumbic 1980, ch. 5).
+    ``perfectness`` stays the bounded odd-hole and antihole search that the
+    theorem suite checks this against. The graph is still materialized, so
+    the vertex cap holds as it does for every other invariant.
     """
-    _inclusion(g)
+    _dense(g)
     return True
 
 
 def compute_report(g, *, domination_cap: int = DOMINATION_CAP) -> InvariantReport:
     """Run every invariant on the inclusion graph g and bundle the results."""
-    dense = _inclusion(g)
+    dense = _dense(g)
     n = dense.size
     edge_count = sum(dense.degree(i) for i in range(n)) // 2
     witnesses: dict = {}
     methods: dict = {}
 
     components, diameter = connectivity(dense)
-    methods["connectivity"] = "containment-extremes" if diameter <= 3 else "bitset-bfs"
+    methods["connectivity"] = "containment-extremes" if components == 1 else "bitset-bfs"
     gr = girth(dense)
     methods["girth"] = "3-chain" if gr == 3 else "per-vertex-bfs"
     omega, clique = clique_number(dense)
@@ -895,7 +840,7 @@ def compute_report(g, *, domination_cap: int = DOMINATION_CAP) -> InvariantRepor
     methods["domination"] = "iterative-deepening-cover"
     witnesses["dominating_set"] = dom
     eulerian, bipartite_flag, triangulated = structural_flags(dense)
-    methods["flags"] = "bfs"
+    methods["flags"] = "containment-order"
     planar_res = planarity(dense)
     methods["planarity"] = planar_res.method
     if planar_res.planar:

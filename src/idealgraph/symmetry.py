@@ -2,11 +2,14 @@
 
 For the Boolean model the full group is generated by bit relabelings and
 set complementation; this module builds those maps explicitly, computes the
-automorphism group of arbitrary graphs exactly (a stabilizer chain whose
-levels individualise the fixed vertices and refine the colouring, with an
-explicit-stack bitset search for each witness map; the order is the product
-of the coset counts), and decides vertex and edge transitivity from the
-computed orbits.
+automorphism group of an inclusion graph exactly, and decides vertex and
+edge transitivity from the computed orbits. The search is a stabilizer
+chain whose levels individualise the fixed vertices and refine the
+colouring, with an explicit-stack bitset search for each witness map; the
+order is the product of the coset counts. It and the transitivity count
+read only adjacency bitsets (``_stabilizer_chain``, ``_transitivity``);
+``automorphism_group`` adds the vertex masks and, in the Boolean model,
+each generator's decomposition.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import NotAPermutationError, TooLargeError
-from .graph import DenseGraph, InclusionGraph, bits, build_boolean
+from .graph import InclusionGraph, bits, build_boolean
 
 DEFAULT_AUT_CAP = 1 << 12
 
@@ -126,14 +129,14 @@ def decompose_boolean(n: int, images: tuple[int, ...],
     return sigma, complemented
 
 
-def _refine_colors(dense: DenseGraph, color: list[int] | None = None) -> list[int]:
+def _refine_colors(adj: list[int], color: list[int] | None = None) -> list[int]:
     """The coarsest equitable colouring finer than ``color`` (the degrees by
     default), with colours named in order of first appearance."""
-    n = dense.size
+    n = len(adj)
     if color is None:
-        color = [dense.degree(i) for i in range(n)]
+        color = [a.bit_count() for a in adj]
     classes = len(set(color))
-    nbrs = [bits(a) for a in dense.adj]
+    nbrs = [bits(a) for a in adj]
     while True:
         sig = [(color[i], tuple(sorted([color[j] for j in nbrs[i]])))
                for i in range(n)]
@@ -204,29 +207,40 @@ def _find_extension(adj: list[int], later: list[list[int]], cell_of: list[int],
 
 
 def automorphism_group(g, cap: int = DEFAULT_AUT_CAP) -> AutGroupReport:
-    """Exact automorphism group: generators and order.
-
-    Stabilizer chain over the canonical vertex order. At level v the fixed
-    vertices 0..v-1 are individualised and the colouring refined; the
-    stabilizer of 0..v-1 maps v only into v's cell, and each w of that cell
-    that some automorphism reaches contributes the lexicographically first
-    such map as a witness. The group order is the product of the orbit
-    sizes, and the witnesses form a strong generating set. Once the
-    colouring is discrete the stabilizer is trivial and the search stops.
-    """
+    """Exact automorphism group of an inclusion graph: generators and order
+    (``_stabilizer_chain``). In the Boolean model each generator records its
+    decomposition into a relabeling and a complement flag."""
     n = g.vertex_count if isinstance(g, InclusionGraph) else g.size
     if n > cap:
         raise TooLargeError(f"{n} vertices exceed the automorphism cap {cap}")
     dense = g.dense() if isinstance(g, InclusionGraph) else g
     boolean_n = g.n if isinstance(g, InclusionGraph) else None
-    if n == 0:
-        return AutGroupReport(order=1, generators=(), structure="trivial",
-                              vertex_masks=dense.masks)
-    adj = dense.adj
+    order, perms = _stabilizer_chain(dense.adj)
+    gens = tuple(_decorate(perm, boolean_n, dense.masks) for perm in perms)
+    structure = "trivial" if order == 1 else "other"
+    if boolean_n is not None and order == 2 * factorial(boolean_n):
+        if all(a.base_perm is not None for a in gens):
+            structure = f"S{boolean_n} x Z2"
+    return AutGroupReport(order=order, generators=gens,
+                          structure=structure, vertex_masks=dense.masks)
+
+
+def _stabilizer_chain(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """(group order, generating vertex maps) of the graph on ``adj``.
+
+    Stabilizer chain over the vertex order. At level v the fixed vertices
+    0..v-1 are individualised and the colouring refined; the stabilizer of
+    0..v-1 maps v only into v's cell, and each w of that cell that some
+    automorphism reaches contributes the lexicographically first such map
+    as a witness. The group order is the product of the orbit sizes, and
+    the witnesses form a strong generating set. Once the colouring is
+    discrete the stabilizer is trivial and the search stops.
+    """
+    n = len(adj)
     later = [[z for z in bits(adj[x]) if z > x] for x in range(n)]
-    color = _refine_colors(dense)
+    color = _refine_colors(adj)
     order = 1
-    gens: list[GraphAutomorphism] = []
+    perms: list[tuple[int, ...]] = []
     for v in range(n):
         cells: dict[int, int] = {}
         for i, c in enumerate(color):
@@ -239,22 +253,17 @@ def automorphism_group(g, cap: int = DEFAULT_AUT_CAP) -> AutGroupReport:
             perm = _find_extension(adj, later, cell_of, v, w)
             if perm is not None:
                 orbit += 1
-                gens.append(_decorate(perm, boolean_n, dense.masks))
+                perms.append(perm)
         order *= orbit
         color = color[:]
         color[v] = len(cells)
-        color = _refine_colors(dense, color)
-    structure = "trivial" if order == 1 else "other"
-    if boolean_n is not None and order == 2 * factorial(boolean_n):
-        if all(a.base_perm is not None for a in gens):
-            structure = f"S{boolean_n} x Z2"
-    return AutGroupReport(order=order, generators=tuple(gens),
-                          structure=structure, vertex_masks=dense.masks)
+        color = _refine_colors(adj, color)
+    return order, perms
 
 
 def _decorate(perm: tuple[int, ...], boolean_n: int | None,
-              masks) -> GraphAutomorphism:
-    if boolean_n is None or masks is None:
+              masks: tuple[int, ...]) -> GraphAutomorphism:
+    if boolean_n is None:
         return GraphAutomorphism(images=perm)
     try:
         sigma, complemented = decompose_boolean(boolean_n, perm, masks)
@@ -281,19 +290,22 @@ def _orbits(n_points: int, maps: list[tuple[int, ...]]) -> list[int]:
 
 
 def transitivity(g, report: AutGroupReport) -> tuple[bool, bool]:
-    """(vertex transitive, edge transitive) of g, whose full automorphism
-    group ``report`` holds.
+    """(vertex transitive, edge transitive) of the inclusion graph g, whose
+    full automorphism group ``report`` holds (``_transitivity``)."""
+    dense = g.dense() if isinstance(g, InclusionGraph) else g
+    return _transitivity(dense.adj, [a.images for a in report.generators])
+
+
+def _transitivity(adj: list[int], maps: list[tuple[int, ...]]) -> tuple[bool, bool]:
+    """(vertex transitive, edge transitive) of the graph on ``adj`` under
+    the group the vertex maps ``maps`` generate.
 
     Each edge orbit lies inside one class of the edges grouped by the
     unordered pair of vertex orbits at their ends, so two such classes
     already rule out edge transitivity; only a single class needs the
     union-find over the edges.
     """
-    dense = g.dense() if isinstance(g, InclusionGraph) else g
-    n = dense.size
-    adj = dense.adj
-    maps = [a.images for a in report.generators]
-    vertex_orbits = _orbits(n, maps)
+    vertex_orbits = _orbits(len(adj), maps)
     members: dict[int, int] = {}
     for i, r in enumerate(vertex_orbits):
         members[r] = members.get(r, 0) | 1 << i
@@ -307,7 +319,7 @@ def transitivity(g, report: AutGroupReport) -> tuple[bool, bool]:
         classes += sum(1 for other in orbit_masks[k:] if reach & other)
     if classes != 1:
         return vertex_transitive, classes == 0
-    edges = dense.edge_list()
+    edges = [(u, v) for u, a in enumerate(adj) for v in bits(a >> (u + 1) << (u + 1))]
     eidx = {e: i for i, e in enumerate(edges)}
     edge_maps = []
     for m in maps:

@@ -1,8 +1,10 @@
 """Straightforward references for the optimized kernels: the semigroup
 layer's associativity test, every labeled semigroup table of a small order
 (against which the isomorphism classes are checked), the union closure of
-an ideal family by a scan of every pair of members, the diameter and girth
-by a BFS from every vertex, Hopcroft-Karp and König over adjacency lists,
+an ideal family by a scan of every pair of members, graphs with any
+adjacency (``adj_from_edges``; the package builds only inclusion graphs),
+the diameter and girth by a BFS from every vertex, Hopcroft-Karp and König
+over adjacency lists,
 the graph export through ``json.dumps`` and as DOT one line per edge (both
 with edges from a scan of every pair of masks), clique, chromatic,
 independence and domination numbers of raw graphs from tables over all
@@ -11,17 +13,17 @@ recursive induced-path extension, the generic branch-and-bound clique
 search and exact colouring search, which take any graph, the blossom
 matching that scans every vertex per contraction, the automorphism search
 by recursive extension, and edge transitivity by a union-find over all
-edges."""
+edges. The graph oracles take adjacency bitsets, ``adj[v]`` holding the
+neighbours of vertex v."""
 
 import json
 import math
 from collections import deque
-from math import factorial
 
-from idealgraph import AutGroupReport, CayleyTable, DenseGraph, InclusionGraph
+from idealgraph import CayleyTable
 from idealgraph.catalog import _consistent
 from idealgraph.graph import bits
-from idealgraph.symmetry import _decorate, _orbits
+from idealgraph.symmetry import _orbits
 
 
 def first_nonassociative_triple(rows):
@@ -108,10 +110,28 @@ def union_closed_pairwise(masks, full):
                for i, a in enumerate(masks))
 
 
-def diameter_per_source(dense):
+def adj_from_edges(n_vertices, edges):
+    """Adjacency bitsets of the graph on vertices 0..n_vertices-1 with
+    ``edges``, which need not be an inclusion graph."""
+    adj = [0] * n_vertices
+    for u, v in edges:
+        if u == v:
+            raise ValueError("self-loops are not allowed")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def complement_adj(adj):
+    """Adjacency bitsets of the complement graph."""
+    full = (1 << len(adj)) - 1
+    return [full & ~a & ~(1 << i) for i, a in enumerate(adj)]
+
+
+def diameter_per_source(adj):
     """Largest eccentricity by a bitset BFS from every vertex; inf when
     disconnected, 0 on fewer than two vertices."""
-    n = dense.size
+    n = len(adj)
     allv = (1 << n) - 1
     diam = 0
     for s in range(n):
@@ -123,7 +143,7 @@ def diameter_per_source(dense):
             f = frontier
             while f:
                 b = f & -f
-                nxt |= dense.adj[b.bit_length() - 1]
+                nxt |= adj[b.bit_length() - 1]
                 f ^= b
             frontier = nxt & ~seen
             if not frontier:
@@ -135,10 +155,10 @@ def diameter_per_source(dense):
     return diam
 
 
-def girth_per_vertex_bfs(dense):
+def girth_per_vertex_bfs(adj):
     """Length of a shortest cycle by a queue BFS from every vertex that
     closes a cycle at each non-tree edge; inf for forests."""
-    n = dense.size
+    n = len(adj)
     best = math.inf
     for root in range(n):
         dist = [-1] * n
@@ -147,7 +167,7 @@ def girth_per_vertex_bfs(dense):
         q = deque([root])
         while q:
             u = q.popleft()
-            for w in bits(dense.adj[u]):
+            for w in bits(adj[u]):
                 if dist[w] == -1:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -372,10 +392,9 @@ def _extend_induced_path(adj, a, path, allowed, length):
     return None
 
 
-def max_clique_bb(dense: DenseGraph) -> tuple[int, list[int]]:
+def max_clique_bb(adj: list[int]) -> tuple[int, list[int]]:
     """Branch and bound maximum clique with greedy-coloring bounds."""
-    n = dense.size
-    adj = dense.adj
+    n = len(adj)
     best_size = 0
     best: list[int] = []
 
@@ -415,29 +434,27 @@ def max_clique_bb(dense: DenseGraph) -> tuple[int, list[int]]:
     return best_size, best
 
 
-def exact_chromatic(dense: DenseGraph) -> tuple[int, list[int]]:
+def exact_chromatic(adj: list[int]) -> tuple[int, list[int]]:
     """Exact chromatic number: clique lower bound, then k-coloring search."""
-    n = dense.size
-    if n == 0:
+    if not adj:
         return 0, []
-    lb, _ = max_clique_bb(dense)
+    lb, _ = max_clique_bb(adj)
     k = max(lb, 1)
     while True:
-        colors = k_coloring(dense, k)
+        colors = k_coloring(adj, k)
         if colors is not None:
             return k, colors
         k += 1
 
 
-def k_coloring(dense: DenseGraph, k: int) -> list[int] | None:
+def k_coloring(adj: list[int], k: int) -> list[int] | None:
     """Backtracking k-coloring in saturation order; None if infeasible.
 
     The search keeps an explicit stack of [vertex, colour, neighbours newly
     forbidden that colour] frames, so its depth is not bounded by the
     recursion limit.
     """
-    n = dense.size
-    adj = dense.adj
+    n = len(adj)
     colors = [0] * n  # 1..k when assigned
     forbidden = [0] * n  # bitmask of colors 1..k seen on neighbors
 
@@ -578,13 +595,13 @@ def maximum_matching_full_scan(n, adj):
     return mate
 
 
-def refine_colors_from_degrees(dense):
+def refine_colors_from_degrees(adj):
     """The coarsest equitable colouring finer than the degrees, with colours
     named in order of first appearance."""
-    n = dense.size
-    color = [dense.degree(i) for i in range(n)]
+    n = len(adj)
+    color = [a.bit_count() for a in adj]
     while True:
-        sig = [(color[i], tuple(sorted(color[j] for j in bits(dense.adj[i]))))
+        sig = [(color[i], tuple(sorted(color[j] for j in bits(adj[i]))))
                for i in range(n)]
         remap = {}
         new = []
@@ -597,11 +614,10 @@ def refine_colors_from_degrees(dense):
         color = new
 
 
-def find_extension_recursive(dense, color, prefix):
+def find_extension_recursive(adj, color, prefix):
     """Complete a partial vertex map to the lexicographically first
     automorphism by recursion over the vertices in order, or None."""
-    n = dense.size
-    adj = dense.adj
+    n = len(adj)
     perm = [-1] * n
     used = 0
     for s, t in prefix.items():
@@ -647,19 +663,15 @@ def find_extension_recursive(dense, color, prefix):
     return None
 
 
-def automorphism_group_by_extension(g):
-    """The automorphism group report by a stabiliser chain over the vertex
-    order: at every level, one recursive extension search per vertex of the
-    level's colour class, with no individualisation and no early stop."""
-    dense = g.dense() if isinstance(g, InclusionGraph) else g
-    boolean_n = g.n if isinstance(g, InclusionGraph) else None
-    n = dense.size
-    if n == 0:
-        return AutGroupReport(order=1, generators=(), structure="trivial",
-                              vertex_masks=dense.masks)
-    color = refine_colors_from_degrees(dense)
+def automorphism_group_by_extension(adj):
+    """(group order, generating vertex maps) by a stabiliser chain over the
+    vertex order: at every level, one recursive extension search per vertex
+    of the level's colour class, with no individualisation and no early
+    stop."""
+    n = len(adj)
+    color = refine_colors_from_degrees(adj)
     order = 1
-    gens = []
+    perms = []
     fixed = {}
     for v in range(n):
         orbit = 0
@@ -668,28 +680,21 @@ def automorphism_group_by_extension(g):
                 continue
             prefix = dict(fixed)
             prefix[v] = w
-            perm = find_extension_recursive(dense, color, prefix)
+            perm = find_extension_recursive(adj, color, prefix)
             if perm is not None:
                 orbit += 1
                 if w != v:
-                    gens.append(_decorate(perm, boolean_n, dense.masks))
+                    perms.append(perm)
         order *= orbit
         fixed[v] = v
-    structure = "trivial" if order == 1 else "other"
-    if boolean_n is not None and order == 2 * factorial(boolean_n):
-        if all(a.base_perm is not None for a in gens):
-            structure = f"S{boolean_n} x Z2"
-    return AutGroupReport(order=order, generators=tuple(gens),
-                          structure=structure, vertex_masks=dense.masks)
+    return order, perms
 
 
-def transitivity_by_edge_orbits(g, report):
+def transitivity_by_edge_orbits(adj, maps):
     """(vertex transitive, edge transitive) from union-finds over all
-    vertices and all edges under the report's generators."""
-    dense = g.dense() if isinstance(g, InclusionGraph) else g
-    maps = [a.images for a in report.generators]
-    vertex_transitive = len(set(_orbits(dense.size, maps))) <= 1
-    edges = dense.edge_list()
+    vertices and all edges under the vertex maps ``maps``."""
+    vertex_transitive = len(set(_orbits(len(adj), maps))) <= 1
+    edges = [(u, v) for u in range(len(adj)) for v in bits(adj[u]) if u < v]
     if not edges:
         return vertex_transitive, True
     eidx = {e: i for i, e in enumerate(edges)}

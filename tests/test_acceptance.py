@@ -18,7 +18,6 @@ from idealgraph import (
     clique_number,
     complement_automorphism,
     connectivity,
-    dense_from_edges,
     domination_number,
     enumerate_left_ideals,
     girth,
@@ -35,7 +34,7 @@ from idealgraph import (
     transitivity,
 )
 from idealgraph.symmetry import automorphism_group
-from oracles import enumerate_associative_tables, exact_chromatic, max_clique_bb
+from oracles import adj_from_edges, enumerate_associative_tables, exact_chromatic, max_clique_bb
 
 
 @contextmanager
@@ -160,7 +159,7 @@ def _induced_subgraph(dense, keep):
         for w in keep[i + 1:]:
             if (dense.adj[v] >> w) & 1:
                 edges.append((index[v], index[w]))
-    return dense_from_edges(len(keep), edges)
+    return adj_from_edges(len(keep), edges)
 
 
 def test_10_perfectness():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealgraph import (
+    DenseGraph,
     InclusionGraph,
     OutOfRangeError,
     TooLargeError,
@@ -23,7 +24,7 @@ from idealgraph import (
     rectangular_band,
     right_zero,
 )
-from idealgraph.graph import bits
+from idealgraph.graph import bits, command_vertex_cap
 from oracles import export_dot_document, export_json_document
 
 
@@ -193,16 +194,26 @@ def test_export_deterministic():
 
 
 def test_dense_cap_enforced():
-    with pytest.raises(TooLargeError):
-        build_boolean(24).dense(cap=1000)
+    with command_vertex_cap(1000), pytest.raises(TooLargeError):
+        build_boolean(24).dense()
 
 
 def test_dense_cap_enforced_after_caching():
     g = build_boolean(10)
     assert g.dense().size == 1022
-    with pytest.raises(TooLargeError):
-        g.dense(cap=10)
-    assert g.dense(cap=1022) is g.dense()
+    with command_vertex_cap(10), pytest.raises(TooLargeError):
+        g.dense()
+    with command_vertex_cap(1022):
+        assert g.dense() is g.dense()
+
+
+def test_dense_graph_requires_masks():
+    # Every materialized graph carries the masks its containment order is
+    # read from; adjacency alone is no DenseGraph.
+    with pytest.raises(TypeError):
+        DenseGraph(adj=[0b10, 0b01])
+    dense = build_boolean(3).dense()
+    assert DenseGraph(adj=dense.adj, masks=dense.masks).containment == dense.containment
 
 
 def pairwise_adjacency(masks):

@@ -25,7 +25,6 @@ from idealgraph import (
     clique_number,
     compute_report,
     connectivity,
-    dense_from_edges,
     domination_number,
     enumerate_left_ideals,
     girth,
@@ -40,11 +39,14 @@ from idealgraph import (
 )
 from idealgraph import invariants, planar
 from idealgraph.cli import main
+from idealgraph.graph import bits
 from idealgraph.invariants import classify_kuratowski
 from idealgraph.semigroup import parse_cayley_table
 from idealgraph.theorems import builtin_corpus
 from oracles import (
     _find_hole_of_length,
+    adj_from_edges,
+    complement_adj,
     diameter_per_source,
     exact_chromatic,
     girth_per_vertex_bfs,
@@ -56,15 +58,16 @@ INF = math.inf
 
 
 def to_nx(g):
-    dense = g.dense() if hasattr(g, "dense") else g
+    """The networkx graph of an inclusion graph or of adjacency bitsets."""
+    adj = g.dense().adj if hasattr(g, "dense") else getattr(g, "adj", g)
     G = nx.Graph()
-    G.add_nodes_from(range(dense.size))
-    G.add_edges_from(dense.edge_list())
+    G.add_nodes_from(range(len(adj)))
+    G.add_edges_from((u, v) for u, a in enumerate(adj) for v in bits(a) if u < v)
     return G
 
 
 def sample_graphs():
-    """Assorted inclusion graphs (generic and Boolean) plus raw graphs."""
+    """Assorted inclusion graphs, generic and Boolean."""
     out = [
         build_boolean(2), build_boolean(3), build_boolean(4), build_boolean(5),
         build_from_family(enumerate_left_ideals(null_semigroup(3))),
@@ -99,7 +102,7 @@ def test_connectivity_against_networkx():
 def _raw_graphs(nv):
     pairs = list(itertools.combinations(range(nv), 2))
     edges = st.sets(st.sampled_from(pairs), max_size=30) if pairs else st.just(set())
-    return edges.map(lambda e: dense_from_edges(nv, sorted(e)))
+    return edges.map(lambda e: adj_from_edges(nv, sorted(e)))
 
 
 raw_graphs = st.integers(min_value=0, max_value=14).flatmap(_raw_graphs)
@@ -116,8 +119,12 @@ def union_closed(generators):
 
 @settings(max_examples=150, deadline=None)
 @given(raw_graphs)
-def test_connectivity_property_raw_graphs(dense):
-    check_connectivity_against_networkx(dense)
+def test_connectivity_property_raw_graphs(adj):
+    # The component kernel and the diameter oracle take any graph.
+    G = to_nx(adj)
+    assert len(invariants._components(adj)) == nx.number_connected_components(G)
+    if adj:
+        assert diameter_per_source(adj) == (nx.diameter(G) if nx.is_connected(G) else INF)
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,28 +140,15 @@ def test_connectivity_property_union_closed_families(generators):
     check_connectivity_against_networkx(g)
 
 
-def test_lockstep_diameter_matches_per_source_oracle():
-    paths = {nv: dense_from_edges(nv, [(i, i + 1) for i in range(nv - 1)])
-             for nv in (1, 2, 3, 17, 64, 65, 200)}
-    graphs = [build_boolean(n).dense() for n in range(2, 10)] + list(paths.values())
-    graphs.append(dense_from_edges(0, []))
-    graphs.append(dense_from_edges(6, [(0, 1), (1, 2), (3, 4)]))  # three components
-    graphs.append(dense_from_edges(3, []))
-    for dense in graphs:
-        assert (invariants._diameter_lockstep(dense)
-                == diameter_per_source(dense)), dense.size
-    assert connectivity(paths[200]) == (1, 199)  # 199 rounds, past the oracle's size
-
-
 def check_diameter_routes(g):
-    """The extremes diameter equals the per-source oracle from 2 to 3, with
-    a witness pair at that distance, and gives way to the lockstep BFS above
-    it; connectivity agrees either way."""
+    """connectivity equals the per-source oracle, and on a connected graph
+    that is not complete the extremes give a witness pair at that
+    distance."""
     dense = g.dense()
-    want = diameter_per_source(dense)
+    want = diameter_per_source(dense.adj)
     assert connectivity(g)[1] == want
     found = invariants._diameter_extremes(dense)
-    if not 2 <= want <= 3:
+    if want == INF or want <= 1:
         assert found is None
         return
     diam, u, v = found
@@ -163,14 +157,14 @@ def check_diameter_routes(g):
 
 def check_girth_routes(g):
     dense = g.dense()
-    want = girth_per_vertex_bfs(dense)
-    assert girth(g) == invariants._girth_bfs(dense) == want
+    want = girth_per_vertex_bfs(dense.adj)
+    assert girth(g) == invariants._girth_bfs(dense.adj) == want
 
 
 def walk_family(walk):
     """The points of a walk on 8 points and the pairs of its steps: the
     inclusion graph is the walked graph subdivided, connected and often of
-    diameter above 3, so the lockstep fallback runs."""
+    diameter above 3, so the balls grow past radius 3."""
     return ([1 << e for e in walk]
             + [1 << a | 1 << b for a, b in zip(walk, walk[1:]) if a != b])
 
@@ -203,7 +197,7 @@ def test_extremes_diameter_matches_oracle_on_union_closed_families(generators):
 
 
 def test_extremes_diameter_on_fences_and_boolean_models():
-    for k in range(1, 8):
+    for k in range(14):
         g = fence(k)
         assert connectivity(g) == (1, 2 * k)
         assert girth(g) == INF
@@ -211,15 +205,34 @@ def test_extremes_diameter_on_fences_and_boolean_models():
     for n in range(2, 11):
         g = build_boolean(n)
         check_diameter_routes(g)
-        assert girth(g) == invariants._girth_bfs(g.dense())
+        assert girth(g) == invariants._girth_bfs(g.dense().adj)
         if n <= 7:
             check_girth_routes(g)
 
 
+def test_fence_of_diameter_200_through_connectivity():
+    # The path of 201 vertices as a fence: each ball grows from the extremes
+    # it newly reached, 200 rounds from either end: 0.03 s on a 2-vCPU VM,
+    # where re-ORing every extreme of the ball each round took about 1 s.
+    g = fence(100)
+    start = time.perf_counter()
+    assert connectivity(g) == (1, 200)
+    assert time.perf_counter() - start < 0.5
+    check_diameter_routes(g)
+
+
+def test_connectivity_of_empty_and_disconnected_families():
+    assert connectivity(InclusionGraph("generic", vertices=())) == (0, INF)
+    # {1} < {1,2}, {4} < {4,8}, and {16}: three components.
+    g = InclusionGraph("generic", vertices=(1, 3, 4, 12, 16))
+    assert connectivity(g) == (3, INF)
+    assert invariants._diameter_extremes(g.dense()) is None
+
+
 @settings(max_examples=150, deadline=None)
 @given(raw_graphs)
-def test_layered_girth_matches_oracle_on_raw_graphs(dense):
-    assert girth(dense) == girth_per_vertex_bfs(dense)
+def test_layered_girth_matches_oracle_on_raw_graphs(adj):
+    assert invariants._girth_bfs(adj) == girth_per_vertex_bfs(adj)
 
 
 # --- girth -------------------------------------------------------------------
@@ -233,16 +246,14 @@ def test_girth_examples():
 
 def test_girth_against_networkx():
     rng = random.Random(4242)
-    graphs = sample_graphs()
+    for g in sample_graphs():
+        assert girth(g) == nx.girth(to_nx(g))
     for _ in range(60):
         nv = rng.randint(2, 12)
         edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
                  if rng.random() < 0.3]
-        graphs.append(dense_from_edges(nv, edges))
-    for g in graphs:
-        got = girth(g)
-        want = nx.girth(to_nx(g))
-        assert got == want, (got, want)
+        adj = adj_from_edges(nv, edges)
+        assert invariants._girth_bfs(adj) == nx.girth(to_nx(adj)), edges
 
 
 # --- clique ------------------------------------------------------------------
@@ -272,14 +283,12 @@ def test_clique_against_networkx():
 
 
 def test_clique_raw_graph():
-    # Raw graphs have no containment structure: clique_number refuses them,
-    # and the generic branch and bound of the oracles takes them.
+    # The package builds no graph without vertex masks; the generic branch
+    # and bound of the oracles takes any adjacency.
     edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
-    size, members = max_clique_bb(dense_from_edges(4, edges))
+    size, members = max_clique_bb(adj_from_edges(4, edges))
     assert size == 3
     assert set(members) == {0, 1, 2}
-    with pytest.raises(ValueError, match="a raw graph has no containment order"):
-        clique_number(dense_from_edges(4, edges))
 
 
 def test_containment_order_against_masks():
@@ -352,21 +361,6 @@ def test_certified_chain_built_once_per_report(monkeypatch):
     assert lengths == [4, 4]
 
 
-def test_containment_refuses_raw_graphs():
-    with pytest.raises(ValueError):
-        dense_from_edges(3, [(0, 1)]).containment
-
-
-def test_complement_is_a_raw_graph():
-    # The complement of an inclusion graph has no containment structure: its
-    # cliques are the antichains of the original graph.
-    for n in (6, 7):
-        g = build_boolean(n)
-        complement = g.dense().complement()
-        assert complement.masks is None
-        assert max_clique_bb(complement)[0] == independence_number(g)[0]
-
-
 # --- chromatic ---------------------------------------------------------------
 
 def brute_chromatic(G: nx.Graph) -> int:
@@ -403,34 +397,18 @@ def test_chromatic_against_bruteforce():
         nv = rng.randint(1, 7)
         edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
                  if rng.random() < 0.4]
-        g = dense_from_edges(nv, edges)
-        G = to_nx(g)
-        assert exact_chromatic(g)[0] == brute_chromatic(G)
+        adj = adj_from_edges(nv, edges)
+        assert exact_chromatic(adj)[0] == brute_chromatic(to_nx(adj))
 
 
 def test_chromatic_c5_needs_three():
-    c5 = dense_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    c5 = adj_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert exact_chromatic(c5)[0] == 3
 
 
 def test_chromatic_of_a_raw_path_deeper_than_the_recursion_limit():
-    path = dense_from_edges(1100, [(i, i + 1) for i in range(1099)])
+    path = adj_from_edges(1100, [(i, i + 1) for i in range(1099)])
     assert exact_chromatic(path)[0] == 2
-
-
-def test_raw_graph_is_refused_before_any_solver_runs(monkeypatch):
-    # The report and the order-based solvers need the containment order; a
-    # raw graph is refused up front, not after a quadratic BFS.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a solver ran on a raw graph")
-
-    for name in ("connectivity", "girth", "hopcroft_karp", "_chain"):
-        monkeypatch.setattr(invariants, name, refuse)
-    path = dense_from_edges(1100, [(i, i + 1) for i in range(1099)])
-    for solver in (compute_report, clique_number, chromatic_number, independence_number,
-                   invariants.perfect_verdict):
-        with pytest.raises(ValueError, match="a raw graph has no containment order"):
-            solver(path)
 
 
 # --- independence ------------------------------------------------------------
@@ -444,10 +422,13 @@ def test_independence_examples():
 
 
 def test_independence_witness_is_antichain():
+    # The antichains are the cliques of the complement, which the generic
+    # branch and bound searches.
     for n in (3, 4, 5, 6, 7):
         g = build_boolean(n)
         alpha, witness = independence_number(g)
         assert alpha == math.comb(n, n // 2) == len(witness)
+        assert max_clique_bb(complement_adj(g.dense().adj))[0] == alpha
         for a, b in itertools.combinations(witness, 2):
             assert not (a & b == a or a & b == b)
 
@@ -526,8 +507,8 @@ def test_domination_against_bruteforce():
         nv = rng.randint(1, 9)
         edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
                  if rng.random() < 0.3]
-        g = dense_from_edges(nv, edges)
-        assert domination_number(g)[0] == brute_domination(to_nx(g))
+        adj = adj_from_edges(nv, edges)
+        assert len(invariants._dominating_set(adj)) == brute_domination(to_nx(adj))
 
 
 def _raw_edge_sets(nv):
@@ -543,12 +524,13 @@ def _raw_edge_sets(nv):
               (2, 7), (2, 8), (3, 5), (3, 6), (3, 8), (4, 7), (4, 8), (5, 6), (5, 8), (7, 8)]))
 def test_raw_graph_numbers_and_witnesses_match_subset_tables(graph):
     nv, edges = graph
-    g = dense_from_edges(nv, edges)
+    adj = adj_from_edges(nv, edges)
     adjacent = {*edges, *((v, u) for u, v in edges)}
-    omega, clique = max_clique_bb(g)
-    chi, coloring = exact_chromatic(g)
-    alpha, independent = max_clique_bb(g.complement())
-    gamma, dominating = domination_number(g)
+    omega, clique = max_clique_bb(adj)
+    chi, coloring = exact_chromatic(adj)
+    alpha, independent = max_clique_bb(complement_adj(adj))
+    dominating = invariants._dominating_set(adj) if nv else []
+    gamma = len(dominating)
     assert (omega, chi, alpha, gamma) == raw_graph_numbers(nv, edges)
     assert len(clique) == omega
     assert all(e in adjacent for e in itertools.combinations(clique, 2))
@@ -562,12 +544,12 @@ def test_raw_graph_numbers_and_witnesses_match_subset_tables(graph):
 
 def test_domination_deeper_than_the_recursion_limit():
     # 1,100 vertices with no edges need all of them: the search goes 1,100
-    # levels deep, on an inclusion graph (an antichain of singletons) and on
-    # a raw graph.
+    # levels deep, on an inclusion graph (an antichain of singletons) and in
+    # the kernel on bare adjacency.
     antichain = InclusionGraph("generic", vertices=tuple(1 << i for i in range(1100)))
-    for g in (antichain, dense_from_edges(1100, [])):
-        gamma, witness = domination_number(g)
-        assert gamma == len(witness) == 1100
+    gamma, witness = domination_number(antichain)
+    assert gamma == len(witness) == 1100
+    assert invariants._dominating_set([0] * 1100) == list(range(1100))
     assert compute_report(antichain).domination_number == 1100
 
 
@@ -584,19 +566,30 @@ def test_structural_flags_examples():
     assert structural_flags(build_boolean(2)) == (False, True, False)
 
 
+def check_flags_against_networkx(g):
+    G = to_nx(g)
+    nonempty = G.number_of_nodes() > 0
+    eulerian, bipartite, triangulated = structural_flags(g)
+    assert bipartite == nx.is_bipartite(G)
+    assert eulerian == (nonempty and nx.is_connected(G)
+                        and all(d % 2 == 0 for _, d in G.degree()))
+    assert triangulated == (nonempty and all(
+        any(G.has_edge(a, b) for a, b in itertools.combinations(G.neighbors(v), 2))
+        for v in G.nodes()))
+
+
 def test_flags_against_networkx():
     for g in sample_graphs():
-        G = to_nx(g)
-        eulerian, bipartite, triangulated = structural_flags(g)
-        assert bipartite == nx.is_bipartite(G)
-        if G.number_of_nodes():
-            assert eulerian == (nx.is_connected(G)
-                                and all(d % 2 == 0 for _, d in G.degree()))
-            want_tri = all(
-                any(G.has_edge(a, b) for a, b in
-                    itertools.combinations(G.neighbors(v), 2))
-                for v in G.nodes())
-            assert triangulated == want_tri
+        check_flags_against_networkx(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=(1 << 6) - 1), max_size=24))
+@example([])
+def test_flags_from_the_order_match_networkx_on_mask_families(masks):
+    # Bipartite iff no 3-chain, triangulated iff every vertex is on one: the
+    # order's verdicts against networkx's BFS colouring and triangle scan.
+    check_flags_against_networkx(InclusionGraph("generic", vertices=tuple(masks)))
 
 
 # --- planarity ------------------------------------------------------------------
@@ -621,8 +614,8 @@ def check_embedding_with_networkx(g, embedding):
 
 
 def vertex_index(dense):
-    """Vertex label (a mask, or the index of a raw graph) -> index."""
-    return {label: i for i, label in enumerate(dense.masks or range(dense.size))}
+    """Vertex mask -> index."""
+    return {mask: i for i, mask in enumerate(dense.masks)}
 
 
 def test_planarity_witness_n5_n6():
@@ -708,25 +701,24 @@ def test_planarity_k33_witness_check_is_a_real_check(monkeypatch, capsys):
 
 
 def test_planarity_path_addition_witness_check(monkeypatch):
-    # A subdivided K5 has no 5-chain (a raw graph) and no K3,3 subgraph, so
-    # its witness comes from the deletion extraction, which keeps all 20
-    # edges. Its first four edges, a star, are no Kuratowski subgraph, and a
-    # non-edge is no witness edge: each is an internal failure
-    # (RuntimeError, exit 3), not bad input.
-    edges, nxt = [], 5
-    for a, b in itertools.combinations(range(5), 2):
-        edges += [(a, nxt), (nxt, b)]
-        nxt += 1
-    g = dense_from_edges(nxt, edges)
+    # A subdivided K5 is the inclusion graph of five singletons and their
+    # ten pairs: no 5-chain and no K3,3 subgraph, so its witness comes from
+    # the deletion extraction, which keeps all 20 edges. Its first four
+    # edges, a star, are no Kuratowski subgraph, and a non-edge is no
+    # witness edge: each is an internal failure (RuntimeError, exit 3), not
+    # bad input.
+    singletons = [1 << i for i in range(5)]
+    pairs = sorted(a | b for a, b in itertools.combinations(singletons, 2))
+    g = InclusionGraph("generic", vertices=tuple(singletons + pairs))
     res = planarity(g)
     assert (res.planar, res.method, res.kuratowski_kind) == (False, "path-addition", "K5")
-    assert res.kuratowski_edges == tuple(sorted((min(e), max(e)) for e in edges))
+    assert res.kuratowski_edges == tuple((s, p) for s in singletons for p in pairs if s & p)
     real = planar.kuratowski_edges
     monkeypatch.setattr(planar, "kuratowski_edges", lambda adj: real(adj)[:4])
     with pytest.raises(RuntimeError, match="Kuratowski witness is not a subdivision"):
         planarity(g)
     monkeypatch.setattr(planar, "kuratowski_edges", lambda adj: ((0, 1),) + real(adj))
-    with pytest.raises(RuntimeError, match="witness edge \\(0, 1\\) is not an edge"):
+    with pytest.raises(RuntimeError, match="witness edge \\(1, 2\\) is not an edge"):
         planarity(g)
 
 
@@ -875,19 +867,34 @@ def test_planarity_matches_left_right_on_corpus_and_boolean_models():
 def _any_density_raw_graphs(nv):
     pairs = list(itertools.combinations(range(nv), 2))
     coins = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
-    return coins.map(lambda c: dense_from_edges(nv, [p for p, x in zip(pairs, c) if x]))
+    return coins.map(lambda c: adj_from_edges(nv, [p for p, x in zip(pairs, c) if x]))
+
+
+def check_planarity_kernels(adj):
+    """The kernels planarity wraps, on any graph: the K3,3 search equals a
+    brute force, and path addition's verdict equals left-right's, with a
+    rotation system that passes both face traces or a Kuratowski witness
+    made of graph edges."""
+    G = to_nx(adj)
+    assert invariants._k33_subgraph(adj) == first_k33_subgraph(G)
+    rotation = planar.embedding(adj)
+    assert (rotation is not None) == nx.check_planarity(G)[0]
+    if rotation is not None:
+        planar.check_rotation(adj, rotation)
+        emb = nx.PlanarEmbedding()
+        emb.set_data(dict(enumerate(rotation)))
+        emb.check_structure()
+        assert sorted(emb.edges()) == sorted(G.to_directed().edges())
+        return None
+    edges = planar.kuratowski_edges(adj)
+    assert all(adj[u] >> v & 1 for u, v in edges)
+    return classify_kuratowski(edges)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=12).flatmap(_any_density_raw_graphs))
-def test_planarity_property_raw_graphs(dense):
-    res = planarity(dense)
-    k33 = first_k33_subgraph(to_nx(dense))
-    if k33 is not None:
-        assert (res.method, res.kuratowski_edges) == ("k33-subgraph", k33)
-    else:
-        assert res.method == "path-addition"
-    check_planarity_against_networkx(dense, res)
+def test_planarity_property_raw_graphs(adj):
+    check_planarity_kernels(adj)
 
 
 def test_planarity_deletion_extraction_at_the_vertex_bound(monkeypatch):
@@ -903,10 +910,11 @@ def test_planarity_deletion_extraction_at_the_vertex_bound(monkeypatch):
 
 
 def test_planarity_raw_graphs():
-    assert planarity(dense_from_edges(5, list(itertools.combinations(range(5), 2)))).kuratowski_kind == "K5"
-    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
-    assert planarity(dense_from_edges(6, k33)).kuratowski_kind == "K3,3"
-    assert planarity(dense_from_edges(4, list(itertools.combinations(range(4), 2)))).planar
+    k5 = adj_from_edges(5, itertools.combinations(range(5), 2))
+    assert check_planarity_kernels(k5) == "K5"
+    k33 = adj_from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    assert check_planarity_kernels(k33) == "K3,3"
+    assert check_planarity_kernels(adj_from_edges(4, itertools.combinations(range(4), 2))) is None
 
 
 # --- perfectness -----------------------------------------------------------------
@@ -916,20 +924,31 @@ def test_perfectness_boolean4_exhaustive():
     assert verdict is True and witness is None
 
 
+def hole_search(adj, max_len):
+    """``perfectness`` on adjacency bitsets, by the kernels it wraps: holes
+    before antiholes, each witness checked."""
+    for kind, h in (("hole", adj), ("antihole", complement_adj(adj))):
+        cycle = invariants._odd_hole(h, max_len)
+        if cycle is not None:
+            invariants._check_hole(h, cycle)
+            return False, (kind, cycle)
+    return (True if max_len >= len(adj) else None), None
+
+
 def test_perfectness_c5_hole():
-    c5 = dense_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    verdict, witness = perfectness(c5, 5)
+    c5 = adj_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    verdict, witness = hole_search(c5, 5)
     assert verdict is False
     kind, cycle = witness
     assert kind == "hole" and len(cycle) == 5
 
 
 def test_perfectness_c7_and_antihole():
-    c7 = dense_from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
-    verdict, witness = perfectness(c7, 7)
+    c7 = adj_from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+    verdict, witness = hole_search(c7, 7)
     assert verdict is False and witness[0] == "hole"
-    c7bar = dense_from_edges(7, list(nx.complement(nx.cycle_graph(7)).edges()))
-    verdict, witness = perfectness(c7bar, 7)
+    c7bar = adj_from_edges(7, list(nx.complement(nx.cycle_graph(7)).edges()))
+    verdict, witness = hole_search(c7bar, 7)
     assert verdict is False and witness[0] == "antihole"
 
 
@@ -946,12 +965,13 @@ def test_perfectness_boolean5_bounded_unknown():
 
 
 def test_perfect_verdict_routes():
-    # An inclusion graph is perfect by comparability. A raw graph is refused;
-    # perfectness, the search tested above, finds its odd holes.
-    assert invariants.perfect_verdict(build_boolean(7)) is True
-    c5 = dense_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    with pytest.raises(ValueError, match="a raw graph has no containment order"):
-        invariants.perfect_verdict(c5)
+    # Every graph the package builds is an inclusion graph, perfect by
+    # comparability, lattice or not; the odd-hole kernel under perfectness
+    # finds the hole of a C5, which no inclusion graph is.
+    for g in (build_boolean(7), fence(5), InclusionGraph("generic", vertices=(1, 2, 5, 11))):
+        assert invariants.perfect_verdict(g) is True
+    c5 = adj_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert sorted(invariants._odd_hole(c5, 5)) == [0, 1, 2, 3, 4]
 
 
 @settings(max_examples=40, deadline=None)
@@ -976,7 +996,7 @@ def test_inclusion_graph_is_perfect_without_a_search(monkeypatch):
 def test_perfectness_finds_planted_hole():
     # A 5-hole hanging off a triangle.
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0)]
-    verdict, witness = perfectness(dense_from_edges(7, edges), 7)
+    verdict, witness = hole_search(adj_from_edges(7, edges), 7)
     assert verdict is False
     assert witness[0] == "hole" and sorted(witness[1]) == [0, 1, 2, 3, 4]
 
@@ -989,16 +1009,16 @@ def test_odd_hole_search_matches_per_length_oracle():
     for _ in range(400):
         nv = rng.randint(5, 12)
         p = rng.random()
-        g = dense_from_edges(nv, [(u, v) for u in range(nv) for v in range(u + 1, nv)
+        adj = adj_from_edges(nv, [(u, v) for u in range(nv) for v in range(u + 1, nv)
                                   if rng.random() < p])
         found = [length for length in range(5, nv + 1, 2)
-                 if any(_find_hole_of_length(nv, h.adj, length) is not None
-                        for h in (g, g.complement()))]
+                 if any(_find_hole_of_length(nv, h, length) is not None
+                        for h in (adj, complement_adj(adj)))]
         for max_len in range(5, nv + 2):
             want = (False if found and found[0] <= max_len
                     else True if max_len >= nv else None)
-            verdict, witness = perfectness(g, max_len)
-            assert verdict is want, (nv, g.adj, max_len)
+            verdict, witness = hole_search(adj, max_len)
+            assert verdict is want, (nv, adj, max_len)
             if witness is not None:
                 assert 5 <= len(witness[1]) <= max_len
         imperfect += bool(found)
@@ -1009,12 +1029,12 @@ def test_perfectness_on_a_long_path_needs_no_recursion():
     # Exhaustive on 1,100 vertices: the search keeps its own stack, where
     # the recursive oracle exceeds the interpreter's recursion limit.
     n = 1100
-    g = dense_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    adj = adj_from_edges(n, [(i, i + 1) for i in range(n - 1)])
     start = time.perf_counter()
-    assert perfectness(g, n) == (True, None)
+    assert hole_search(adj, n) == (True, None)
     assert time.perf_counter() - start < 1.0
     with pytest.raises(RecursionError):
-        _find_hole_of_length(n, g.adj, n - 1)
+        _find_hole_of_length(n, adj, n - 1)
 
 
 @pytest.mark.parametrize("edges, cycle", [
@@ -1024,10 +1044,9 @@ def test_perfectness_on_a_long_path_needs_no_recursion():
     ([(0, 1), (1, 2), (2, 0)], [0, 1, 2]),  # too short
     ([(0, 1), (1, 2), (2, 3), (3, 1), (1, 4), (4, 0)], [0, 1, 2, 3, 1]),  # repeats 1
 ])
-def test_perfectness_witness_check_is_a_real_check(monkeypatch, edges, cycle):
-    monkeypatch.setattr(invariants, "_odd_hole", lambda adj, max_len: cycle)
+def test_perfectness_witness_check_is_a_real_check(edges, cycle):
     with pytest.raises(RuntimeError, match="perfectness certificate failed"):
-        perfectness(dense_from_edges(max(map(max, edges)) + 1, edges), 7)
+        invariants._check_hole(adj_from_edges(max(map(max, edges)) + 1, edges), cycle)
 
 
 # {1} < {1,2} < {1,2,3} > {3} < {1,3} > {1} in Boolean n=4, with the chords
@@ -1120,9 +1139,9 @@ def test_perfectness_random_graphs_vs_chordless_cycles():
         nv = rng.randint(4, 11)
         edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
                  if rng.random() < 0.4]
-        g = dense_from_edges(nv, edges)
-        verdict, witness = perfectness(g, nv)
-        G = to_nx(g)
+        adj = adj_from_edges(nv, edges)
+        verdict, witness = hole_search(adj, nv)
+        G = to_nx(adj)
         def has_odd_hole(H):
             return any(len(c) >= 5 and len(c) % 2 == 1
                        for c in nx.chordless_cycles(H))

@@ -18,13 +18,13 @@ from idealgraph import (
     complement_automorphism,
     compose,
     decompose_boolean,
-    dense_from_edges,
     enumerate_left_ideals,
     null_semigroup,
     relabel_automorphism,
     transitivity,
 )
-from oracles import automorphism_group_by_extension, transitivity_by_edge_orbits
+from idealgraph.symmetry import _stabilizer_chain, _transitivity
+from oracles import adj_from_edges, automorphism_group_by_extension, transitivity_by_edge_orbits
 
 
 def mask_map(n, auto):
@@ -211,6 +211,38 @@ def test_vertex_orbits_are_mirrored_layers():
         assert sorted(map(sorted, orbits.values())) == sorted(map(sorted, want.values()))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_decompose_boolean_inverts_relabel_and_complement(data):
+    # A relabeling by sigma, complemented or not, decomposes back to
+    # (sigma, flag); the same map with two vertices of one layer swapped is
+    # no automorphism and must not decompose.
+    n = data.draw(st.integers(3, 8))
+    sigma = tuple(data.draw(st.permutations(range(n))))
+    complemented = data.draw(st.booleans())
+    auto = relabel_automorphism(n, sigma)
+    if complemented:
+        auto = compose(complement_automorphism(n), auto)
+    masks = tuple(build_boolean(n).vertices())
+    assert decompose_boolean(n, auto.images, masks) == (sigma, complemented)
+    k = data.draw(st.integers(1, n - 1))
+    layer = [i for i, m in enumerate(masks) if m.bit_count() == k]
+    i, j = data.draw(st.lists(st.sampled_from(layer), min_size=2, max_size=2, unique=True))
+    images = list(auto.images)
+    images[i], images[j] = images[j], images[i]
+    with pytest.raises(ValueError):
+        decompose_boolean(n, tuple(images), masks)
+
+
+def test_decompose_boolean_at_n2_reads_the_complement_as_a_swap():
+    # At n = 2 the singletons are also the co-singletons, so complementing
+    # and swapping the two points are one map, read as the swap.
+    masks = tuple(build_boolean(2).vertices())
+    swap = relabel_automorphism(2, (1, 0))
+    assert complement_automorphism(2).images == swap.images == (1, 0)
+    assert decompose_boolean(2, swap.images, masks) == ((1, 0), False)
+
+
 def test_transitivity():
     for n, want in ((2, (True, True)), (3, (True, True)),
                     (4, (False, False)), (5, (False, False))):
@@ -248,8 +280,8 @@ def test_raw_graph_orders_match_known_groups():
     ]
     for G, want in cases:
         G = nx.convert_node_labels_to_integers(G)
-        g = dense_from_edges(G.number_of_nodes(), list(G.edges()))
-        assert automorphism_group(g).order == want
+        adj = adj_from_edges(G.number_of_nodes(), G.edges())
+        assert _stabilizer_chain(adj)[0] == want
 
 
 def test_aut_cap_refuses_before_materializing():
@@ -284,10 +316,10 @@ def test_group_matches_extension_oracle(graph):
     # Same order, generators (lexicographically first witnesses, in the
     # same order) and structure as the search without individualisation.
     nv, edges = graph
-    g = dense_from_edges(nv, edges)
-    report = automorphism_group(g)
-    assert report == automorphism_group_by_extension(g)
-    assert transitivity(g, report) == transitivity_by_edge_orbits(g, report)
+    adj = adj_from_edges(nv, edges)
+    order, maps = _stabilizer_chain(adj)
+    assert (order, maps) == automorphism_group_by_extension(adj)
+    assert _transitivity(adj, maps) == transitivity_by_edge_orbits(adj, maps)
 
 
 @settings(max_examples=150, deadline=None)
@@ -306,7 +338,7 @@ def test_group_order_matches_networkx_isomorphism_count(graph):
     G.add_edges_from(edges)
     limit = factorial(5)
     count = sum(1 for _ in islice(GraphMatcher(G, G).isomorphisms_iter(), limit + 1))
-    order = automorphism_group(dense_from_edges(nv, edges)).order
+    order = _stabilizer_chain(adj_from_edges(nv, edges))[0]
     assert order == count if count <= limit else order > limit
 
 
@@ -314,8 +346,11 @@ def test_group_order_matches_networkx_isomorphism_count(graph):
 def test_boolean_group_matches_extension_oracle(n):
     g = build_boolean(n)
     report = automorphism_group(g)
-    assert report == automorphism_group_by_extension(g)
-    assert transitivity(g, report) == transitivity_by_edge_orbits(g, report)
+    adj = g.dense().adj
+    maps = [a.images for a in report.generators]
+    assert (report.order, maps) == automorphism_group_by_extension(adj)
+    assert all(a.base_perm is not None for a in report.generators)
+    assert transitivity(g, report) == transitivity_by_edge_orbits(adj, maps)
 
 
 def test_transitivity_matches_edge_orbits_on_named_graphs():
@@ -332,22 +367,21 @@ def test_transitivity_matches_edge_orbits_on_named_graphs():
     ]
     for G, want in cases:
         G = nx.convert_node_labels_to_integers(G)
-        g = dense_from_edges(G.number_of_nodes(), list(G.edges()))
-        report = automorphism_group(g)
-        assert transitivity(g, report) == want
-        assert transitivity_by_edge_orbits(g, report) == want
+        adj = adj_from_edges(G.number_of_nodes(), G.edges())
+        _, maps = _stabilizer_chain(adj)
+        assert _transitivity(adj, maps) == want
+        assert transitivity_by_edge_orbits(adj, maps) == want
 
 
 def test_long_path_has_no_recursion_error():
     # One level per vertex would overflow a recursive search.
-    g = dense_from_edges(1100, [(i, i + 1) for i in range(1099)])
-    report = automorphism_group(g)
-    assert report.order == 2
-    assert report.generators[0].images == tuple(range(1099, -1, -1))
+    order, maps = _stabilizer_chain(adj_from_edges(1100, [(i, i + 1) for i in range(1099)]))
+    assert order == 2
+    assert maps[0] == tuple(range(1099, -1, -1))
 
 
 def test_long_cycle_group_is_dihedral():
-    g = dense_from_edges(300, [(i, (i + 1) % 300) for i in range(300)])
-    report = automorphism_group(g)
-    assert report.order == 600
-    assert transitivity(g, report) == (True, True)
+    adj = adj_from_edges(300, [(i, (i + 1) % 300) for i in range(300)])
+    order, maps = _stabilizer_chain(adj)
+    assert order == 600
+    assert _transitivity(adj, maps) == (True, True)

@@ -9,8 +9,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealgraph import (catalog, cyclic_group, enumerate_left_ideals, graph, right_zero,
-                        run_suite, theorems)
+from idealgraph import (InclusionGraph, catalog, connectivity, cyclic_group,
+                        enumerate_left_ideals, girth, graph, right_zero, run_suite, theorems)
 from idealgraph.cli import main
 from idealgraph.semigroup import IdealFamily
 from idealgraph.theorems import REGISTRY, builtin_corpus
@@ -56,6 +56,29 @@ def test_empty_graph_corpus_is_vacuous():
     # vacuous rows are not silently counted as passes
     assert result.vacuous == len(vacuous)
     assert result.passed + result.failed + result.vacuous == len(result.checks)
+
+
+def graph_case(masks):
+    """The corpus case of the inclusion graph of ``masks``, with no table
+    behind it: the distance and girth rows read only the graph's numbers."""
+    g = InclusionGraph("generic", vertices=tuple(masks))
+    return theorems._Case(None, None, g, *connectivity(g), girth(g))
+
+
+def test_diameter_row_reports_a_fence():
+    # {1} < {1,2} > {2} < {2,3} > {3}, a path of diameter 4, which no
+    # left-ideal family reaches: connectivity certifies it, and the row
+    # reports the counterexample rather than an internal failure.
+    c = graph_case((0b1, 0b10, 0b100, 0b11, 0b110))
+    assert (c.components, c.diameter) == (1, 4)
+    assert theorems._diameter_bound(c) == "diameter 4"
+
+
+def test_girth_rows_report_a_four_cycle():
+    # {1} and {2} both lie below {1,2,3} and {1,2,4}: a C4 with no 3-chain.
+    c = graph_case((0b1, 0b10, 0b111, 0b1011))
+    assert c.girth == 4
+    assert theorems._girth_class(c) == theorems._no_45_girth(c) == "girth 4"
 
 
 def test_union_escaping_the_family_is_a_counterexample(monkeypatch):
