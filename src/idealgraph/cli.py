@@ -8,7 +8,7 @@ identical invocations.
 
 Each command imports the modules it runs when it runs, so a process loads
 and compiles only those: ``--help`` and usage errors none, ``validate`` the
-semigroup parser alone. The cap flags default to None and fall back to the
+semigroup parser alone, and neither imports ``json``. The cap flags default to None and fall back to the
 constant of the module that owns them.
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from pathlib import Path
 
@@ -116,6 +115,11 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _print_json(doc) -> None:
+    import json
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+
+
 def _cmd_validate(args) -> int:
     from .semigroup import serialize_cayley_table
     table = _load_table(args.file)
@@ -136,7 +140,7 @@ def _cmd_ideals(args) -> int:
         "minimal": list(fam.minimal_masks),
         "maximal": list(fam.maximal_masks),
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _print_json(doc)
     return 0
 
 
@@ -154,7 +158,7 @@ def _cmd_invariants(args) -> int:
     selected = {k for k in INVARIANT_FLAGS if getattr(args, k)}
     if args.all or not selected:
         report = invariants.compute_report(g, domination_cap=cap)
-        sys.stdout.write(json.dumps(report.to_jsonable(), indent=2) + "\n")
+        _print_json(report.to_jsonable())
         return 0
     out: dict = {}
     if "diameter" in selected:
@@ -186,7 +190,7 @@ def _cmd_invariants(args) -> int:
     if "flags" in selected:
         eul, bip, tri = invariants.structural_flags(g)
         out.update(eulerian=eul, bipartite=bip, triangulated=tri)
-    sys.stdout.write(json.dumps(out, indent=2) + "\n")
+    _print_json(out)
     return 0
 
 
@@ -210,7 +214,7 @@ def _cmd_aut(args) -> int:
             for a in report.generators
         ],
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _print_json(doc)
     return 0
 
 
@@ -227,7 +231,7 @@ def _cmd_construct(args) -> int:
         lm = constructions.layer_matching(n, args.layer_matching)
         doc = {"layer": lm.k, "covers": lm.covers,
                "pairs": [list(p) for p in lm.pairs]}
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _print_json(doc)
     return 0
 
 

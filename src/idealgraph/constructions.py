@@ -9,8 +9,8 @@ whole graph, and canonical dominating sets and chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bipartite import hopcroft_karp
 from .errors import NotIndependentError, OutOfRangeError
@@ -41,8 +41,7 @@ def _supersets_one_more(n: int, m: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class LayerGraph:
+class LayerGraph(NamedTuple):
     """Bipartite containment graph between layers k and k+1."""
 
     n: int
@@ -54,8 +53,7 @@ class LayerGraph:
         return [(m, s) for m in self.lower for s in _supersets_one_more(self.n, m)]
 
 
-@dataclass(frozen=True)
-class LayerMatching:
+class LayerMatching(NamedTuple):
     """A matching between consecutive layers saturating one side.
 
     ``covers`` is "lower" when every k-subset is matched, "upper" when every

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
@@ -104,7 +103,6 @@ def _mirsky_levels(rel: list[int]) -> list[int]:
     return level
 
 
-@dataclass
 class DenseGraph:
     """Materialized inclusion graph: index-based adjacency bitsets and the
     vertex masks (index -> set mask, sorted by (popcount, mask)).
@@ -113,8 +111,9 @@ class DenseGraph:
     ``containment`` reads off the adjacency.
     """
 
-    adj: list[int]
-    masks: tuple[int, ...]
+    def __init__(self, adj: list[int], masks: tuple[int, ...]):
+        self.adj = adj
+        self.masks = masks
 
     @property
     def size(self) -> int:
@@ -276,13 +275,17 @@ class InclusionGraph:
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in self.vertices()) // 2
 
-    def dense(self) -> DenseGraph:
-        """Materialize adjacency bitsets once; refuses above the vertex cap
-        (see ``vertex_cap``)."""
+    def check_cap(self) -> None:
+        """Raise TooLargeError when the graph has more vertices than the
+        vertex cap (see ``vertex_cap``) lets a command materialize."""
         limit = vertex_cap()
         if self.vertex_count > limit:
             raise TooLargeError(
                 f"{self.vertex_count} vertices exceed the cap of {limit}")
+
+    def dense(self) -> DenseGraph:
+        """Materialize adjacency bitsets once; refuses above the vertex cap."""
+        self.check_cap()
         if self._dense is None:
             masks = tuple(self.vertices())
             self._dense = DenseGraph(adj=_containment_adjacency(masks), masks=masks)

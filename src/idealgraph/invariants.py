@@ -24,8 +24,8 @@ searches, path addition) read only adjacency bitsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from itertools import combinations
+from typing import NamedTuple
 
 from .bipartite import hopcroft_karp, koenig_cover
 from .errors import TooLargeError
@@ -516,8 +516,7 @@ def structural_flags(g) -> tuple[bool, bool, bool]:
 # planarity
 
 
-@dataclass(frozen=True)
-class PlanarityResult:
+class PlanarityResult(NamedTuple):
     planar: bool
     method: str  # "k5-chain", "k33-subgraph" or "path-addition"
     embedding: dict | None = None
@@ -755,8 +754,7 @@ def _check_hole(adj: list[int], cycle: list[int]) -> None:
 # the aggregate report
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     vertex_count: int
     edge_count: int
     connected: bool
@@ -775,12 +773,12 @@ class InvariantReport:
     triangulated: bool
     planar: bool
     perfect: bool
-    witnesses: dict = field(default_factory=dict)
-    methods: dict = field(default_factory=dict)
+    witnesses: dict
+    methods: dict
 
     def to_jsonable(self) -> dict:
         """Stable-key-order dict, so identical runs serialize identically."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = self._asdict()
         for key in ("diameter", "girth"):
             if doc[key] is INFINITY:
                 doc[key] = "inf"
@@ -803,10 +801,11 @@ def perfect_verdict(g) -> bool:
     Every graph here is an inclusion graph, the comparability graph of set
     inclusion, and comparability graphs are perfect (Golumbic 1980, ch. 5).
     ``perfectness`` stays the bounded odd-hole and antihole search that the
-    theorem suite checks this against. The graph is still materialized, so
-    the vertex cap holds as it does for every other invariant.
+    theorem suite checks this against. Nothing is built, but the vertex cap
+    holds as it does for every other invariant.
     """
-    _dense(g)
+    if not isinstance(g, DenseGraph):
+        g.check_cap()
     return True
 
 

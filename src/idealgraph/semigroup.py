@@ -7,43 +7,43 @@ operations are integer bit operations throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import NotAssociativeError, TableSyntaxError
 
 DEFAULT_IDEAL_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
 class CayleyTable:
     """A finite semigroup given by its multiplication table.
 
-    ``rows[a][b]`` is the index of the product a*b. Associativity is checked
-    at construction, never assumed.
+    ``rows[a][b]`` is the index of the product a*b. The entries are
+    range-checked and associativity is checked at construction, never
+    assumed.
     """
 
-    order: int
-    rows: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        m = self.order
+    def __init__(self, order: int, rows: tuple[tuple[int, ...], ...],
+                 labels: tuple[str, ...] | None = None):
+        m = order
         if m <= 0:
             raise TableSyntaxError("order must be positive")
-        if len(self.rows) != m or any(len(r) != m for r in self.rows):
+        if len(rows) != m or any(len(r) != m for r in rows):
             raise TableSyntaxError(f"table must be {m}x{m}")
-        for r in self.rows:
+        for r in rows:
             if min(r) < 0 or max(r) >= m:
                 x = next(x for x in r if not 0 <= x < m)
                 raise TableSyntaxError(f"entry {x} out of range [0, {m})")
-        if self.labels is not None:
-            if len(self.labels) != m:
+        if labels is not None:
+            if len(labels) != m:
                 raise TableSyntaxError("label count must equal order")
-            if len(set(self.labels)) != m:
+            if len(set(labels)) != m:
                 raise TableSyntaxError("labels must be distinct")
-        _check_associative(m, self.rows)
+        _check_associative(m, rows)
+        self.order = order
+        self.rows = rows
+        self.labels = labels
 
     def mul(self, a: int, b: int) -> int:
         return self.rows[a][b]
@@ -185,8 +185,7 @@ def serialize_cayley_table(t: CayleyTable) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class LeftIdeal:
+class LeftIdeal(NamedTuple):
     """A subset closed under left multiplication, as a bit vector."""
 
     members: int
@@ -198,16 +197,14 @@ class LeftIdeal:
         return LeftIdeal(mask, mask.bit_count(), mask != t.full_mask)
 
 
-@dataclass(frozen=True)
-class LClass:
+class LClass(NamedTuple):
     """An equivalence class of elements generating the same principal left ideal."""
 
     representative: int
     members: int
 
 
-@dataclass(frozen=True)
-class IdealFamily:
+class IdealFamily(NamedTuple):
     """All nontrivial left ideals of a semigroup (or a capped prefix of them).
 
     ``ideals`` is deduplicated and sorted by (cardinality, mask).

@@ -14,8 +14,8 @@ each generator's decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .errors import NotAPermutationError, TooLargeError
 from .graph import InclusionGraph, bits, build_boolean
@@ -23,8 +23,7 @@ from .graph import InclusionGraph, bits, build_boolean
 DEFAULT_AUT_CAP = 1 << 12
 
 
-@dataclass(frozen=True)
-class GraphAutomorphism:
+class GraphAutomorphism(NamedTuple):
     """A vertex permutation preserving adjacency.
 
     ``images[i]`` is the index of the image of vertex i in the graph's
@@ -42,8 +41,7 @@ class GraphAutomorphism:
         return [(masks[i], masks[self.images[i]]) for i in range(len(self.images))]
 
 
-@dataclass(frozen=True)
-class AutGroupReport:
+class AutGroupReport(NamedTuple):
     order: int
     generators: tuple[GraphAutomorphism, ...]
     structure: str  # "trivial", "S<n> x Z2", or "other"
@@ -206,15 +204,15 @@ def _find_extension(adj: list[int], later: list[list[int]], cell_of: list[int],
         cand[x] = c
 
 
-def automorphism_group(g, cap: int = DEFAULT_AUT_CAP) -> AutGroupReport:
+def automorphism_group(g: InclusionGraph, cap: int = DEFAULT_AUT_CAP) -> AutGroupReport:
     """Exact automorphism group of an inclusion graph: generators and order
     (``_stabilizer_chain``). In the Boolean model each generator records its
     decomposition into a relabeling and a complement flag."""
-    n = g.vertex_count if isinstance(g, InclusionGraph) else g.size
+    n = g.vertex_count
     if n > cap:
         raise TooLargeError(f"{n} vertices exceed the automorphism cap {cap}")
-    dense = g.dense() if isinstance(g, InclusionGraph) else g
-    boolean_n = g.n if isinstance(g, InclusionGraph) else None
+    dense = g.dense()
+    boolean_n = g.n
     order, perms = _stabilizer_chain(dense.adj)
     gens = tuple(_decorate(perm, boolean_n, dense.masks) for perm in perms)
     structure = "trivial" if order == 1 else "other"
@@ -289,11 +287,10 @@ def _orbits(n_points: int, maps: list[tuple[int, ...]]) -> list[int]:
     return [find(i) for i in range(n_points)]
 
 
-def transitivity(g, report: AutGroupReport) -> tuple[bool, bool]:
+def transitivity(g: InclusionGraph, report: AutGroupReport) -> tuple[bool, bool]:
     """(vertex transitive, edge transitive) of the inclusion graph g, whose
     full automorphism group ``report`` holds (``_transitivity``)."""
-    dense = g.dense() if isinstance(g, InclusionGraph) else g
-    return _transitivity(dense.adj, [a.images for a in report.generators])
+    return _transitivity(g.dense().adj, [a.images for a in report.generators])
 
 
 def _transitivity(adj: list[int], maps: list[tuple[int, ...]]) -> tuple[bool, bool]:

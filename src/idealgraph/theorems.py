@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, factorial
 from pathlib import Path
 from typing import NamedTuple
@@ -44,8 +43,7 @@ PERFECTNESS_CHECK_MAX_N = 5
 HOLE_SEARCH_BOUND = 11
 
 
-@dataclass
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     check_id: str
     instance: str
     provenance: str  # "theory" | "trivial" | "derived"
@@ -54,8 +52,7 @@ class TheoremCheck:
     verdict: str  # "pass" | "fail" | "vacuous"
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     checks: list[TheoremCheck]
     passed: int
     failed: int

@@ -313,6 +313,32 @@ def test_perfect_flag_takes_the_report_route(capsys):
     assert doc["perfect"] is True and doc["methods"]["perfectness"] == "comparability"
 
 
+def test_perfect_flag_builds_no_graph(monkeypatch, capsys):
+    # The verdict needs no vertex in memory, only the vertex count under
+    # the cap: Boolean n=15 has 32,766 vertices, none built.
+    from idealgraph import cli
+    loaded = []
+    real = cli._load_graph
+
+    def recording(args):
+        loaded.append(real(args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_graph", recording)
+    assert main(["invariants", "--n", "15", "--perfect"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"perfect": True}
+    assert [g.vertex_count for g in loaded] == [32766]
+    assert loaded[0]._dense is None
+
+
+def test_perfect_flag_keeps_the_vertex_cap(monkeypatch, capsys):
+    monkeypatch.delenv("IDEALGRAPH_MAX_VERTICES", raising=False)
+    assert main(["invariants", "--n", "23", "--perfect"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 8388606 vertices exceed the cap of 4194304\n"
+
+
 def test_no_command_imports_networkx(tmp_path):
     # Planarity is decided in the package: from a 5-chain (Boolean n=6 and
     # n=7, the 62-vertex band), a K3,3 subgraph (Boolean n=5) or by path
@@ -348,7 +374,9 @@ def band_corpus(tmp_path):
 # The package modules each benchmark command loads besides the package and
 # its CLI; networkx would be listed too. A command compiles only what it runs:
 # the semigroup layer only where it reads a table, path addition (planar) only
-# where a graph has neither a 5-chain nor a K3,3.
+# where a graph has neither a 5-chain nor a K3,3. No command loads
+# dataclasses or inspect, and --help and validate write no JSON, so they
+# load no json either.
 TABLE_ONLY = ["errors", "semigroup"]
 GRAPH = ["errors", "graph"]
 SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching"]
@@ -380,11 +408,13 @@ def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):
         "        rc = e.code\n"
         "print(rc, *sorted(m.partition('.')[2] for m in sys.modules\n"
         "                  if m.startswith('idealgraph.') and m != 'idealgraph.cli'),\n"
-        "      *['networkx'] * ('networkx' in sys.modules))\n")
+        "      *[m for m in ('networkx', 'dataclasses', 'inspect', 'json')\n"
+        "        if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", *sorted(loaded)]
+    writes_json = argv[0] not in ("--help", "validate")
+    assert proc.stdout.split() == ["0", *sorted(loaded), *["json"] * writes_json]
 
 
 def run_in_one_process(cases, block_networkx=False):

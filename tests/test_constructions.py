@@ -1,6 +1,5 @@
 """Layer matchings, the middle-layer normalization, and canonical objects."""
 
-import dataclasses
 import math
 import random
 
@@ -106,7 +105,7 @@ def test_normalize_checks_the_layer_matching(monkeypatch):
 
     def flipped(n, k):
         phi = layer_matching(n, k)
-        return dataclasses.replace(phi, covers="upper" if phi.covers == "lower" else "lower")
+        return phi._replace(covers="upper" if phi.covers == "lower" else "lower")
 
     monkeypatch.setattr(constructions, "layer_matching", flipped)
     with pytest.raises(RuntimeError, match="does not cover"):

@@ -22,26 +22,39 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def imports_networkx(node) -> bool:
+def imports(node, top: str) -> bool:
+    """Whether the AST node imports the package ``top`` or one of its modules."""
     if isinstance(node, ast.ImportFrom):
         names = [node.module or ""]
     elif isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
     else:
         return False
-    return any(name.partition(".")[0] == "networkx" for name in names)
+    return any(name.partition(".")[0] == top for name in names)
+
+
+def package_imports(top: str) -> list[str]:
+    """file:line of every import of ``top`` in the package, at module level
+    or inside a function."""
+    return [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if imports(node, top)]
 
 
 def test_no_module_imports_networkx():
-    # networkx is a test oracle, not a dependency: no package module imports
-    # it, at module level or inside a function.
-    assert imports_networkx(ast.parse("from networkx.algorithms import planarity").body[0])
-    assert any(map(imports_networkx, ast.walk(ast.parse(
-        "def f():\n    import networkx as nx\n"))))
-    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if imports_networkx(node)]
-    assert found == []
+    # networkx is a test oracle, not a dependency.
+    assert imports(ast.parse("from networkx.algorithms import planarity").body[0], "networkx")
+    assert any(imports(node, "networkx") for node in ast.walk(ast.parse(
+        "def f():\n    import networkx as nx\n")))
+    assert package_imports("networkx") == []
+
+
+def test_no_module_imports_dataclasses():
+    # Records are NamedTuples or plain classes: importing dataclasses loads
+    # inspect, ast and dis, and each decorated class execs generated code,
+    # start-up that every command would pay.
+    assert imports(ast.parse("from dataclasses import dataclass").body[0], "dataclasses")
+    assert package_imports("dataclasses") == []
 
 
 def test_public_names_resolve_to_their_defining_modules():

@@ -250,6 +250,18 @@ def test_transitivity():
         assert transitivity(g, automorphism_group(g)) == want
 
 
+def test_dense_graph_is_refused_at_once():
+    # The Boolean decomposition is read from the InclusionGraph, so its
+    # DenseGraph, which carries no n, is not taken for the same graph.
+    g = build_boolean(4)
+    report = automorphism_group(g)
+    assert report.structure == "S4 x Z2"
+    with pytest.raises(AttributeError):
+        automorphism_group(g.dense())
+    with pytest.raises(AttributeError):
+        transitivity(g.dense(), report)
+
+
 def test_generic_graph_group():
     # The 3-vertex path has exactly the identity and the leaf swap.
     g = build_from_family(enumerate_left_ideals(null_semigroup(3)))
