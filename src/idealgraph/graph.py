@@ -11,11 +11,11 @@ every graph carries the containment order its solvers read.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
+from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OutOfRangeError, TooLargeError, TruncatedFamilyError, UnknownVertexError
@@ -85,21 +85,25 @@ class Containment(NamedTuple):
     up: list[int]
 
 
-def _mirsky_levels(rel: list[int]) -> list[int]:
-    """Round in which each element is peeled off when the elements with
-    nothing left in ``rel[i]`` are removed round by round (Mirsky 1971): with
-    rel = below, the length of a longest chain ending at i."""
+def _chain_levels(rel: list[int], order) -> list[int]:
+    """Longest-chain levels in one sweep (Mirsky 1971). ``order`` lists the
+    elements so that each comes after every element of its ``rel``; each
+    takes 1 + the highest level among them, found by scanning the level sets
+    down from the top. With rel = below in index order, the length of a
+    longest chain ending at i."""
     level = [0] * len(rel)
-    rest = list(range(len(rel)))
-    remaining = (1 << len(rel)) - 1
-    k = 0
-    while rest:
+    tiers = [0]  # tiers[k]: the elements at level k; level 0 stays empty
+    for i in order:
+        r = rel[i]
+        k = len(tiers) - 1
+        while k and not tiers[k] & r:
+            k -= 1
         k += 1
-        peeled = [i for i in rest if not rel[i] & remaining]
-        for i in peeled:
-            level[i] = k
-            remaining ^= 1 << i
-        rest = [i for i in rest if not level[i]]
+        level[i] = k
+        if k == len(tiers):
+            tiers.append(1 << i)
+        else:
+            tiers[k] |= 1 << i
     return level
 
 
@@ -107,13 +111,17 @@ class DenseGraph:
     """Materialized inclusion graph: index-based adjacency bitsets and the
     vertex masks (index -> set mask, sorted by (popcount, mask)).
 
-    Every graph is the comparability graph of its masks' containment, which
-    ``containment`` reads off the adjacency.
+    Every graph is the comparability graph of its masks' containment.
+    ``below`` and ``above`` are the two halves of that order when the caller
+    built them with the adjacency (see ``containment_order``); otherwise
+    ``containment`` builds them from the masks.
     """
 
-    def __init__(self, adj: list[int], masks: tuple[int, ...]):
+    def __init__(self, adj: list[int], masks: tuple[int, ...],
+                 below: list[int] | None = None, above: list[int] | None = None):
         self.adj = adj
         self.masks = masks
+        self._halves = None if below is None else (below, above)
 
     @property
     def size(self) -> int:
@@ -127,43 +135,118 @@ class DenseGraph:
         """The containment order, built once per graph.
 
         Vertices are sorted by (popcount, mask), so index order is a linear
-        extension of containment: a neighbour at a lower index is a strict
-        subset, one at a higher index a strict superset.
+        extension of containment, and one sweep each way gives the chain
+        levels.
         """
-        below = [a & ((1 << i) - 1) for i, a in enumerate(self.adj)]
-        above = [a >> (i + 1) << (i + 1) for i, a in enumerate(self.adj)]
-        return Containment(below, above, _mirsky_levels(below), _mirsky_levels(above))
+        below, above = self._halves or containment_order(self.masks)[1:]
+        n = len(below)
+        return Containment(below, above, _chain_levels(below, range(n)),
+                           _chain_levels(above, range(n - 1, -1, -1)))
+
+
+def _columns(masks) -> list[int]:
+    """Transpose of a sequence of masks: column e is the bitset of the
+    indices i with element e in ``masks[i]``.
+
+    Each mask is written once as k little-endian bytes, and the joined bytes
+    are read as one integer with mask i at bit 8k*i. In its binary text,
+    element e of every mask recurs at stride 8k, so column e is one strided
+    slice of that text, read back by ``int(..., 2)``.
+    """
+    if not masks:
+        return []
+    w = max(masks).bit_length()
+    k = (w + 7) >> 3
+    data = bytes(masks) if k == 1 else b"".join(
+        map(int.to_bytes, masks, repeat(k), repeat("little")))
+    stride = k << 3
+    # The bit above the last mask fixes the width: text is "0b1" + 8k*len(masks) digits.
+    text = bin(int.from_bytes(data, "little") | 1 << stride * len(masks))
+    return [int(text[stride + 2 - e::stride], 2) for e in range(w)]
 
 
 def element_columns(masks) -> set[int]:
     """The element columns of a family of masks, equal columns merged: for
     each element, the bitset of the indices of the masks that hold it."""
-    cols = [0] * max(masks, default=0).bit_length()
-    for i, m in enumerate(masks):
-        for e in bits(m):
-            cols[e] |= 1 << i
-    return set(cols)
+    return set(_columns(masks))
 
 
-def _containment_adjacency(masks: tuple[int, ...]) -> list[int]:
-    """Adjacency bitsets of strict containment among distinct masks.
+def _meet(memo: dict[int, int], code: int, cols: dict[int, int]) -> int:
+    """The AND of ``cols[b]`` over the set bits b of ``code``, given the
+    ANDs of some codes in ``memo`` (0 among them).
 
-    Works on element columns. Vertex j contains i iff j lies in every
-    column that holds i, and j lies inside i iff j lies in no column that
-    misses i.
+    Walks an explicit path of codes, each the last with its lowest bit
+    cleared, down to one in ``memo``, and ANDs the cleared bits' columns
+    into that code's. The codes on the way are not stored, so the memo
+    holds one entry per mask however long the walks.
+    """
+    acc = -1
+    x = memo.get(code)
+    while x is None:
+        low = code & -code
+        acc &= cols[low]
+        code ^= low
+        x = memo.get(code)
+    return x & acc
+
+
+def containment_order(masks) -> tuple[list[int], list[int], list[int]]:
+    """``(adj, below, above)`` of strict containment among distinct masks:
+    ``below[i]`` and ``above[i]`` are the bitsets of the masks strictly
+    inside and strictly containing ``masks[i]``, ``adj[i]`` their union.
+
+    Works on element columns (``_columns``) with one representative element
+    per distinct column. A mask's code is the representatives it holds, and
+    distinct masks have distinct codes. The masks containing a mask are
+    those in every column of its code; the masks inside it, those in no
+    column outside its code. Each is an AND over a set of representatives,
+    memoised per mask: a mask's AND is one more AND on that of its set with
+    the lowest bit cleared, found by ``_meet``. ``above`` is taken in index
+    order and ``below`` in reverse, so that with masks sorted by (popcount,
+    mask), as in a Boolean family, that smaller set is a mask already done.
     """
     everyone = (1 << len(masks)) - 1
-    distinct = element_columns(masks)
-    adj = []
-    for i in range(len(masks)):
-        supersets, outside = everyone, 0
-        for c in distinct:
-            if c >> i & 1:
-                supersets &= c
-            else:
-                outside |= c
-        adj.append((supersets | everyone & ~outside) ^ (1 << i))
-    return adj
+    first: dict[int, int] = {}
+    for e, c in enumerate(_columns(masks)):
+        first.setdefault(c, e)
+    first.pop(0, None)
+    reps = 0
+    # A representative's bit -> its column, and -> the column's complement;
+    # the empty set of representatives meets every mask.
+    cols = {0: everyone}
+    complements = {0: everyone}
+    for c, e in first.items():
+        b = 1 << e
+        reps |= b
+        cols[b] = c
+        complements[b] = everyone ^ c
+    above = []
+    memo = {0: everyone}
+    get = memo.get
+    bit = 1
+    for m in masks:
+        code = m & reps
+        rest = code & (code - 1)
+        x = get(rest)
+        if x is None:
+            x = _meet(memo, rest, cols)
+        x = memo[code] = x & cols[code ^ rest]
+        above.append(x ^ bit)
+        bit <<= 1
+    below = []
+    memo = {0: everyone}
+    get = memo.get
+    for m in reversed(masks):
+        bit >>= 1
+        code = reps & ~m  # the representatives outside the mask
+        rest = code & (code - 1)
+        x = get(rest)
+        if x is None:
+            x = _meet(memo, rest, complements)
+        x = memo[code] = x & complements[code ^ rest]
+        below.append(x ^ bit)
+    below.reverse()
+    return list(map(or_, below, above)), below, above
 
 
 def _mask_sort_key(mask: int) -> tuple[int, int]:
@@ -288,7 +371,8 @@ class InclusionGraph:
         self.check_cap()
         if self._dense is None:
             masks = tuple(self.vertices())
-            self._dense = DenseGraph(adj=_containment_adjacency(masks), masks=masks)
+            adj, below, above = containment_order(masks)
+            self._dense = DenseGraph(adj, masks, below, above)
         return self._dense
 
 
@@ -375,6 +459,7 @@ def export_graph(g: InclusionGraph, fmt: str = "json") -> str:
     dense = g.dense()
     masks = dense.masks
     if fmt == "json":
+        import json
         vertices = ",\n".join([
             '    {\n      "id": %d,\n      "mask": %d,\n      "size": %d\n    }'
             % (i, m, m.bit_count()) for i, m in enumerate(masks)])

@@ -127,14 +127,14 @@ def decompose_boolean(n: int, images: tuple[int, ...],
     return sigma, complemented
 
 
-def _refine_colors(adj: list[int], color: list[int] | None = None) -> list[int]:
+def _refine_colors(nbrs: list[list[int]], color: list[int] | None = None) -> list[int]:
     """The coarsest equitable colouring finer than ``color`` (the degrees by
-    default), with colours named in order of first appearance."""
-    n = len(adj)
+    default) of the graph with neighbour lists ``nbrs``, with colours named
+    in order of first appearance."""
+    n = len(nbrs)
     if color is None:
-        color = [a.bit_count() for a in adj]
+        color = [len(nb) for nb in nbrs]
     classes = len(set(color))
-    nbrs = [bits(a) for a in adj]
     while True:
         sig = [(color[i], tuple(sorted([color[j] for j in nbrs[i]])))
                for i in range(n)]
@@ -235,8 +235,9 @@ def _stabilizer_chain(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     discrete the stabilizer is trivial and the search stops.
     """
     n = len(adj)
-    later = [[z for z in bits(adj[x]) if z > x] for x in range(n)]
-    color = _refine_colors(adj)
+    nbrs = [bits(a) for a in adj]
+    later = [[z for z in nb if z > x] for x, nb in enumerate(nbrs)]
+    color = _refine_colors(nbrs)
     order = 1
     perms: list[tuple[int, ...]] = []
     for v in range(n):
@@ -255,7 +256,7 @@ def _stabilizer_chain(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
         order *= orbit
         color = color[:]
         color[v] = len(cells)
-        color = _refine_colors(adj, color)
+        color = _refine_colors(nbrs, color)
     return order, perms
 
 

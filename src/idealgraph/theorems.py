@@ -20,15 +20,16 @@ does not load them.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from math import comb, factorial
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CorpusLoadError
 from .graph import (InclusionGraph, bits, build_boolean, build_from_family,
-                    command_vertex_cap, element_columns, minimal_ideal_coordinates)
+                    command_vertex_cap, containment_order, element_columns,
+                    minimal_ideal_coordinates)
 from .invariants import (chromatic_number, clique_number, connectivity,
                          domination_number, girth, independence_number,
                          maximum_matching, perfectness, planarity,
@@ -81,6 +82,7 @@ class SuiteResult(NamedTuple):
         }
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_jsonable(), indent=2) + "\n"
 
     def to_table(self) -> str:
@@ -310,14 +312,17 @@ def _boolean_symmetry_checks(n: int, g, checks: list[TheoremCheck], inst: str) -
 
 
 def _closure_size(generators: list[tuple[int, ...]], cap: int = 10 ** 7) -> int:
+    """Order of the group the permutations (of at least two points) generate,
+    by breadth-first closure; p composed with q is ``itemgetter(*q)(p)``."""
     identity = tuple(range(len(generators[0])))
     seen = {identity}
     frontier = [identity]
+    compose = [itemgetter(*q) for q in generators]
     while frontier:
         nxt = []
         for p in frontier:
-            for q in generators:
-                r = tuple(p[j] for j in q)
+            for q in compose:
+                r = q(p)
                 if r not in seen:
                     if len(seen) >= cap:
                         raise RuntimeError("group closure exceeded its cap")
@@ -331,8 +336,10 @@ def _closure_size(generators: list[tuple[int, ...]], cap: int = 10 ** 7) -> int:
 # Corpus checks
 
 
-def _union_closed(masks: tuple[int, ...], full: int) -> bool:
+def _union_closed(masks: tuple[int, ...], full: int, below: list[int] | None = None) -> bool:
     """Whether distinct ``masks`` together with ``full`` are closed under union.
+    ``below[i]`` is the bitset of the members strictly inside ``masks[i]``,
+    built here from the masks when not given.
 
     A member j is join-irreducible when it is not the union of the members
     strictly inside it. Every member is the union of the join-irreducibles
@@ -340,21 +347,13 @@ def _union_closed(masks: tuple[int, ...], full: int) -> bool:
     join-irreducible at a time: the family is closed iff x | j is a member
     or ``full`` for every member x and join-irreducible j. From the element
     columns of the family, j is join-irreducible iff some column holding j
-    meets none of the members strictly inside j; those lie in no column
-    that misses j.
+    meets none of the members strictly inside j.
     """
+    if below is None:
+        below = containment_order(masks)[1]
     columns = element_columns(masks)
-    everyone = (1 << len(masks)) - 1
-    irreducible = []
-    for i, m in enumerate(masks):
-        bit = 1 << i
-        outside = 0
-        for c in columns:
-            if not c & bit:
-                outside |= c
-        inside = everyone & ~outside & ~bit
-        if any(c & bit and not c & inside for c in columns):
-            irreducible.append(m)
+    irreducible = [m for i, (m, inside) in enumerate(zip(masks, below))
+                   if any(c >> i & 1 and not c & inside for c in columns)]
     closed = {*masks, full}
     return all(x | j in closed for x in masks for j in irreducible)
 
@@ -421,7 +420,10 @@ def _maximality(c: _Case) -> str | None:
 def _family_union_closed(c: _Case) -> str | None:
     if not c.family.ideals:
         return None
-    if not _union_closed(c.family.masks, c.table.full_mask):
+    # The graph's vertices are the family's masks, in the same order; a
+    # truncated family has none, and the order is built from its masks.
+    below = None if c.graph is None else c.graph.dense().containment.below
+    if not _union_closed(c.family.masks, c.table.full_mask, below):
         return "union escapes"
     return ""
 
@@ -544,6 +546,7 @@ def _corpus_checks(corpus: list[tuple[CayleyTable, int]], label: str,
                 continue
             applicable[i] += weight
             if detail and first_bad[i] is None:
+                import json
                 rows = json.dumps(t.rows, separators=(",", ":"))
                 first_bad[i] = f"order {t.order}: {detail} in {rows}"
     expected = "0 counterexamples"

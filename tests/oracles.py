@@ -1,7 +1,9 @@
 """Straightforward references for the optimized kernels: the semigroup
 layer's associativity test, every labeled semigroup table of a small order
 (against which the isomorphism classes are checked), the union closure of
-an ideal family by a scan of every pair of members, graphs with any
+an ideal family by a scan of every pair of members, the containment order
+of a family of masks by a test of every pair and its longest chains by a
+dynamic program over the masks in order of size, graphs with any
 adjacency (``adj_from_edges``; the package builds only inclusion graphs),
 the diameter and girth by a BFS from every vertex, Hopcroft-Karp and König
 over adjacency lists,
@@ -108,6 +110,34 @@ def union_closed_pairwise(masks, full):
     closed = {*masks, full}
     return all(closed.issuperset(map(a.__or__, masks[i + 1:]))
                for i, a in enumerate(masks))
+
+
+def containment_by_pairwise_scan(masks):
+    """(below, above): for each mask, the bitsets of the indices of the
+    masks strictly inside and strictly containing it, by testing every pair."""
+    below = [sum(1 << j for j, v in enumerate(masks) if v != u and v & u == v) for u in masks]
+    above = [sum(1 << j for j, v in enumerate(masks) if v != u and v & u == u) for u in masks]
+    return below, above
+
+
+def longest_chain_levels(masks):
+    """(down, up): for each mask, the number of masks in a longest chain of
+    strict containments ending and starting at it. A strict subset is
+    smaller, so one pass over the masks in order of size settles ``down``
+    and one in reverse settles ``up``, each mask compared with every mask
+    the pass has already settled."""
+    order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
+    down = [1] * len(masks)
+    up = [1] * len(masks)
+    for a, i in enumerate(order):
+        for j in order[:a]:
+            if masks[j] != masks[i] and masks[j] & masks[i] == masks[j]:
+                down[i] = max(down[i], down[j] + 1)
+    for a, i in reversed(list(enumerate(order))):
+        for j in order[a + 1:]:
+            if masks[j] != masks[i] and masks[j] & masks[i] == masks[i]:
+                up[i] = max(up[i], up[j] + 1)
+    return down, up
 
 
 def adj_from_edges(n_vertices, edges):

@@ -375,8 +375,8 @@ def band_corpus(tmp_path):
 # its CLI; networkx would be listed too. A command compiles only what it runs:
 # the semigroup layer only where it reads a table, path addition (planar) only
 # where a graph has neither a 5-chain nor a K3,3. No command loads
-# dataclasses or inspect, and --help and validate write no JSON, so they
-# load no json either.
+# dataclasses or inspect, and json only where JSON is written: not by --help,
+# validate, verify in its default table format, or graph as DOT.
 TABLE_ONLY = ["errors", "semigroup"]
 GRAPH = ["errors", "graph"]
 SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching"]
@@ -394,6 +394,7 @@ SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching"]
     (["verify", "--corpus", "{corpus}"], SOLVERS + ["semigroup", "theorems"]),
     (["verify"], SOLVERS + ["catalog", "constructions", "planar", "semigroup", "symmetry",
                             "theorems"]),
+    (["graph", "--n", "11", "--format", "dot"], GRAPH),
 ])
 def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):
     band, corpus = DATA / "rectangular_band_2x6.txt", band_corpus(tmp_path)
@@ -413,7 +414,7 @@ def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    writes_json = argv[0] not in ("--help", "validate")
+    writes_json = argv[0] in ("ideals", "invariants", "aut", "graph") and "dot" not in argv
     assert proc.stdout.split() == ["0", *sorted(loaded), *["json"] * writes_json]
 
 

@@ -24,8 +24,9 @@ from idealgraph import (
     rectangular_band,
     right_zero,
 )
-from idealgraph.graph import bits, command_vertex_cap
-from oracles import export_dot_document, export_json_document
+from idealgraph.graph import bits, command_vertex_cap, containment_order, element_columns
+from oracles import (containment_by_pairwise_scan, export_dot_document, export_json_document,
+                     longest_chain_levels)
 
 
 def test_build_from_family_null_semigroup_is_path():
@@ -310,3 +311,94 @@ def test_export_dot_matches_per_edge_writer_edge_cases():
 def test_export_dot_matches_per_edge_writer_mask_families(masks):
     g = InclusionGraph("generic", vertices=tuple(masks))
     assert export_graph(g, "dot") == export_dot_document(g)
+
+
+# --- the containment order ---------------------------------------------------
+
+def check_containment_order(masks):
+    """The builder on ``masks`` as given, and the order of their graph with
+    its chain levels, against the pairwise scan and the longest-chain DP."""
+    adj, below, above = containment_order(masks)
+    assert (below, above) == containment_by_pairwise_scan(masks)
+    assert adj == [b | a for b, a in zip(below, above)]
+    dense = InclusionGraph("generic", vertices=masks).dense()
+    order = dense.containment
+    assert (order.below, order.above) == containment_by_pairwise_scan(dense.masks)
+    assert dense.adj == [b | a for b, a in zip(order.below, order.above)]
+    assert (order.down, order.up) == longest_chain_levels(dense.masks)
+
+
+def blow_up(mask, width):
+    """Each element e of ``mask`` becomes the ``width`` elements of block e,
+    so every block is one repeated column."""
+    return sum(((1 << width) - 1) << width * e for e in bits(mask))
+
+
+def fence(zigzags):
+    """The singletons {0}, ..., {k} and the pairs {i, i+1}: a zigzag poset of
+    height 2 with no least element, and from k = 2 on two singletons with
+    no upper bound, so it is no lattice."""
+    return tuple([1 << i for i in range(zigzags + 1)]
+                 + [3 << i for i in range(zigzags)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), unique=True, max_size=40))
+def test_containment_order_matches_oracles_on_random_families(masks):
+    # Unsorted, and with the empty mask sometimes among them.
+    check_containment_order(tuple(masks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=(1 << 6) - 1), unique=True, max_size=30),
+       st.integers(min_value=2, max_value=4))
+def test_containment_order_matches_oracles_with_repeated_columns(masks, width):
+    blown = tuple(blow_up(m, width) for m in masks)
+    assert len(element_columns(blown)) == len(element_columns(masks))
+    check_containment_order(blown)
+
+
+@pytest.mark.parametrize("zigzags", [1, 2, 5, 13])
+def test_containment_order_matches_oracles_on_fences(zigzags):
+    masks = fence(zigzags)
+    check_containment_order(masks)
+    order = InclusionGraph("generic", vertices=masks).dense().containment
+    assert sorted(order.down) == [1] * (zigzags + 1) + [2] * zigzags
+
+
+def test_containment_order_of_tables_and_boolean_families():
+    families = [enumerate_left_ideals(t).masks for t in (
+        rectangular_band(3, 4), null_semigroup(5), right_zero(5))]
+    families += [tuple(build_boolean(n).vertices()) for n in (2, 3, 6)]
+    for masks in families:
+        check_containment_order(masks)
+
+
+def test_containment_order_of_empty_and_one_vertex_families():
+    assert containment_order(()) == ([], [], [])
+    assert element_columns(()) == set()
+    for mask in (0, 0b1, 0b10110):
+        assert containment_order((mask,)) == ([0], [0], [0])
+        order = InclusionGraph("generic", vertices=(mask,)).dense().containment
+        assert order == ([0], [0], [1], [1])
+    empty = build_from_family(enumerate_left_ideals(cyclic_group(3))).dense()
+    assert empty.containment == ([], [], [], [])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_containment_order_of_a_chain_over_1000_columns(reverse):
+    # Every mask adds one element, so all 1,000 columns are distinct and a
+    # mask's code has up to 1,000 bits; the walk to a stored code must not
+    # recurse. Both orders of adding the elements are covered.
+    width = 1000
+    full = (1 << width) - 1
+    masks = tuple(full ^ (full >> k) if reverse else (1 << k) - 1
+                  for k in range(1, width + 1))
+    adj, below, above = containment_order(masks)
+    everyone = (1 << width) - 1
+    for i in range(width):
+        assert below[i] == (1 << i) - 1
+        assert above[i] == everyone ^ ((1 << (i + 1)) - 1)
+    order = DenseGraph(adj, masks, below, above).containment
+    assert order.down == list(range(1, width + 1))
+    assert order.up == list(range(width, 0, -1))

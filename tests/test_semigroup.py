@@ -245,6 +245,23 @@ def test_maximality_rejects_non_ideals():
         is_maximal_left_ideal(right_zero(3), 0b111)
 
 
+def test_maximality_raises_on_non_ideals_of_a_larger_table():
+    # The argument check unions the principal ideals of the members the
+    # mask's bits select. Adding an element to an ideal, or dropping one,
+    # gives masks whose escaping member sits at any bit position, the lowest
+    # and the highest included.
+    t = rectangular_band(3, 4)
+    raised = 0
+    for m in enumerate_left_ideals(t).masks:
+        for x in range(t.order):
+            for bad in (m | 1 << x, m & ~(1 << x)):
+                if 0 < bad < t.full_mask and not is_left_ideal(t, bad):
+                    with pytest.raises(ValueError, match="nontrivial left ideal"):
+                        is_maximal_left_ideal(t, bad)
+                    raised += 1
+    assert raised > 100
+
+
 def test_maximality_accepts_exactly_the_nontrivial_left_ideals():
     # is_left_ideal multiplies the table directly; it is the oracle for the
     # argument check that reads the principal ideals.

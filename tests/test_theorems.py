@@ -6,6 +6,7 @@ import itertools
 import weakref
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +127,31 @@ def mask_families(draw):
 @given(mask_families())
 def test_join_irreducible_union_check_matches_pairwise_scan(masks):
     assert theorems._union_closed(masks, FULL) == union_closed_pairwise(masks, FULL)
+
+
+def test_join_irreducible_union_check_reads_a_graphs_order():
+    # The corpus row passes the graph's ``below`` instead of building it.
+    families = [enumerate_left_ideals(t).masks for t, _ in builtin_corpus()[0]]
+    families += [(0b1, 0b10, 0b100, 0b11, 0b101), (0b11, 0b110)]  # holes
+    verdicts = set()
+    for masks in families:
+        if masks:
+            dense = InclusionGraph("generic", vertices=masks).dense()
+            want = union_closed_pairwise(dense.masks, FULL)
+            assert theorems._union_closed(dense.masks, FULL, dense.containment.below) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_closure_size_counts_the_group_and_keeps_its_cap():
+    # S4 from a transposition and a 4-cycle; the cyclic group of the cycle;
+    # and a cap one below the order, which the closure must still enforce.
+    swap, cycle = (1, 0, 2, 3), (1, 2, 3, 0)
+    assert theorems._closure_size([swap, cycle]) == 24
+    assert theorems._closure_size([cycle]) == 4
+    assert theorems._closure_size([swap, cycle], cap=24) == 24
+    with pytest.raises(RuntimeError, match="cap"):
+        theorems._closure_size([swap, cycle], cap=23)
 
 
 def test_join_irreducible_union_check_on_pinned_and_truncated_families():
