@@ -15,7 +15,6 @@ import os
 from contextlib import contextmanager
 from functools import cached_property
 from itertools import compress, repeat
-from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OutOfRangeError, TooLargeError, TruncatedFamilyError, UnknownVertexError
@@ -111,17 +110,13 @@ class DenseGraph:
     """Materialized inclusion graph: index-based adjacency bitsets and the
     vertex masks (index -> set mask, sorted by (popcount, mask)).
 
-    Every graph is the comparability graph of its masks' containment.
-    ``below`` and ``above`` are the two halves of that order when the caller
-    built them with the adjacency (see ``containment_order``); otherwise
-    ``containment`` builds them from the masks.
+    Every graph is the comparability graph of its masks' containment, which
+    ``containment`` reads off the adjacency.
     """
 
-    def __init__(self, adj: list[int], masks: tuple[int, ...],
-                 below: list[int] | None = None, above: list[int] | None = None):
+    def __init__(self, adj: list[int], masks: tuple[int, ...]):
         self.adj = adj
         self.masks = masks
-        self._halves = None if below is None else (below, above)
 
     @property
     def size(self) -> int:
@@ -135,18 +130,20 @@ class DenseGraph:
         """The containment order, built once per graph.
 
         Vertices are sorted by (popcount, mask), so index order is a linear
-        extension of containment, and one sweep each way gives the chain
-        levels.
+        extension of containment: a neighbour at a lower index is a strict
+        subset, one at a higher index a strict superset. One sweep each way
+        gives the chain levels.
         """
-        below, above = self._halves or containment_order(self.masks)[1:]
-        n = len(below)
+        n = len(self.adj)
+        below = [a & ((1 << i) - 1) for i, a in enumerate(self.adj)]
+        above = [a >> (i + 1) << (i + 1) for i, a in enumerate(self.adj)]
         return Containment(below, above, _chain_levels(below, range(n)),
                            _chain_levels(above, range(n - 1, -1, -1)))
 
 
-def _columns(masks) -> list[int]:
-    """Transpose of a sequence of masks: column e is the bitset of the
-    indices i with element e in ``masks[i]``.
+def transpose(masks) -> list[int]:
+    """The element columns of a sequence of masks: column e is the bitset of
+    the indices i with element e in ``masks[i]``.
 
     Each mask is written once as k little-endian bytes, and the joined bytes
     are read as one integer with mask i at bit 8k*i. In its binary text,
@@ -165,88 +162,84 @@ def _columns(masks) -> list[int]:
     return [int(text[stride + 2 - e::stride], 2) for e in range(w)]
 
 
-def element_columns(masks) -> set[int]:
-    """The element columns of a family of masks, equal columns merged: for
-    each element, the bitset of the indices of the masks that hold it."""
-    return set(_columns(masks))
-
-
-def _meet(memo: dict[int, int], code: int, cols: dict[int, int]) -> int:
-    """The AND of ``cols[b]`` over the set bits b of ``code``, given the
-    ANDs of some codes in ``memo`` (0 among them).
-
-    Walks an explicit path of codes, each the last with its lowest bit
-    cleared, down to one in ``memo``, and ANDs the cleared bits' columns
-    into that code's. The codes on the way are not stored, so the memo
-    holds one entry per mask however long the walks.
-    """
-    acc = -1
-    x = memo.get(code)
-    while x is None:
-        low = code & -code
-        acc &= cols[low]
-        code ^= low
-        x = memo.get(code)
-    return x & acc
-
-
-def containment_order(masks) -> tuple[list[int], list[int], list[int]]:
-    """``(adj, below, above)`` of strict containment among distinct masks:
-    ``below[i]`` and ``above[i]`` are the bitsets of the masks strictly
-    inside and strictly containing ``masks[i]``, ``adj[i]`` their union.
-
-    Works on element columns (``_columns``) with one representative element
-    per distinct column. A mask's code is the representatives it holds, and
-    distinct masks have distinct codes. The masks containing a mask are
-    those in every column of its code; the masks inside it, those in no
-    column outside its code. Each is an AND over a set of representatives,
-    memoised per mask: a mask's AND is one more AND on that of its set with
-    the lowest bit cleared, found by ``_meet``. ``above`` is taken in index
-    order and ``below`` in reverse, so that with masks sorted by (popcount,
-    mask), as in a Boolean family, that smaller set is a mask already done.
-    """
-    everyone = (1 << len(masks)) - 1
-    first: dict[int, int] = {}
-    for e, c in enumerate(_columns(masks)):
-        first.setdefault(c, e)
-    first.pop(0, None)
+def _representatives(count: int, columns: list[int]):
+    """``(reps, holds, misses)`` for ``count`` masks with element
+    ``columns``: one element stands for each distinct nonempty column, and
+    ``reps`` is the set of them. ``holds`` and ``misses`` map a
+    representative's bit to the masks that hold it and to those that miss
+    it; both map 0 to every mask."""
+    everyone = (1 << count) - 1
+    holds = {0: everyone}
+    misses = {0: everyone}
     reps = 0
-    # A representative's bit -> its column, and -> the column's complement;
-    # the empty set of representatives meets every mask.
-    cols = {0: everyone}
-    complements = {0: everyone}
-    for c, e in first.items():
+    for c, e in {c: e for e, c in enumerate(columns) if c}.items():
         b = 1 << e
         reps |= b
-        cols[b] = c
-        complements[b] = everyone ^ c
-    above = []
-    memo = {0: everyone}
+        holds[b] = c
+        misses[b] = everyone ^ c
+    return reps, holds, misses
+
+
+def _meets(codes, cols: dict[int, int]) -> list[int]:
+    """For each code in turn, the AND of ``cols[b]`` over its set bits b.
+
+    The ANDs are memoised per code, and a code's is one AND on that of the
+    code with its lowest bit cleared. When that one is not stored, an
+    explicit walk clears bits until it reaches a stored code, and ANDs the
+    cleared bits' columns into that code's. The codes on the way are not
+    stored, so the memo holds one entry per code however long the walks.
+    """
+    memo = {0: cols[0]}
     get = memo.get
-    bit = 1
-    for m in masks:
-        code = m & reps
+    out = []
+    for code in codes:
         rest = code & (code - 1)
         x = get(rest)
         if x is None:
-            x = _meet(memo, rest, cols)
+            acc = -1
+            c = rest
+            while x is None:
+                low = c & -c
+                acc &= cols[low]
+                c ^= low
+                x = get(c)
+            x &= acc
         x = memo[code] = x & cols[code ^ rest]
-        above.append(x ^ bit)
-        bit <<= 1
-    below = []
-    memo = {0: everyone}
-    get = memo.get
-    for m in reversed(masks):
-        bit >>= 1
-        code = reps & ~m  # the representatives outside the mask
-        rest = code & (code - 1)
-        x = get(rest)
-        if x is None:
-            x = _meet(memo, rest, complements)
-        x = memo[code] = x & complements[code ^ rest]
-        below.append(x ^ bit)
-    below.reverse()
-    return list(map(or_, below, above)), below, above
+        out.append(x)
+    return out
+
+
+def containment_adjacency(masks) -> list[int]:
+    """Adjacency bitsets of strict containment among distinct masks.
+
+    Works on one representative element per distinct column (see
+    ``_representatives``). A mask's code is the representatives it holds,
+    and distinct masks have distinct codes. The masks containing it are
+    those in every column of its code; the masks inside it, those in no
+    column outside its code (see ``_meets``). The first are taken in index
+    order and the second in reverse. In a Boolean family sorted by
+    (popcount, mask) the code with its lowest bit cleared is then always one
+    already done, so each mask costs one AND a side; in other families a
+    walk may clear more bits (up to i of them at index i of a chain).
+    """
+    reps, holds, misses = _representatives(len(masks), transpose(masks))
+    adj = _meets([m & reps for m in masks], holds)
+    inside = _meets([reps & ~m for m in reversed(masks)], misses)
+    i = len(masks)
+    for x in inside:
+        i -= 1
+        adj[i] = (adj[i] | x) ^ (1 << i)  # each meet holds the mask itself
+    return adj
+
+
+def strict_subsets(masks, columns: list[int]) -> list[int]:
+    """For each of the distinct ``masks``, the bitset of the masks strictly
+    inside it, given their element ``columns`` (see ``transpose``): the
+    masks in no column outside its code (see ``containment_adjacency``)."""
+    reps, _, misses = _representatives(len(masks), columns)
+    inside = _meets([reps & ~m for m in reversed(masks)], misses)
+    inside.reverse()
+    return [x ^ (1 << i) for i, x in enumerate(inside)]
 
 
 def _mask_sort_key(mask: int) -> tuple[int, int]:
@@ -371,8 +364,7 @@ class InclusionGraph:
         self.check_cap()
         if self._dense is None:
             masks = tuple(self.vertices())
-            adj, below, above = containment_order(masks)
-            self._dense = DenseGraph(adj, masks, below, above)
+            self._dense = DenseGraph(containment_adjacency(masks), masks)
         return self._dense
 
 

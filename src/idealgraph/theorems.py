@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 from .errors import CorpusLoadError
 from .graph import (InclusionGraph, bits, build_boolean, build_from_family,
-                    command_vertex_cap, containment_order, element_columns,
-                    minimal_ideal_coordinates)
+                    command_vertex_cap, minimal_ideal_coordinates, strict_subsets,
+                    transpose)
 from .invariants import (chromatic_number, clique_number, connectivity,
                          domination_number, girth, independence_number,
                          maximum_matching, perfectness, planarity,
@@ -349,9 +349,10 @@ def _union_closed(masks: tuple[int, ...], full: int, below: list[int] | None = N
     columns of the family, j is join-irreducible iff some column holding j
     meets none of the members strictly inside j.
     """
+    columns = transpose(masks)
     if below is None:
-        below = containment_order(masks)[1]
-    columns = element_columns(masks)
+        below = strict_subsets(masks, columns)
+    columns = set(columns)
     irreducible = [m for i, (m, inside) in enumerate(zip(masks, below))
                    if any(c >> i & 1 and not c & inside for c in columns)]
     closed = {*masks, full}
@@ -420,10 +421,13 @@ def _maximality(c: _Case) -> str | None:
 def _family_union_closed(c: _Case) -> str | None:
     if not c.family.ideals:
         return None
-    # The graph's vertices are the family's masks, in the same order; a
-    # truncated family has none, and the order is built from its masks.
-    below = None if c.graph is None else c.graph.dense().containment.below
-    if not _union_closed(c.family.masks, c.table.full_mask, below):
+    # A truncated family has no graph, and its order is built from its masks.
+    if c.graph is None:
+        closed = _union_closed(c.family.masks, c.table.full_mask)
+    else:
+        dense = c.graph.dense()
+        closed = _union_closed(dense.masks, c.table.full_mask, dense.containment.below)
+    if not closed:
         return "union escapes"
     return ""
 

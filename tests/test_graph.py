@@ -24,7 +24,8 @@ from idealgraph import (
     rectangular_band,
     right_zero,
 )
-from idealgraph.graph import bits, command_vertex_cap, containment_order, element_columns
+from idealgraph.graph import (bits, command_vertex_cap, containment_adjacency, strict_subsets,
+                              transpose)
 from oracles import (containment_by_pairwise_scan, export_dot_document, export_json_document,
                      longest_chain_levels)
 
@@ -316,11 +317,14 @@ def test_export_dot_matches_per_edge_writer_mask_families(masks):
 # --- the containment order ---------------------------------------------------
 
 def check_containment_order(masks):
-    """The builder on ``masks`` as given, and the order of their graph with
+    """The builders on ``masks`` as given, and the order of their graph with
     its chain levels, against the pairwise scan and the longest-chain DP."""
-    adj, below, above = containment_order(masks)
-    assert (below, above) == containment_by_pairwise_scan(masks)
-    assert adj == [b | a for b, a in zip(below, above)]
+    below, above = containment_by_pairwise_scan(masks)
+    columns = transpose(masks)
+    assert columns == [sum(1 << i for i, m in enumerate(masks) if m >> e & 1)
+                       for e in range(max(masks, default=0).bit_length())]
+    assert containment_adjacency(masks) == [b | a for b, a in zip(below, above)]
+    assert strict_subsets(masks, columns) == below
     dense = InclusionGraph("generic", vertices=masks).dense()
     order = dense.containment
     assert (order.below, order.above) == containment_by_pairwise_scan(dense.masks)
@@ -354,7 +358,7 @@ def test_containment_order_matches_oracles_on_random_families(masks):
        st.integers(min_value=2, max_value=4))
 def test_containment_order_matches_oracles_with_repeated_columns(masks, width):
     blown = tuple(blow_up(m, width) for m in masks)
-    assert len(element_columns(blown)) == len(element_columns(masks))
+    assert len(set(transpose(blown))) == len(set(transpose(masks)))
     check_containment_order(blown)
 
 
@@ -375,10 +379,10 @@ def test_containment_order_of_tables_and_boolean_families():
 
 
 def test_containment_order_of_empty_and_one_vertex_families():
-    assert containment_order(()) == ([], [], [])
-    assert element_columns(()) == set()
+    assert containment_adjacency(()) == strict_subsets((), transpose(())) == []
+    assert transpose(()) == []
     for mask in (0, 0b1, 0b10110):
-        assert containment_order((mask,)) == ([0], [0], [0])
+        assert containment_adjacency((mask,)) == strict_subsets((mask,), transpose((mask,))) == [0]
         order = InclusionGraph("generic", vertices=(mask,)).dense().containment
         assert order == ([0], [0], [1], [1])
     empty = build_from_family(enumerate_left_ideals(cyclic_group(3))).dense()
@@ -394,11 +398,12 @@ def test_containment_order_of_a_chain_over_1000_columns(reverse):
     full = (1 << width) - 1
     masks = tuple(full ^ (full >> k) if reverse else (1 << k) - 1
                   for k in range(1, width + 1))
-    adj, below, above = containment_order(masks)
+    adj = containment_adjacency(masks)
+    below = strict_subsets(masks, transpose(masks))
     everyone = (1 << width) - 1
     for i in range(width):
         assert below[i] == (1 << i) - 1
-        assert above[i] == everyone ^ ((1 << (i + 1)) - 1)
-    order = DenseGraph(adj, masks, below, above).containment
+        assert adj[i] == everyone ^ (1 << i)
+    order = DenseGraph(adj, masks).containment
     assert order.down == list(range(1, width + 1))
     assert order.up == list(range(width, 0, -1))
