@@ -116,8 +116,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _print_json(doc) -> None:
-    import json
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    from .jsontext import _json_text
+    sys.stdout.write(_json_text(doc))
+    sys.stdout.write("\n")
 
 
 def _cmd_validate(args) -> int:

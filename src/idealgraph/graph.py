@@ -180,31 +180,62 @@ def _representatives(count: int, columns: list[int]):
     return reps, holds, misses
 
 
-def _meets(codes, cols: dict[int, int]) -> list[int]:
+def _first_held(codes: list[int], cols: dict[int, int],
+                reverse: bool) -> dict[int, tuple[int, int]]:
+    """For each code that holds bits no earlier code holds: those bits and
+    the AND of their columns (see ``_meets``)."""
+    count = len(codes)
+    first = {}
+    for b, c in cols.items():
+        if b and c:
+            code = codes[count - c.bit_length() if reverse else (c & -c).bit_length() - 1]
+            bits, acc = first.get(code, (0, -1))
+            first[code] = (bits | b, acc & c)
+    return first
+
+
+def _meets(codes: list[int], cols: dict[int, int], reverse: bool = False) -> list[int]:
     """For each code in turn, the AND of ``cols[b]`` over its set bits b.
 
-    The ANDs are memoised per code, and a code's is one AND on that of the
-    code with its lowest bit cleared. When that one is not stored, an
-    explicit walk clears bits until it reaches a stored code, and ANDs the
-    cleared bits' columns into that code's. The codes on the way are not
-    stored, so the memo holds one entry per code however long the walks.
+    ``cols[b]`` is the set of positions of the codes that hold bit b,
+    counted from the last code when ``reverse``. The ANDs are memoised per
+    code, and a code's is one AND on a stored one: the code with its lowest
+    bit cleared, else the code with its highest bit cleared, else the code
+    without the bits that no earlier code holds (along a chain, the one bit
+    each code adds, whatever the order of the elements; see
+    ``_first_held``, built on the first code that needs it). When none of
+    them is stored, an explicit walk clears the lowest bits until it
+    reaches a stored code, and ANDs the cleared bits' columns into that
+    code's. The codes on the way are not stored, so the memo holds one
+    entry per code however long the walks.
     """
     memo = {0: cols[0]}
     get = memo.get
     out = []
+    first = None
     for code in codes:
         rest = code & (code - 1)
         x = get(rest)
-        if x is None:
-            acc = -1
-            c = rest
-            while x is None:
-                low = c & -c
-                acc &= cols[low]
-                c ^= low
+        if x is not None:
+            x = memo[code] = x & cols[code ^ rest]
+        else:
+            top = 1 << (code.bit_length() - 1)
+            x = get(code ^ top)
+            if x is not None:
+                x = memo[code] = x & cols[top]
+            else:
+                if first is None:
+                    first = _first_held(codes, cols, reverse)
+                low = code ^ rest
+                new, acc = first.get(code) or (low, cols[low])
+                c = code ^ new
                 x = get(c)
-            x &= acc
-        x = memo[code] = x & cols[code ^ rest]
+                while x is None:
+                    low = c & -c
+                    acc &= cols[low]
+                    c ^= low
+                    x = get(c)
+                x = memo[code] = x & acc
         out.append(x)
     return out
 
@@ -219,12 +250,13 @@ def containment_adjacency(masks) -> list[int]:
     column outside its code (see ``_meets``). The first are taken in index
     order and the second in reverse. In a Boolean family sorted by
     (popcount, mask) the code with its lowest bit cleared is then always one
-    already done, so each mask costs one AND a side; in other families a
-    walk may clear more bits (up to i of them at index i of a chain).
+    already done, and along a chain the code without the one element it
+    adds, so each mask costs one AND a side; in other families a walk may
+    clear more bits.
     """
     reps, holds, misses = _representatives(len(masks), transpose(masks))
     adj = _meets([m & reps for m in masks], holds)
-    inside = _meets([reps & ~m for m in reversed(masks)], misses)
+    inside = _meets([reps & ~m for m in reversed(masks)], misses, reverse=True)
     i = len(masks)
     for x in inside:
         i -= 1
@@ -237,7 +269,7 @@ def strict_subsets(masks, columns: list[int]) -> list[int]:
     inside it, given their element ``columns`` (see ``transpose``): the
     masks in no column outside its code (see ``containment_adjacency``)."""
     reps, _, misses = _representatives(len(masks), columns)
-    inside = _meets([reps & ~m for m in reversed(masks)], misses)
+    inside = _meets([reps & ~m for m in reversed(masks)], misses, reverse=True)
     inside.reverse()
     return [x ^ (1 << i) for i, x in enumerate(inside)]
 
@@ -420,22 +452,23 @@ def _vertex_name(mask: int, boolean_n: int | None) -> str:
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _edge_text(adj: list[int], heads: list[str], tails: list[str], sep: str) -> str:
-    """Every edge i < j written as ``heads[i] + tails[j]``, joined by ``sep``,
-    in (i, j) order.
+def _edge_parts(adj: list[int], heads: list[str], tails: list[str], sep: str) -> list[str]:
+    """Every edge i < j written as ``heads[i] + tails[j] + sep``, in (i, j)
+    order, as pieces whose concatenation is the text: three per row with an
+    edge (head, the row's remaining edges, sep).
 
     No object is made per edge: each row's upper neighbours become 0/1
     selector bytes, ``compress`` picks their tails, and one join per row
     writes them.
     """
-    rows = []
+    parts = []
     for i, a in enumerate(adj):
         up = a >> (i + 1)
         if up:
             head = heads[i]
-            rows.append(head + (sep + head).join(
-                compress(tails[i + 1:], bin(up)[:1:-1].encode().translate(_BITS))))
-    return sep.join(rows)
+            parts += (head, (sep + head).join(
+                compress(tails[i + 1:], bin(up)[:1:-1].encode().translate(_BITS))), sep)
+    return parts
 
 
 def export_graph(g: InclusionGraph, fmt: str = "json") -> str:
@@ -445,31 +478,38 @@ def export_graph(g: InclusionGraph, fmt: str = "json") -> str:
     document {mode, n, vertices: [{id, mask, size}], edges: [[u, v]]}, written
     directly: with ``indent`` set, ``json.dumps`` falls back to its
     pure-Python encoder, which dominates the export of large graphs. In both
-    formats the edges are written row by row (see ``_edge_text``), each
-    vertex's index or name formatted once.
+    formats the edges are written row by row (see ``_edge_parts``), each
+    vertex's index or name formatted once, and the text is one join of the
+    header, vertex and edge pieces.
     """
     dense = g.dense()
     masks = dense.masks
     if fmt == "json":
-        import json
-        vertices = ",\n".join([
-            '    {\n      "id": %d,\n      "mask": %d,\n      "size": %d\n    }'
-            % (i, m, m.bit_count()) for i, m in enumerate(masks)])
+        parts = ['{\n  "mode": "%s",\n  "n": %s,\n  "vertices": ['
+                 % (g.mode, "null" if g.n is None else g.n)]
+        parts += ['\n    {\n      "id": %d,\n      "mask": %d,\n      "size": %d\n    },'
+                  % (i, m, m.bit_count()) for i, m in enumerate(masks)]
+        if masks:
+            parts[-1] = parts[-1][:-1]  # no comma after the last vertex
+            parts.append("\n  ]")
+        else:
+            parts.append("]")
         idx = range(len(masks))
-        edge_text = _edge_text(dense.adj, ["    [\n      %d,\n      " % i for i in idx],
-                               ["%d\n    ]" % j for j in idx], ",\n")
-        return "".join((
-            '{\n  "mode": ', json.dumps(g.mode), ',\n  "n": ', json.dumps(g.n),
-            ',\n  "vertices": ', f"[\n{vertices}\n  ]" if masks else "[]",
-            ',\n  "edges": ', f"[\n{edge_text}\n  ]" if edge_text else "[]",
-            "\n}\n"))
+        edges = _edge_parts(dense.adj, ["    [\n      %d,\n      " % i for i in idx],
+                            ["%d\n    ]" % j for j in idx], ",\n")
+        if edges:
+            edges[-1] = "\n  ]"  # the last edge's separator closes the list
+            parts.append(',\n  "edges": [\n')
+            parts += edges
+            parts.append("\n}\n")
+        else:
+            parts.append(',\n  "edges": []\n}\n')
+        return "".join(parts)
     if fmt == "dot":
         names = [_vertex_name(m, g.n) for m in masks]
-        edge_text = _edge_text(dense.adj, [f"  {name} -- " for name in names],
-                               [f"{name};" for name in names], "\n")
-        lines = ["graph In {", *[f"  {name};" for name in names]]
-        if edge_text:
-            lines.append(edge_text)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        parts = ["graph In {\n", *[f"  {name};\n" for name in names]]
+        parts += _edge_parts(dense.adj, [f"  {name} -- " for name in names],
+                             [f"{name};" for name in names], "\n")
+        parts.append("}\n")
+        return "".join(parts)
     raise ValueError(f"unknown format {fmt!r}")

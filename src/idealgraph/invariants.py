@@ -402,9 +402,26 @@ def _check_chain_partition(dense: DenseGraph, match_l: list[int], alpha: int) ->
 
 
 def maximum_matching(g) -> tuple[int, tuple, bool]:
-    """(matching number, matched pairs, is perfect) via blossom search."""
+    """(matching number, matched pairs, is perfect) via blossom search.
+
+    The pairs are checked before they are returned: ``mate`` must be
+    symmetric, so the pairs are disjoint, and each pair must be an edge.
+    That no larger matching exists rests on the blossom search alone.
+    """
     dense = _dense(g)
-    mate = maximum_matching_adj(dense.size, dense.adj)
+    n = dense.size
+    mate = maximum_matching_adj(n, dense.adj)
+    if len(mate) != n:
+        raise RuntimeError(f"matching certificate failed: {len(mate)} mates for {n} vertices")
+    for v, w in enumerate(mate):
+        if w == -1:
+            continue
+        if not (0 <= w < n and mate[w] == v):
+            raise RuntimeError(f"matching certificate failed: mate is not symmetric at "
+                               f"{dense.masks[v]}")
+        if not dense.adj[v] >> w & 1:
+            raise RuntimeError(f"matching certificate failed: the pair ({dense.masks[v]}, "
+                               f"{dense.masks[w]}) is not an edge")
     pairs = matching_edges(mate)
     size = len(pairs)
     return (size,
@@ -777,22 +794,15 @@ class InvariantReport(NamedTuple):
     methods: dict
 
     def to_jsonable(self) -> dict:
-        """Stable-key-order dict, so identical runs serialize identically."""
+        """Stable-key-order dict, so identical runs serialize identically.
+        The witnesses are the report's own: JSON writes their int mask keys
+        as strings and their tuples as lists."""
         doc = self._asdict()
         for key in ("diameter", "girth"):
             if doc[key] is INFINITY:
                 doc[key] = "inf"
-        doc["witnesses"] = _jsonify(self.witnesses)
         doc["methods"] = dict(sorted(self.methods.items()))
         return doc
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    return obj
 
 
 def perfect_verdict(g) -> bool:

@@ -82,8 +82,8 @@ class SuiteResult(NamedTuple):
         }
 
     def to_json(self) -> str:
-        import json
-        return json.dumps(self.to_jsonable(), indent=2) + "\n"
+        from .jsontext import _json_text
+        return _json_text(self.to_jsonable()) + "\n"
 
     def to_table(self) -> str:
         rows = [("check", "instance", "verdict", "expected", "computed")]
@@ -259,17 +259,22 @@ def _boolean_checks(n: int, checks: list[TheoremCheck]) -> None:
         _emit(checks, "boolean-perfectness-search", inst,
               "theory" if g.vertex_count <= 14 else "derived", expected, computed)
 
-    layers_ok = True
-    vs = list(g.vertices())
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if vs[i].bit_count() == vs[j].bit_count() and g.adjacent(vs[i], vs[j]):
-                layers_ok = False
     _emit(checks, "boolean-equal-layers-nonadjacent", inst, "theory",
-          "no equal-size adjacency", "no equal-size adjacency" if layers_ok else "violated")
+          "no equal-size adjacency",
+          "no equal-size adjacency" if _equal_layers_nonadjacent(g.dense()) else "violated")
 
     if n <= AUT_CHECK_MAX_N:
         _boolean_symmetry_checks(n, g, checks, inst)
+
+
+def _equal_layers_nonadjacent(dense) -> bool:
+    """Whether no edge joins two vertices of equal size: one AND per vertex,
+    of its adjacency with the bitset of its layer."""
+    layers: dict[int, int] = {}
+    for i, m in enumerate(dense.masks):
+        k = m.bit_count()
+        layers[k] = layers.get(k, 0) | 1 << i
+    return not any(a & layers[m.bit_count()] for a, m in zip(dense.adj, dense.masks))
 
 
 def _boolean_symmetry_checks(n: int, g, checks: list[TheoremCheck], inst: str) -> None:

@@ -5,12 +5,16 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealgraph import graph, invariants, rectangular_band, semigroup, symmetry
 from idealgraph.cli import main
 from idealgraph.graph import DEFAULT_VERTEX_CAP, vertex_cap
+from idealgraph.jsontext import _json_text
 from oracles import export_dot_document, first_nonassociative_triple
 
 RIGHT_ZERO_3 = "3\n0 1 2\n0 1 2\n0 1 2\n"
@@ -179,6 +183,69 @@ def test_verify_rejects_an_empty_boolean_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --boolean 5..2 is an empty range\n"
+
+
+class Pair(NamedTuple):
+    low: object
+    high: object
+
+
+class LoudInt(int):
+    def __repr__(self):
+        return "LoudInt()"
+
+    __str__ = __repr__
+
+
+class LoudFloat(float):
+    def __repr__(self):
+        return "LoudFloat()"
+
+    __str__ = __repr__
+
+
+class LoudStr(str):
+    def __repr__(self):
+        return "LoudStr()"
+
+    __str__ = __repr__
+
+
+# Scalars json writes, subclasses included; keys of every kind json accepts.
+specials = st.sampled_from([float("inf"), -float("inf"), float("nan"), -0.0, LoudInt(7),
+                            LoudFloat(2.5), LoudFloat("inf"), LoudStr("plain"), LoudStr("\t"),
+                            "\u00e9\x00\n\"\\\U0001f600", "\x7f", "a\\b", 'say "hi"'])
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | specials
+keys = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | specials
+ints = st.integers(-(1 << 70), 1 << 70)
+# The shapes the writer templates: int lists, equal-length int rows (lists,
+# tuples or both), int -> int dicts, each also with a bool mixed in.
+templated = (st.lists(ints | st.booleans())
+             | st.integers(0, 3).flatmap(lambda k: st.lists(
+                 st.lists(ints, min_size=k, max_size=k)
+                 | st.tuples(*[ints] * k) | st.lists(ints | st.booleans(), min_size=k,
+                                                      max_size=k), max_size=6))
+             | st.dictionaries(ints | st.booleans(), ints | st.booleans(), max_size=6))
+documents = st.recursive(
+    scalars | templated,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.builds(Pair, inner, inner)
+                   | st.dictionaries(keys, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents)
+def test_json_text_is_json_dumps_with_indent(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [object(), [1, {2}], {(1, 2): 3}, {"a": b"x"}])
+def test_json_text_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(doc)
 
 
 def test_verify_json_deterministic(capsys):
@@ -375,8 +442,10 @@ def band_corpus(tmp_path):
 # its CLI; networkx would be listed too. A command compiles only what it runs:
 # the semigroup layer only where it reads a table, path addition (planar) only
 # where a graph has neither a 5-chain nor a K3,3. No command loads
-# dataclasses or inspect, and json only where JSON is written: not by --help,
-# validate, verify in its default table format, or graph as DOT.
+# dataclasses or inspect, and none loads json: the graph export and the JSON
+# writer (jsontext, loaded by the commands that print a JSON document) write
+# their text themselves, and the writer imports json only for a string that
+# needs escaping.
 TABLE_ONLY = ["errors", "semigroup"]
 GRAPH = ["errors", "graph"]
 SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching"]
@@ -385,12 +454,13 @@ SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching"]
 @pytest.mark.parametrize("argv,loaded", [
     (["--help"], ["errors"]),
     (["validate", "{band}"], TABLE_ONLY),
-    (["ideals", "{band}"], TABLE_ONLY),
+    (["ideals", "{band}"], TABLE_ONLY + ["jsontext"]),
     (["graph", "--n", "11"], GRAPH),
-    (["aut", "--n", "7"], GRAPH + ["symmetry"]),
-    (["invariants", "--n", "11", "--all"], SOLVERS),
-    (["invariants", "--n", "12", "--clique", "--chromatic", "--independence"], SOLVERS),
-    (["invariants", "{band}", "--all"], SOLVERS + ["semigroup"]),
+    (["aut", "--n", "7"], GRAPH + ["jsontext", "symmetry"]),
+    (["invariants", "--n", "11", "--all"], SOLVERS + ["jsontext"]),
+    (["invariants", "--n", "12", "--clique", "--chromatic", "--independence"],
+     SOLVERS + ["jsontext"]),
+    (["invariants", "{band}", "--all"], SOLVERS + ["jsontext", "semigroup"]),
     (["verify", "--corpus", "{corpus}"], SOLVERS + ["semigroup", "theorems"]),
     (["verify"], SOLVERS + ["catalog", "constructions", "planar", "semigroup", "symmetry",
                             "theorems"]),
@@ -414,8 +484,7 @@ def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    writes_json = argv[0] in ("ideals", "invariants", "aut", "graph") and "dot" not in argv
-    assert proc.stdout.split() == ["0", *sorted(loaded), *["json"] * writes_json]
+    assert proc.stdout.split() == ["0", *sorted(loaded)]
 
 
 def run_in_one_process(cases, block_networkx=False):

@@ -1,7 +1,9 @@
 """Inclusion graph construction, degrees, the Boolean bridge, and export."""
 
+import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,8 @@ from idealgraph import (
     rectangular_band,
     right_zero,
 )
-from idealgraph.graph import (bits, command_vertex_cap, containment_adjacency, strict_subsets,
-                              transpose)
+from idealgraph.graph import (_meets, _representatives, bits, command_vertex_cap,
+                              containment_adjacency, strict_subsets, transpose)
 from oracles import (containment_by_pairwise_scan, export_dot_document, export_json_document,
                      longest_chain_levels)
 
@@ -389,15 +391,37 @@ def test_containment_order_of_empty_and_one_vertex_families():
     assert empty.containment == ([], [], [], [])
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_containment_order_of_a_chain_over_1000_columns(reverse):
-    # Every mask adds one element, so all 1,000 columns are distinct and a
-    # mask's code has up to 1,000 bits; the walk to a stored code must not
-    # recurse. Both orders of adding the elements are covered.
-    width = 1000
-    full = (1 << width) - 1
-    masks = tuple(full ^ (full >> k) if reverse else (1 << k) - 1
-                  for k in range(1, width + 1))
+class CountingColumns(dict):
+    """Columns that count their reads: ``_meets`` reads one for each code it
+    does not take from the bits first held there, and one per walk step."""
+
+    reads = 0
+
+    def __getitem__(self, bit):
+        self.reads += 1
+        return super().__getitem__(bit)
+
+
+def column_reads(masks) -> list[int]:
+    """The columns ``_meets`` reads in the supersets and the subsets pass."""
+    reps, holds, misses = _representatives(len(masks), transpose(masks))
+    reads = []
+    for cols, codes, reverse in ((holds, [m & reps for m in masks], False),
+                                 (misses, [reps & ~m for m in reversed(masks)], True)):
+        counted = CountingColumns(cols)
+        _meets(codes, counted, reverse)
+        reads.append(counted.reads)
+    return reads
+
+
+def check_chain(elements):
+    """The chain that adds ``elements`` one at a time: every mask adds one
+    element, so all columns are distinct and a mask's code has up to
+    len(elements) bits; the walk to a stored code must not recurse. Whatever
+    the order of the elements, each mask costs one AND a side: a column
+    read at most, none for a walk."""
+    width = len(elements)
+    masks = tuple(itertools.accumulate(1 << e for e in elements))
     adj = containment_adjacency(masks)
     below = strict_subsets(masks, transpose(masks))
     everyone = (1 << width) - 1
@@ -407,3 +431,22 @@ def test_containment_order_of_a_chain_over_1000_columns(reverse):
     order = DenseGraph(adj, masks).containment
     assert order.down == list(range(1, width + 1))
     assert order.up == list(range(width, 0, -1))
+    assert all(reads <= width + 1 for reads in column_reads(masks))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_containment_order_of_a_chain_over_1000_columns(reverse):
+    # Both orders of adding the elements: lowest first, highest first.
+    check_chain(range(999, -1, -1) if reverse else range(1000))
+
+
+def test_containment_order_of_a_shuffled_chain():
+    elements = list(range(1000))
+    random.Random(5).shuffle(elements)
+    check_chain(elements)
+
+
+@pytest.mark.parametrize("n", [3, 8, 11])
+def test_boolean_family_costs_one_column_read_per_mask_and_side(n):
+    masks = tuple(build_boolean(n).vertices())
+    assert column_reads(masks) == [len(masks) + 1] * 2

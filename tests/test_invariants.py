@@ -1264,6 +1264,24 @@ def test_chain_partition_check_counts_chains_and_entries():
         invariants._check_chain_partition(dense, twice, heads)
 
 
+@pytest.mark.parametrize("corrupt,match", [
+    # {1} -> {1,2} (or {1,3}), whose mate is another vertex: not symmetric.
+    (lambda mate: [4 if mate[0] != 4 else 5] + mate[1:], "mate is not symmetric at 1"),
+    # {1} and {2} matched to each other: symmetric, but no edge.
+    (lambda mate: [1, 0] + [-1] * (len(mate) - 2), r"the pair \(1, 2\) is not an edge"),
+    # A vertex matched to itself, and a mate out of range.
+    (lambda mate: [0] + mate[1:], r"the pair \(1, 1\) is not an edge"),
+    (lambda mate: [len(mate)] + mate[1:], "mate is not symmetric at 1"),
+])
+def test_matching_certificate_is_a_real_check(monkeypatch, capsys, corrupt, match):
+    real = invariants.maximum_matching_adj
+    monkeypatch.setattr(invariants, "maximum_matching_adj",
+                        lambda n, adj: corrupt(real(n, adj)))
+    check_wrong_witness_fails(["invariants", "--n", "4", "--matching"],
+                              f"matching certificate failed: {match}", capsys,
+                              maximum_matching)
+
+
 def test_domination_certificate_is_a_real_check(monkeypatch, capsys):
     # Boolean n=4 is dominated by {1} and its complement {2,3,4}; {1} alone
     # leaves {2} undominated.

@@ -57,6 +57,26 @@ def test_no_module_imports_dataclasses():
     assert package_imports("dataclasses") == []
 
 
+def indented_json_calls(source: str) -> list[int]:
+    """Lines of ``json.dump``/``json.dumps`` calls (or bare ``dump``/``dumps``)
+    that pass ``indent=``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+            and any(kw.arg == "indent" for kw in node.keywords)]
+
+
+def test_no_module_writes_json_through_the_indenting_encoder():
+    # With indent set, json.dumps runs its pure-Python encoder; every JSON
+    # document goes through jsontext._json_text, which writes the same text.
+    assert indented_json_calls("import json\njson.dumps(d, indent=2)\n") == [2]
+    assert indented_json_calls("from json import dump\ndump(d, f, indent=1)\n") == [2]
+    assert indented_json_calls("json.dumps(d, separators=(',', ':'))\n") == []
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in indented_json_calls(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 def test_public_names_resolve_to_their_defining_modules():
     assert len(idealgraph.__all__) == len(set(idealgraph.__all__)) >= 60
     for name in idealgraph.__all__:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from idealgraph import (InclusionGraph, catalog, connectivity, cyclic_group,
                         enumerate_left_ideals, girth, graph, right_zero, run_suite, theorems)
 from idealgraph.cli import main
+from idealgraph.graph import DenseGraph, build_boolean
 from idealgraph.semigroup import IdealFamily
 from idealgraph.theorems import REGISTRY, builtin_corpus
 from oracles import enumerate_associative_tables, union_closed_pairwise
@@ -205,6 +206,26 @@ def test_corpus_pass_holds_one_graph_at_a_time(monkeypatch):
     assert run_suite(corpus=corpus, corpus_label="small").failed == 0
     assert len(built) > 20
     assert alive_at_build == [0] * len(built)
+
+
+@pytest.mark.parametrize("u,v", [(1, 2), (3, 5), (7, 11)])
+def test_equal_layers_row_reports_an_injected_edge(monkeypatch, u, v):
+    # One edge between two subsets of equal size, injected where the row
+    # reads the graph: only that row fails. The other rows see the real graph.
+    real = theorems._equal_layers_nonadjacent
+
+    def injected(dense):
+        adj = list(dense.adj)
+        i, j = dense.masks.index(u), dense.masks.index(v)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        return real(DenseGraph(adj, dense.masks))
+
+    assert real(build_boolean(4).dense())
+    monkeypatch.setattr(theorems, "_equal_layers_nonadjacent", injected)
+    failed = [(c.check_id, c.computed) for c in run_suite(boolean_ns=[4]).checks
+              if c.verdict != "pass"]
+    assert failed == [("boolean-equal-layers-nonadjacent", "violated")]
 
 
 def test_json_deterministic():
