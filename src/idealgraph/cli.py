@@ -246,12 +246,10 @@ def _cmd_verify(args) -> int:
         corpus_label = args.corpus
     result = theorems.run_suite(boolean_ns=boolean_ns, corpus=corpus,
                                 corpus_label=corpus_label)
-    if args.format == "json":
-        sys.stdout.write(result.to_json())
-    else:
-        sys.stdout.write(result.to_table())
+    text = result.to_json() if args.format == "json" or args.output else None
+    sys.stdout.write(text if args.format == "json" else result.to_table())
     if args.output:
-        Path(args.output).write_text(result.to_json(), encoding="utf-8")
+        Path(args.output).write_text(text, encoding="utf-8")
     return result.exit_code
 
 

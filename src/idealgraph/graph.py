@@ -200,11 +200,10 @@ def _meets(codes: list[int], cols: dict[int, int], reverse: bool = False) -> lis
     ``cols[b]`` is the set of positions of the codes that hold bit b,
     counted from the last code when ``reverse``. The ANDs are memoised per
     code, and a code's is one AND on a stored one: the code with its lowest
-    bit cleared, else the code with its highest bit cleared, else the code
-    without the bits that no earlier code holds (along a chain, the one bit
-    each code adds, whatever the order of the elements; see
-    ``_first_held``, built on the first code that needs it). When none of
-    them is stored, an explicit walk clears the lowest bits until it
+    bit cleared, else the code without the bits that no earlier code holds
+    (along a chain, the one bit each code adds, whatever the order of the
+    elements; see ``_first_held``, built on the first code that needs it).
+    When neither is stored, an explicit walk clears the lowest bits until it
     reaches a stored code, and ANDs the cleared bits' columns into that
     code's. The codes on the way are not stored, so the memo holds one
     entry per code however long the walks.
@@ -219,23 +218,18 @@ def _meets(codes: list[int], cols: dict[int, int], reverse: bool = False) -> lis
         if x is not None:
             x = memo[code] = x & cols[code ^ rest]
         else:
-            top = 1 << (code.bit_length() - 1)
-            x = get(code ^ top)
-            if x is not None:
-                x = memo[code] = x & cols[top]
-            else:
-                if first is None:
-                    first = _first_held(codes, cols, reverse)
-                low = code ^ rest
-                new, acc = first.get(code) or (low, cols[low])
-                c = code ^ new
+            if first is None:
+                first = _first_held(codes, cols, reverse)
+            low = code ^ rest
+            new, acc = first.get(code) or (low, cols[low])
+            c = code ^ new
+            x = get(c)
+            while x is None:
+                low = c & -c
+                acc &= cols[low]
+                c ^= low
                 x = get(c)
-                while x is None:
-                    low = c & -c
-                    acc &= cols[low]
-                    c ^= low
-                    x = get(c)
-                x = memo[code] = x & acc
+            x = memo[code] = x & acc
         out.append(x)
     return out
 

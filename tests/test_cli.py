@@ -278,6 +278,18 @@ def test_verify_writes_json_report(tmp_path, capsys):
     assert doc["failed"] == 0
 
 
+def test_verify_json_to_stdout_and_file_serializes_once(tmp_path, capsys, monkeypatch):
+    from idealgraph import theorems
+    calls = []
+    to_json = theorems.SuiteResult.to_json
+    monkeypatch.setattr(theorems.SuiteResult, "to_json",
+                        lambda self: calls.append(1) or to_json(self))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--boolean", "3..3", "--format", "json", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+    assert len(calls) == 1
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "idealgraph.cli", "invariants", "--n", "3", "--girth"],

@@ -1178,6 +1178,30 @@ def test_report_json_stable():
     assert "elapsed" not in doc
 
 
+def jsonified(obj):
+    """The witnesses as JSON reads them back: str keys, lists for tuples."""
+    if isinstance(obj, dict):
+        return {str(k): jsonified(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonified(x) for x in obj]
+    return obj
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_report_witnesses_read_back_with_str_keys_and_lists(n):
+    # to_jsonable hands the witnesses over as they are (int mask keys,
+    # tuples); the written text reads back as the JSON shape. n=3 has a
+    # planar embedding, n=5 a Kuratowski subgraph.
+    from idealgraph.jsontext import _json_text
+    doc = compute_report(build_boolean(n)).to_jsonable()
+    assert isinstance(next(iter(doc["witnesses"]["coloring"])), int)
+    assert isinstance(doc["witnesses"]["matching"], tuple)
+    back = json.loads(_json_text(doc))
+    assert back == {**doc, "witnesses": jsonified(doc["witnesses"])}
+    assert set(back["witnesses"]) >= {"coloring", "matching",
+                                      "embedding" if n == 3 else "kuratowski"}
+
+
 def test_report_identity_is_a_real_check(monkeypatch):
     # A broken solver must fail the identity check even under python -O,
     # so the check raises instead of asserting.
