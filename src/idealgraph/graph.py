@@ -162,74 +162,28 @@ def transpose(masks) -> list[int]:
     return [int(text[stride + 2 - e::stride], 2) for e in range(w)]
 
 
-def _representatives(count: int, columns: list[int]):
-    """``(reps, holds, misses)`` for ``count`` masks with element
-    ``columns``: one element stands for each distinct nonempty column, and
-    ``reps`` is the set of them. ``holds`` and ``misses`` map a
-    representative's bit to the masks that hold it and to those that miss
-    it; both map 0 to every mask."""
-    everyone = (1 << count) - 1
-    holds = {0: everyone}
-    misses = {0: everyone}
-    reps = 0
-    for c, e in {c: e for e, c in enumerate(columns) if c}.items():
-        b = 1 << e
-        reps |= b
-        holds[b] = c
-        misses[b] = everyone ^ c
-    return reps, holds, misses
+def _meets(codes: list[int], cols: dict[int, int], highest: bool = False) -> list[int]:
+    """For each code in turn, the AND of ``cols[b]`` over its set bits b
+    (``cols[0]``, the AND over no bits, is every position).
 
-
-def _first_held(codes: list[int], cols: dict[int, int],
-                reverse: bool) -> dict[int, tuple[int, int]]:
-    """For each code that holds bits no earlier code holds: those bits and
-    the AND of their columns (see ``_meets``)."""
-    count = len(codes)
-    first = {}
-    for b, c in cols.items():
-        if b and c:
-            code = codes[count - c.bit_length() if reverse else (c & -c).bit_length() - 1]
-            bits, acc = first.get(code, (0, -1))
-            first[code] = (bits | b, acc & c)
-    return first
-
-
-def _meets(codes: list[int], cols: dict[int, int], reverse: bool = False) -> list[int]:
-    """For each code in turn, the AND of ``cols[b]`` over its set bits b.
-
-    ``cols[b]`` is the set of positions of the codes that hold bit b,
-    counted from the last code when ``reverse``. The ANDs are memoised per
-    code, and a code's is one AND on a stored one: the code with its lowest
-    bit cleared, else the code without the bits that no earlier code holds
-    (along a chain, the one bit each code adds, whatever the order of the
-    elements; see ``_first_held``, built on the first code that needs it).
-    When neither is stored, an explicit walk clears the lowest bits until it
-    reaches a stored code, and ANDs the cleared bits' columns into that
-    code's. The codes on the way are not stored, so the memo holds one
-    entry per code however long the walks.
+    The ANDs are memoised per code, and a code's is one AND on the stored
+    one of the code with its lowest bit cleared, or its highest when
+    ``highest``; in a sorted family of down-sets that one is always stored
+    (see ``containment_adjacency``). A code that misses it ANDs its columns.
     """
     memo = {0: cols[0]}
     get = memo.get
     out = []
-    first = None
     for code in codes:
-        rest = code & (code - 1)
-        x = get(rest)
-        if x is not None:
-            x = memo[code] = x & cols[code ^ rest]
+        b = 1 << code.bit_length() >> 1 if highest else code & -code
+        x = get(code ^ b)
+        if x is None:
+            x = cols[0]
+            for e in bits(code):
+                x &= cols[1 << e]
         else:
-            if first is None:
-                first = _first_held(codes, cols, reverse)
-            low = code ^ rest
-            new, acc = first.get(code) or (low, cols[low])
-            c = code ^ new
-            x = get(c)
-            while x is None:
-                low = c & -c
-                acc &= cols[low]
-                c ^= low
-                x = get(c)
-            x = memo[code] = x & acc
+            x &= cols[b]
+        memo[code] = x
         out.append(x)
     return out
 
@@ -237,35 +191,38 @@ def _meets(codes: list[int], cols: dict[int, int], reverse: bool = False) -> lis
 def containment_adjacency(masks) -> list[int]:
     """Adjacency bitsets of strict containment among distinct masks.
 
-    Works on one representative element per distinct column (see
-    ``_representatives``). A mask's code is the representatives it holds,
-    and distinct masks have distinct codes. The masks containing it are
-    those in every column of its code; the masks inside it, those in no
-    column outside its code (see ``_meets``). The first are taken in index
-    order and the second in reverse. In a Boolean family sorted by
-    (popcount, mask) the code with its lowest bit cleared is then always one
-    already done, and along a chain the code without the one element it
-    adds, so each mask costs one AND a side; in other families a walk may
-    clear more bits.
+    Each distinct nonempty element column is one code bit, fewest holders
+    first, and a mask's code is the columns holding it: one ``transpose``
+    of the ordered columns, or the mask itself when they come in that order
+    already (every Boolean family). The masks containing a mask are those
+    in every column of its code, the masks inside it those in no column
+    outside it (see ``_meets``), taken in index order and in reverse.
+
+    In a family of left ideals the columns are the principal ideals, the
+    join-irreducibles, and a code is the down-set of those an ideal holds.
+    A larger principal ideal has fewer holders, so clearing a code's lowest
+    bit, or adding the highest bit outside it, gives the code of a smaller
+    or a larger ideal. In a complete family sorted by (popcount, mask) that
+    one is done already, and each mask costs one AND a side.
     """
-    reps, holds, misses = _representatives(len(masks), transpose(masks))
-    adj = _meets([m & reps for m in masks], holds)
-    inside = _meets([reps & ~m for m in reversed(masks)], misses, reverse=True)
-    i = len(masks)
-    for x in inside:
-        i -= 1
+    columns = transpose(masks)
+    order = sorted(dict.fromkeys(filter(None, columns)), key=int.bit_count)
+    if order == columns:
+        codes = masks
+    else:
+        codes = transpose(order)
+        codes += [0] * (len(masks) - len(codes))  # the empty mask, held nowhere
+    everyone = (1 << len(masks)) - 1
+    holds = {1 << k: c for k, c in enumerate(order)}
+    misses = {b: everyone ^ c for b, c in holds.items()}
+    holds[0] = misses[0] = everyone
+    adj = _meets(codes, holds)
+    full = (1 << len(order)) - 1
+    inside = _meets([full ^ c for c in reversed(codes)], misses, highest=True)
+    inside.reverse()
+    for i, x in enumerate(inside):
         adj[i] = (adj[i] | x) ^ (1 << i)  # each meet holds the mask itself
     return adj
-
-
-def strict_subsets(masks, columns: list[int]) -> list[int]:
-    """For each of the distinct ``masks``, the bitset of the masks strictly
-    inside it, given their element ``columns`` (see ``transpose``): the
-    masks in no column outside its code (see ``containment_adjacency``)."""
-    reps, _, misses = _representatives(len(masks), columns)
-    inside = _meets([reps & ~m for m in reversed(masks)], misses, reverse=True)
-    inside.reverse()
-    return [x ^ (1 << i) for i, x in enumerate(inside)]
 
 
 def _mask_sort_key(mask: int) -> tuple[int, int]:

@@ -242,7 +242,9 @@ def principal_left_ideal(t: CayleyTable, a: int) -> LeftIdeal:
 
 
 def is_left_ideal(t: CayleyTable, mask: int) -> bool:
-    """True when the nonempty subset ``mask`` absorbs left multiplication."""
+    """True when the nonempty subset ``mask`` of S absorbs left multiplication."""
+    if mask & ~t.full_mask:
+        raise ValueError(f"mask {mask} is not a subset of the {t.order} elements")
     if mask == 0:
         return False
     m = mask

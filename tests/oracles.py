@@ -1,7 +1,8 @@
 """Straightforward references for the optimized kernels: the semigroup
 layer's associativity test, every labeled semigroup table of a small order
 (against which the isomorphism classes are checked), the union closure of
-an ideal family by a scan of every pair of members, the containment order
+an ideal family by a scan of every pair of members, tables relabeled by
+a permutation of their elements, the containment order
 of a family of masks by a test of every pair and its longest chains by a
 dynamic program over the masks in order of size, graphs with any
 adjacency (``adj_from_edges``; the package builds only inclusion graphs),
@@ -20,6 +21,7 @@ neighbours of vertex v."""
 
 import json
 import math
+import random
 from collections import deque
 
 from idealgraph import CayleyTable
@@ -91,6 +93,22 @@ def enumerate_by_full_recheck(m):
         table[i][j] = -1
 
     yield from rec(0)
+
+
+def relabeled(rows, sigma):
+    """The table of the same semigroup with element x renamed sigma[x]."""
+    m = len(rows)
+    inv = [0] * m
+    for x, y in enumerate(sigma):
+        inv[y] = x
+    return tuple(tuple(sigma[rows[inv[a]][inv[b]]] for b in range(m)) for a in range(m))
+
+
+def shuffled_table(t, seed):
+    """``t`` with its elements renamed by a permutation drawn from ``seed``."""
+    sigma = list(range(t.order))
+    random.Random(seed).shuffle(sigma)
+    return CayleyTable(t.order, relabeled(t.rows, sigma))
 
 
 def magma_closure(rows, elements):

@@ -7,16 +7,7 @@ import pytest
 
 from idealgraph import catalog
 from idealgraph.catalog import CLASS_GATES, small_semigroup_corpus
-from oracles import enumerate_by_full_recheck
-
-
-def relabeled(rows, sigma):
-    """The table of the same semigroup with element x renamed sigma[x]."""
-    m = len(rows)
-    inv = [0] * m
-    for x, y in enumerate(sigma):
-        inv[y] = x
-    return tuple(tuple(sigma[rows[inv[a]][inv[b]]] for b in range(m)) for a in range(m))
+from oracles import enumerate_by_full_recheck, relabeled
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

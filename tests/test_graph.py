@@ -25,11 +25,13 @@ from idealgraph import (
     null_semigroup,
     rectangular_band,
     right_zero,
+    right_zero_with_identity,
 )
-from idealgraph.graph import (_meets, _representatives, bits, command_vertex_cap,
-                              containment_adjacency, strict_subsets, transpose)
+from idealgraph import graph
+from idealgraph.graph import _meets, bits, command_vertex_cap, containment_adjacency, transpose
+from idealgraph.theorems import builtin_corpus
 from oracles import (containment_by_pairwise_scan, export_dot_document, export_json_document,
-                     longest_chain_levels)
+                     longest_chain_levels, shuffled_table)
 
 
 def test_build_from_family_null_semigroup_is_path():
@@ -326,7 +328,6 @@ def check_containment_order(masks):
     assert columns == [sum(1 << i for i, m in enumerate(masks) if m >> e & 1)
                        for e in range(max(masks, default=0).bit_length())]
     assert containment_adjacency(masks) == [b | a for b, a in zip(below, above)]
-    assert strict_subsets(masks, columns) == below
     dense = InclusionGraph("generic", vertices=masks).dense()
     order = dense.containment
     assert (order.below, order.above) == containment_by_pairwise_scan(dense.masks)
@@ -368,23 +369,43 @@ def test_containment_order_matches_oracles_with_repeated_columns(masks, width):
 def test_containment_order_matches_oracles_on_fences(zigzags):
     masks = fence(zigzags)
     check_containment_order(masks)
+    # No lattice: from 5 zigzags on, codes of the subsets pass miss.
+    assert (column_reads(masks)[1] > len(masks) + 1) == (zigzags >= 5)
     order = InclusionGraph("generic", vertices=masks).dense().containment
     assert sorted(order.down) == [1] * (zigzags + 1) + [2] * zigzags
+
+
+def shuffled_tables():
+    """Seeded relabelings of tables whose element columns come out of
+    order, repeated (L-classes of 3 elements) and empty (the identity
+    generates S)."""
+    return [shuffled_table(t, seed) for t in (
+        rectangular_band(3, 4), null_semigroup(6), right_zero_with_identity(4))
+        for seed in range(4)]
+
+
+def lattice_families():
+    """Complete ideal families sorted by (popcount, mask): the built-in
+    corpus, with its empty families, and the shuffled tables."""
+    tables = [t for t, _ in builtin_corpus()[0]] + shuffled_tables()
+    return [enumerate_left_ideals(t).masks for t in tables]
 
 
 def test_containment_order_of_tables_and_boolean_families():
     families = [enumerate_left_ideals(t).masks for t in (
         rectangular_band(3, 4), null_semigroup(5), right_zero(5))]
+    families += lattice_families()
     families += [tuple(build_boolean(n).vertices()) for n in (2, 3, 6)]
+    assert len(families) == 3 + 228 + 12 + 3
     for masks in families:
         check_containment_order(masks)
 
 
 def test_containment_order_of_empty_and_one_vertex_families():
-    assert containment_adjacency(()) == strict_subsets((), transpose(())) == []
+    assert containment_adjacency(()) == []
     assert transpose(()) == []
     for mask in (0, 0b1, 0b10110):
-        assert containment_adjacency((mask,)) == strict_subsets((mask,), transpose((mask,))) == [0]
+        assert containment_adjacency((mask,)) == [0]
         order = InclusionGraph("generic", vertices=(mask,)).dense().containment
         assert order == ([0], [0], [1], [1])
     empty = build_from_family(enumerate_left_ideals(cyclic_group(3))).dense()
@@ -392,8 +413,10 @@ def test_containment_order_of_empty_and_one_vertex_families():
 
 
 class CountingColumns(dict):
-    """Columns that count their reads: ``_meets`` reads one for each code it
-    does not take from the bits first held there, and one per walk step."""
+    """Columns that count their reads. ``_meets`` reads ``cols[0]`` once to
+    start, one column for each code one AND from a stored code, and
+    ``cols[0]`` with every column of a code that misses, three or more; so
+    a pass reads len(codes) + 1 columns iff no code misses."""
 
     reads = 0
 
@@ -403,35 +426,38 @@ class CountingColumns(dict):
 
 
 def column_reads(masks) -> list[int]:
-    """The columns ``_meets`` reads in the supersets and the subsets pass."""
-    reps, holds, misses = _representatives(len(masks), transpose(masks))
+    """The columns ``containment_adjacency(masks)`` reads in its supersets
+    and its subsets pass."""
     reads = []
-    for cols, codes, reverse in ((holds, [m & reps for m in masks], False),
-                                 (misses, [reps & ~m for m in reversed(masks)], True)):
+
+    def counting(codes, cols, highest=False):
         counted = CountingColumns(cols)
-        _meets(codes, counted, reverse)
+        out = _meets(codes, counted, highest)
         reads.append(counted.reads)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_meets", counting)
+        containment_adjacency(masks)
     return reads
 
 
 def check_chain(elements):
     """The chain that adds ``elements`` one at a time: every mask adds one
     element, so all columns are distinct and a mask's code has up to
-    len(elements) bits; the walk to a stored code must not recurse. Whatever
-    the order of the elements, each mask costs one AND a side: a column
-    read at most, none for a walk."""
+    len(elements) bits. Whatever the order of the elements, the codes are
+    the chain's down-sets and each mask costs one column read a side."""
     width = len(elements)
     masks = tuple(itertools.accumulate(1 << e for e in elements))
     adj = containment_adjacency(masks)
-    below = strict_subsets(masks, transpose(masks))
     everyone = (1 << width) - 1
-    for i in range(width):
-        assert below[i] == (1 << i) - 1
-        assert adj[i] == everyone ^ (1 << i)
     order = DenseGraph(adj, masks).containment
+    for i in range(width):
+        assert adj[i] == everyone ^ (1 << i)
+        assert order.below[i] == (1 << i) - 1
     assert order.down == list(range(1, width + 1))
     assert order.up == list(range(width, 0, -1))
-    assert all(reads <= width + 1 for reads in column_reads(masks))
+    assert column_reads(masks) == [width + 1] * 2
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -450,3 +476,8 @@ def test_containment_order_of_a_shuffled_chain():
 def test_boolean_family_costs_one_column_read_per_mask_and_side(n):
     masks = tuple(build_boolean(n).vertices())
     assert column_reads(masks) == [len(masks) + 1] * 2
+
+
+def test_ideal_families_cost_one_column_read_per_mask_and_side():
+    for masks in lattice_families():
+        assert column_reads(masks) == [len(masks) + 1] * 2

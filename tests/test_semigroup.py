@@ -245,6 +245,21 @@ def test_maximality_rejects_non_ideals():
         is_maximal_left_ideal(right_zero(3), 0b111)
 
 
+def test_masks_and_elements_outside_the_table_raise_value_error():
+    # Bits above the order, or a negative mask, name elements S does not
+    # have; every left-ideal test refuses them instead of indexing the table.
+    t = right_zero(3)
+    for mask in (1 << 5, 0b1001, -1, -8):
+        with pytest.raises(ValueError, match=f"mask {mask} "):
+            is_left_ideal(t, mask)
+        with pytest.raises(ValueError):
+            is_maximal_left_ideal(t, mask)
+    for a in (-1, 3):
+        with pytest.raises(ValueError):
+            principal_left_ideal(t, a)
+    assert is_left_ideal(t, 0b111) and is_left_ideal(t, 0b100) and not is_left_ideal(t, 0)
+
+
 def test_maximality_raises_on_non_ideals_of_a_larger_table():
     # The argument check unions the principal ideals of the members the
     # mask's bits select. Adding an element to an ideal, or dropping one,
