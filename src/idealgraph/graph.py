@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, repeat
+from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OutOfRangeError, TooLargeError, TruncatedFamilyError, UnknownVertexError
@@ -188,40 +189,31 @@ def _meets(codes: list[int], cols: dict[int, int], highest: bool = False) -> lis
     return out
 
 
-def containment_adjacency(masks) -> list[int]:
-    """Adjacency bitsets of strict containment among distinct masks.
+def containment_adjacency(codes) -> list[int]:
+    """Adjacency bitsets of strict containment among distinct codes.
 
-    Each distinct nonempty element column is one code bit, fewest holders
-    first, and a mask's code is the columns holding it: one ``transpose``
-    of the ordered columns, or the mask itself when they come in that order
-    already (every Boolean family). The masks containing a mask are those
-    in every column of its code, the masks inside it those in no column
-    outside it (see ``_meets``), taken in index order and in reverse.
+    The codes are a family's masks, or the J-codes of left ideals (see
+    ``enumerate_left_ideals``), which contain each other as the ideals do.
+    One ``transpose`` gives each bit's column; the codes containing a code
+    are those in every column of its bits, the codes inside it those in no
+    column outside it (see ``_meets``), taken in index order and in reverse.
 
-    In a family of left ideals the columns are the principal ideals, the
-    join-irreducibles, and a code is the down-set of those an ideal holds.
-    A larger principal ideal has fewer holders, so clearing a code's lowest
-    bit, or adding the highest bit outside it, gives the code of a smaller
-    or a larger ideal. In a complete family sorted by (popcount, mask) that
-    one is done already, and each mask costs one AND a side.
+    When the bits are a linear extension of a poset and the codes its
+    nonempty proper down-sets sorted by size, as in every ideal family and
+    Boolean family, clearing a code's highest bit or adding the lowest bit
+    outside it gives a code done already: one AND per code and side.
     """
-    columns = transpose(masks)
-    order = sorted(dict.fromkeys(filter(None, columns)), key=int.bit_count)
-    if order == columns:
-        codes = masks
-    else:
-        codes = transpose(order)
-        codes += [0] * (len(masks) - len(codes))  # the empty mask, held nowhere
-    everyone = (1 << len(masks)) - 1
-    holds = {1 << k: c for k, c in enumerate(order)}
+    columns = transpose(codes)
+    everyone = (1 << len(codes)) - 1
+    holds = {1 << k: c for k, c in enumerate(columns)}
     misses = {b: everyone ^ c for b, c in holds.items()}
     holds[0] = misses[0] = everyone
-    adj = _meets(codes, holds)
-    full = (1 << len(order)) - 1
-    inside = _meets([full ^ c for c in reversed(codes)], misses, highest=True)
+    adj = _meets(codes, holds, highest=True)
+    full = (1 << len(columns)) - 1
+    inside = _meets([full ^ c for c in reversed(codes)], misses)
     inside.reverse()
     for i, x in enumerate(inside):
-        adj[i] = (adj[i] | x) ^ (1 << i)  # each meet holds the mask itself
+        adj[i] = (adj[i] | x) ^ (1 << i)  # each meet holds the code itself
     return adj
 
 
@@ -245,6 +237,7 @@ class InclusionGraph:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
+        self._codes: tuple[int, ...] | None = None  # the masks' J-codes, if from a family
         self._index: dict[int, int] | None = None
         self._dense: DenseGraph | None = None
 
@@ -347,15 +340,17 @@ class InclusionGraph:
         self.check_cap()
         if self._dense is None:
             masks = tuple(self.vertices())
-            self._dense = DenseGraph(containment_adjacency(masks), masks)
+            self._dense = DenseGraph(containment_adjacency(self._codes or masks), masks)
         return self._dense
 
 
 def build_from_family(family: IdealFamily) -> InclusionGraph:
-    """One vertex per nontrivial left ideal, edges by strict containment."""
+    """One vertex per nontrivial left ideal, edges by containment of J-codes."""
     if family.truncated:
         raise TruncatedFamilyError("family was truncated; graph would be incomplete")
-    return InclusionGraph("generic", vertices=family.masks)
+    g = InclusionGraph("generic", vertices=family.masks)  # already in vertex order
+    g._codes = family.codes
+    return g
 
 
 def build_boolean(n: int) -> InclusionGraph:
@@ -371,22 +366,18 @@ def minimal_ideal_coordinates(family: IdealFamily) -> tuple[int, tuple[int, ...]
     Returns (number of minimal ideals, relabeled vertex masks in canonical
     order). Raises ValueError when some ideal is not a union of minimal
     ideals, i.e. the family does not live in the Boolean model.
+    An ideal is a union of minimal ideals, the one-bit codes, iff its code
+    has no other bit, so the family is Boolean iff its codes use as many
+    bits as it has minimal ideals; the coordinates drop the unused bits.
     """
-    minimals = family.minimal_masks
-    n = len(minimals)
-    out = []
-    for ideal in family.ideals:
-        sub = 0
-        union = 0
-        for i, mm in enumerate(minimals):
-            if mm & ideal.members == mm:
-                sub |= 1 << i
-                union |= mm
-        if union != ideal.members:
-            raise ValueError(
-                f"ideal {ideal.members:#x} is not a union of minimal ideals")
-        out.append(sub)
-    return n, tuple(sorted(out, key=_mask_sort_key))
+    codes = family.codes
+    n = len(family.minimal_indices)
+    if reduce(or_, codes, 0).bit_count() != n:
+        minimal = reduce(or_, map(codes.__getitem__, family.minimal_indices), 0)
+        bad = next(i for i, c in zip(family.ideals, codes) if c & ~minimal)
+        raise ValueError(f"ideal {bad.members:#x} is not a union of minimal ideals")
+    coords = transpose(list(filter(None, transpose(codes))))
+    return n, tuple(sorted(coords, key=_mask_sort_key))
 
 
 def _vertex_name(mask: int, boolean_n: int | None) -> str:

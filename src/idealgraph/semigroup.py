@@ -208,7 +208,8 @@ class LClass(NamedTuple):
 class IdealFamily(NamedTuple):
     """All nontrivial left ideals of a semigroup (or a capped prefix of them).
 
-    ``ideals`` is deduplicated and sorted by (cardinality, mask).
+    ``ideals`` is deduplicated and sorted by (cardinality, mask), and
+    ``codes`` holds their J-codes (see ``enumerate_left_ideals``).
     ``minimal_indices`` / ``maximal_indices`` point at the members that are
     minimal and maximal nontrivial left ideals of S. On a complete family
     these are its minimal and maximal members under inclusion; a truncated
@@ -220,6 +221,7 @@ class IdealFamily(NamedTuple):
     minimal_indices: tuple[int, ...]
     maximal_indices: tuple[int, ...]
     truncated: bool
+    codes: tuple[int, ...]
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -269,47 +271,65 @@ def l_classes(t: CayleyTable) -> list[LClass]:
 
 
 def enumerate_left_ideals(t: CayleyTable, cap: int = DEFAULT_IDEAL_CAP) -> IdealFamily:
-    """All nontrivial left ideals, by closing principal ideals under union.
+    """All nontrivial left ideals, as the down-sets of the principal ones.
 
-    Every left ideal is a union of principal left ideals, so the union
-    closure of the distinct principal ideals is the whole family. S itself
-    is excluded. Stops with ``truncated=True`` once ``cap`` distinct
-    nontrivial ideals have been found.
+    The distinct principal left ideals are the join-irreducibles J of the
+    lattice of left ideals, so each left ideal is the union of one down-set
+    of J, whose bit i is set iff it holds J[i]: its J-code; all of J is S
+    (Birkhoff 1937). With J sorted by (size, mask), a linear extension, the
+    walk adds one member of J per step, after the last one held and with
+    all of J below it held, keeping those candidates as a bitset per ideal
+    (Habib, Medina, Nourine & Steiner 2001). An ideal is minimal iff it
+    holds one member of J, and maximal iff it holds all of J but one.
 
-    The same fact gives the minimal and maximal members without comparing
-    ideals pairwise: an ideal is minimal iff it is a principal ideal
-    generated by each of its elements, and X is maximal iff X | p is X or S
-    for every principal ideal p. On a truncated family these are the
-    members that are minimal or maximal nontrivial left ideals of S.
+    Stops with ``truncated=True`` when there are more than ``cap`` ideals;
+    the family then holds the first ``cap`` the walk reaches, each with its
+    parent (the ideal without its last member of J) unless that is empty.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    full = t.full_mask
-    generators = t.l_class_by_ideal
-    principals = sorted(generators)
-    found: set[int] = set(p for p in principals if p != full)
+    joins = sorted(t.l_class_by_ideal, key=lambda p: (p.bit_count(), p))
+    # below[i]: the members of J strictly inside joins[i], all before it;
+    # above[i]: the members strictly containing it.
+    below, above = [], [[] for _ in joins]
+    for i, p in enumerate(joins):
+        low = 0
+        for j in range(i):
+            if joins[j] & p == joins[j]:
+                low |= 1 << j
+                above[j].append(i)
+        below.append(low)
+    top = (1 << len(joins)) - 1  # all of J: S itself
+    found: list[tuple[int, int]] = []  # (mask, code), in the order the walk reaches them
+    # (code, mask, the members of J it may add next), from the empty set
+    stack = [(0, 0, sum(1 << i for i, b in enumerate(below) if not b))]
+    while stack and len(found) <= cap:
+        code, mask, nxt = stack.pop()
+        while nxt:
+            b = nxt & -nxt
+            nxt ^= b
+            child = code | b
+            if child == top:  # only the last member of J completes it
+                break
+            i = b.bit_length() - 1
+            grown = nxt
+            for j in above[i]:
+                if not below[j] & ~child:
+                    grown |= 1 << j
+            found.append((mask | joins[i], child))
+            stack.append((child, mask | joins[i], grown))
     truncated = len(found) > cap
-    if truncated:
-        found = set(sorted(found)[:cap])
-    queue = sorted(found)
-    while queue and not truncated:
-        x = queue.pop()
-        for p in principals:
-            y = x | p
-            if y != full and y not in found:
-                if len(found) >= cap:
-                    truncated = True
-                    break
-                found.add(y)
-                queue.append(y)
-    masks = sorted(found, key=lambda m: (m.bit_count(), m))
+    del found[cap:]
+    found.sort(key=lambda mc: (mc[0].bit_count(), mc[0]))
+    codes = tuple(c for _, c in found)
     return IdealFamily(
         order=t.order,
-        ideals=tuple(LeftIdeal.from_mask(t, m) for m in masks),
-        minimal_indices=tuple(i for i, x in enumerate(masks) if generators.get(x) == x),
-        maximal_indices=tuple(i for i, x in enumerate(masks)
-                              if all(x | p in (x, full) for p in principals)),
+        ideals=tuple(LeftIdeal(m, m.bit_count(), True) for m, _ in found),
+        minimal_indices=tuple(k for k, c in enumerate(codes) if c.bit_count() == 1),
+        maximal_indices=tuple(k for k, c in enumerate(codes)
+                              if c.bit_count() == len(joins) - 1),
         truncated=truncated,
+        codes=codes,
     )
 
 

@@ -2,7 +2,8 @@
 layer's associativity test, every labeled semigroup table of a small order
 (against which the isomorphism classes are checked), the union closure of
 an ideal family by a scan of every pair of members, tables relabeled by
-a permutation of their elements, the containment order
+a permutation of their elements, the nontrivial left ideals of a table
+by closing its principal left ideals under union, the containment order
 of a family of masks by a test of every pair and its longest chains by a
 dynamic program over the masks in order of size, graphs with any
 adjacency (``adj_from_edges``; the package builds only inclusion graphs),
@@ -24,7 +25,8 @@ import math
 import random
 from collections import deque
 
-from idealgraph import CayleyTable
+from idealgraph import (CayleyTable, null_semigroup, rectangular_band,
+                        right_zero_with_identity)
 from idealgraph.catalog import _consistent
 from idealgraph.graph import bits
 from idealgraph.symmetry import _orbits
@@ -119,6 +121,41 @@ def magma_closure(rows, elements):
         if grown == closed:
             return closed
         closed = grown
+
+
+def shuffled_tables():
+    """Seeded relabelings of tables whose element columns come out of
+    order, repeated (L-classes of 3 elements) and empty (the identity
+    generates S)."""
+    return [shuffled_table(t, seed) for t in (
+        rectangular_band(3, 4), null_semigroup(6), right_zero_with_identity(4))
+        for seed in range(4)]
+
+
+def left_ideals_by_union_closure(t):
+    """(masks, minimal indices, maximal indices) of the nontrivial left
+    ideals of ``t``, masks sorted by (size, mask): the union closure of the
+    distinct principal left ideals by a breadth-first search that ORs every
+    ideal found with every principal ideal. An ideal is minimal iff it is a
+    principal ideal generated by each of its elements, and X is maximal iff
+    X | p is X or S for every principal ideal p."""
+    full = t.full_mask
+    generators = t.l_class_by_ideal
+    principals = sorted(generators)
+    found = {p for p in principals if p != full}
+    queue = sorted(found)
+    while queue:
+        x = queue.pop()
+        for p in principals:
+            y = x | p
+            if y != full and y not in found:
+                found.add(y)
+                queue.append(y)
+    masks = sorted(found, key=lambda m: (m.bit_count(), m))
+    return (masks,
+            tuple(i for i, x in enumerate(masks) if generators.get(x) == x),
+            tuple(i for i, x in enumerate(masks)
+                  if all(x | p in (x, full) for p in principals)))
 
 
 def union_closed_pairwise(masks, full):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealgraph import (
+    CayleyTable,
     DenseGraph,
     InclusionGraph,
     OutOfRangeError,
@@ -25,13 +26,12 @@ from idealgraph import (
     null_semigroup,
     rectangular_band,
     right_zero,
-    right_zero_with_identity,
 )
 from idealgraph import graph
 from idealgraph.graph import _meets, bits, command_vertex_cap, containment_adjacency, transpose
 from idealgraph.theorems import builtin_corpus
 from oracles import (containment_by_pairwise_scan, export_dot_document, export_json_document,
-                     longest_chain_levels, shuffled_table)
+                     longest_chain_levels, shuffled_table, shuffled_tables)
 
 
 def test_build_from_family_null_semigroup_is_path():
@@ -369,34 +369,29 @@ def test_containment_order_matches_oracles_with_repeated_columns(masks, width):
 def test_containment_order_matches_oracles_on_fences(zigzags):
     masks = fence(zigzags)
     check_containment_order(masks)
-    # No lattice: from 5 zigzags on, codes of the subsets pass miss.
-    assert (column_reads(masks)[1] > len(masks) + 1) == (zigzags >= 5)
+    # No lattice: from 2 zigzags on, codes of the subsets pass miss and AND
+    # their own columns.
+    assert (column_reads(masks)[1] > len(masks) + 1) == (zigzags >= 2)
     order = InclusionGraph("generic", vertices=masks).dense().containment
     assert sorted(order.down) == [1] * (zigzags + 1) + [2] * zigzags
 
 
-def shuffled_tables():
-    """Seeded relabelings of tables whose element columns come out of
-    order, repeated (L-classes of 3 elements) and empty (the identity
-    generates S)."""
-    return [shuffled_table(t, seed) for t in (
-        rectangular_band(3, 4), null_semigroup(6), right_zero_with_identity(4))
-        for seed in range(4)]
-
-
 def lattice_families():
-    """Complete ideal families sorted by (popcount, mask): the built-in
-    corpus, with its empty families, and the shuffled tables."""
+    """Complete ideal families: the built-in corpus, with its empty
+    families, and the shuffled tables."""
     tables = [t for t, _ in builtin_corpus()[0]] + shuffled_tables()
-    return [enumerate_left_ideals(t).masks for t in tables]
+    return [enumerate_left_ideals(t) for t in tables]
 
 
 def test_containment_order_of_tables_and_boolean_families():
+    # Ideal families passed as their element masks, not their codes, and a
+    # family with a hole: right-zero 4 without {0, 1}.
     families = [enumerate_left_ideals(t).masks for t in (
         rectangular_band(3, 4), null_semigroup(5), right_zero(5))]
-    families += lattice_families()
+    families += [fam.masks for fam in lattice_families()]
     families += [tuple(build_boolean(n).vertices()) for n in (2, 3, 6)]
-    assert len(families) == 3 + 228 + 12 + 3
+    families.append(tuple(m for m in enumerate_left_ideals(right_zero(4)).masks if m != 0b11))
+    assert len(families) == 3 + 228 + 12 + 3 + 1
     for masks in families:
         check_containment_order(masks)
 
@@ -442,34 +437,57 @@ def column_reads(masks) -> list[int]:
     return reads
 
 
-def check_chain(elements):
-    """The chain that adds ``elements`` one at a time: every mask adds one
-    element, so all columns are distinct and a mask's code has up to
-    len(elements) bits. Whatever the order of the elements, the codes are
-    the chain's down-sets and each mask costs one column read a side."""
-    width = len(elements)
-    masks = tuple(itertools.accumulate(1 << e for e in elements))
-    adj = containment_adjacency(masks)
+def check_chain(masks, codes):
+    """A chain of masks, each one larger than the last, and its codes: the
+    chain's down-sets, so the i-th code is the lowest i + 1 bits. The
+    masks, passed as codes, and the codes give the chain's adjacency (every
+    other vertex, which the pairwise scan also gives), and the codes cost
+    one column read per code and side."""
+    width = len(masks)
     everyone = (1 << width) - 1
-    order = DenseGraph(adj, masks).containment
-    for i in range(width):
-        assert adj[i] == everyone ^ (1 << i)
-        assert order.below[i] == (1 << i) - 1
-    assert order.down == list(range(1, width + 1))
-    assert order.up == list(range(width, 0, -1))
-    assert column_reads(masks) == [width + 1] * 2
+    assert codes == tuple((2 << i) - 1 for i in range(width))
+    for adj in (containment_adjacency(masks), containment_adjacency(codes)):
+        order = DenseGraph(adj, masks).containment
+        for i in range(width):
+            assert adj[i] == everyone ^ (1 << i)
+            assert order.below[i] == (1 << i) - 1
+        assert order.down == list(range(1, width + 1))
+        assert order.up == list(range(width, 0, -1))
+    assert column_reads(codes) == [width + 1] * 2
+
+
+def chain_of(elements):
+    """The chain that adds ``elements`` one at a time, and its down-set
+    codes."""
+    masks = tuple(itertools.accumulate(1 << e for e in elements))
+    return masks, tuple((2 << i) - 1 for i in range(len(masks)))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_containment_order_of_a_chain_over_1000_columns(reverse):
-    # Both orders of adding the elements: lowest first, highest first.
-    check_chain(range(999, -1, -1) if reverse else range(1000))
+    # Both orders of adding the elements: lowest first, where the masks are
+    # the codes, and highest first.
+    check_chain(*chain_of(range(999, -1, -1) if reverse else range(1000)))
 
 
 def test_containment_order_of_a_shuffled_chain():
     elements = list(range(1000))
     random.Random(5).shuffle(elements)
-    check_chain(elements)
+    check_chain(*chain_of(elements))
+
+
+def test_containment_order_of_a_chain_table():
+    # min on 0 < 1 < ... < 39, relabeled: the left ideals are the proper
+    # initial segments, each principal, and the family's codes are their
+    # down-sets.
+    m = 40
+    t = shuffled_table(CayleyTable(m, tuple(tuple(min(a, b) for b in range(m))
+                                            for a in range(m))), 7)
+    fam = enumerate_left_ideals(t)
+    assert len(fam.ideals) == m - 1
+    assert containment_adjacency(fam.masks) == containment_adjacency(fam.codes) == [
+        b | a for b, a in zip(*containment_by_pairwise_scan(fam.masks))]
+    check_chain(fam.masks, fam.codes)
 
 
 @pytest.mark.parametrize("n", [3, 8, 11])
@@ -479,5 +497,5 @@ def test_boolean_family_costs_one_column_read_per_mask_and_side(n):
 
 
 def test_ideal_families_cost_one_column_read_per_mask_and_side():
-    for masks in lattice_families():
-        assert column_reads(masks) == [len(masks) + 1] * 2
+    for fam in lattice_families():
+        assert column_reads(fam.codes) == [len(fam.codes) + 1] * 2

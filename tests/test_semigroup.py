@@ -27,8 +27,13 @@ from idealgraph import (
     right_zero_with_identity,
     serialize_cayley_table,
 )
-from oracles import (enumerate_associative_tables, enumerate_by_full_recheck,
-                     first_nonassociative_triple, magma_closure)
+from idealgraph.catalog import small_semigroup_corpus
+from idealgraph.graph import containment_adjacency
+from idealgraph.theorems import builtin_corpus
+from oracles import (containment_by_pairwise_scan, enumerate_associative_tables,
+                     enumerate_by_full_recheck, first_nonassociative_triple,
+                     left_ideals_by_union_closure, magma_closure, shuffled_table,
+                     shuffled_tables)
 
 
 def brute_left_ideals(t):
@@ -305,6 +310,67 @@ def test_extremes_match_pairwise_scan():
     for t in oracle_tables():
         fam = enumerate_left_ideals(t)
         assert (fam.minimal_indices, fam.maximal_indices) == pairwise_extremes(fam.masks)
+
+
+def join_irreducibles(t):
+    """The distinct principal left ideals, sorted by (size, mask): the bits
+    of a family's codes."""
+    return sorted(t.l_class_by_ideal, key=lambda p: (p.bit_count(), p))
+
+
+def check_walk(t):
+    """The family against the union-closure oracle; each code against the
+    members of J its ideal holds; the containment of the codes against
+    that of the masks."""
+    fam = enumerate_left_ideals(t)
+    masks, minimal, maximal = left_ideals_by_union_closure(t)
+    assert (list(fam.masks), fam.minimal_indices, fam.maximal_indices) == (
+        masks, minimal, maximal)
+    assert not fam.truncated
+    joins = join_irreducibles(t)
+    for mask, code in zip(fam.masks, fam.codes):
+        assert code == sum(1 << i for i, p in enumerate(joins) if p & mask == p)
+        assert mask == functools.reduce(
+            int.__or__, (p for i, p in enumerate(joins) if code >> i & 1), 0)
+    below, above = containment_by_pairwise_scan(fam.masks)
+    assert containment_adjacency(fam.codes) == [b | a for b, a in zip(below, above)]
+
+
+def benchmark_tables():
+    """Two seeded relabelings each of the band, right-zero and null tables
+    the benchmark's corpus builds."""
+    return [shuffled_table(t, seed) for t in (
+        rectangular_band(12, 8), rectangular_band(3, 10), rectangular_band(40, 5),
+        rectangular_band(6, 6), right_zero(9), right_zero_with_identity(8),
+        null_semigroup(10)) for seed in (101, 102)]
+
+
+def test_walk_matches_union_closure():
+    tables = [t for t, _ in small_semigroup_corpus(5)]
+    assert len(tables) == 2133
+    tables += [t for t, _ in builtin_corpus()[0]] + shuffled_tables() + benchmark_tables()
+    for t in tables:
+        check_walk(t)
+
+
+def test_truncated_family_holds_cap_ideals_each_with_its_parent():
+    # The parent of an ideal is the ideal without its last member of J.
+    for t in (right_zero(6), rectangular_band(3, 4), shuffled_table(null_semigroup(7), 3),
+              shuffled_table(right_zero_with_identity(5), 1)):
+        total = len(enumerate_left_ideals(t).ideals)
+        joins = join_irreducibles(t)
+        for cap in range(1, total):
+            fam = enumerate_left_ideals(t, cap=cap)
+            assert fam.truncated
+            assert len(set(fam.masks)) == len(fam.ideals) == cap
+            assert all(is_left_ideal(t, m) for m in fam.masks)
+            codes = set(fam.codes)
+            for mask, code in zip(fam.masks, fam.codes):
+                parent = code ^ 1 << code.bit_length() >> 1
+                assert mask == functools.reduce(
+                    int.__or__, (p for i, p in enumerate(joins) if code >> i & 1), 0)
+                assert parent == 0 or parent in codes
+        assert not enumerate_left_ideals(t, cap=total).truncated
 
 
 def test_truncated_family_lists_only_true_extremes():

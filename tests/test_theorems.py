@@ -16,7 +16,8 @@ from idealgraph.cli import main
 from idealgraph.graph import DenseGraph, build_boolean
 from idealgraph.semigroup import IdealFamily
 from idealgraph.theorems import REGISTRY, builtin_corpus
-from oracles import enumerate_associative_tables, union_closed_pairwise
+from oracles import (containment_by_pairwise_scan, enumerate_associative_tables,
+                     union_closed_pairwise)
 
 MANIFEST = Path(__file__).parent / "data" / "theorem_manifest.txt"
 
@@ -87,9 +88,11 @@ def test_union_escaping_the_family_is_a_counterexample(monkeypatch):
     # Right-zero of order 4 has every proper subset as a left ideal; without
     # {0, 1} the family is not closed under the union of {0} and {1}.
     family = enumerate_left_ideals(right_zero(4))
-    ideals = tuple(i for i in family.ideals if i.members != 0b0011)
+    kept = [k for k, i in enumerate(family.ideals) if i.members != 0b0011]
+    ideals = tuple(family.ideals[k] for k in kept)
     holed = IdealFamily(4, ideals, tuple(range(4)),
-                        tuple(k for k, i in enumerate(ideals) if i.size == 3), False)
+                        tuple(k for k, i in enumerate(ideals) if i.size == 3), False,
+                        tuple(family.codes[k] for k in kept))
     monkeypatch.setattr(theorems, "enumerate_left_ideals", lambda t: holed)
     result = run_suite(corpus=[right_zero(4)], corpus_label="holed")
     row, = (c for c in result.checks if c.check_id == "semigroup-family-union-closed")
@@ -127,7 +130,8 @@ def mask_families(draw):
 @settings(max_examples=400, deadline=None)
 @given(mask_families())
 def test_join_irreducible_union_check_matches_pairwise_scan(masks):
-    assert theorems._union_closed(masks, FULL) == union_closed_pairwise(masks, FULL)
+    below = containment_by_pairwise_scan(masks)[0]
+    assert theorems._union_closed(masks, FULL, below) == union_closed_pairwise(masks, FULL)
 
 
 def test_join_irreducible_union_check_reads_a_graphs_order():
@@ -163,16 +167,32 @@ def test_join_irreducible_union_check_on_pinned_and_truncated_families():
               ((0b1, 0b11, 0b111), True), ((0b11, 0b110), False),
               ((0b11, 0b110, 0b111), True), ((0b1, 0b10, 0b100, 0b11, 0b101), False)]
     for masks, want in pinned:
-        assert theorems._union_closed(masks, FULL) == want == union_closed_pairwise(masks, FULL)
+        below = containment_by_pairwise_scan(masks)[0]
+        assert theorems._union_closed(masks, FULL, below) == want
+        assert union_closed_pairwise(masks, FULL) == want
     t = right_zero(6)
     verdicts = set()
     for cap in range(1, 63):
         fam = enumerate_left_ideals(t, cap=cap)
         assert fam.truncated == (cap < 62)
         want = union_closed_pairwise(fam.masks, t.full_mask)
-        assert theorems._union_closed(fam.masks, t.full_mask) == want
+        below = containment_by_pairwise_scan(fam.masks)[0]
+        assert theorems._union_closed(fam.masks, t.full_mask, below) == want
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, cap", [(10, 100), (16, 2000)])
+def test_truncated_family_fails_no_row(monkeypatch, n, cap):
+    # A capped prefix of the right-zero family is not union-closed, and
+    # misses ideals a brute-force scan finds; a row that needs the whole
+    # family does not apply to it.
+    capped = functools.partial(enumerate_left_ideals, cap=cap)
+    monkeypatch.setattr(theorems, "enumerate_left_ideals", capped)
+    assert capped(right_zero(n)).truncated
+    result = run_suite(corpus=[right_zero(n)], corpus_label="capped")
+    assert result.failed == 0
+    assert result.vacuous == len(result.checks)
 
 
 def test_corrupted_expected_fails_only_that_check(monkeypatch):
