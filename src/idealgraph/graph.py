@@ -1,12 +1,13 @@
 """The inclusion graph of a family of sets.
 
 Vertices are bit masks; two vertices are adjacent iff one strictly contains
-the other. Generic mode carries an explicit vertex list (left-ideal masks),
-Boolean mode represents all nonempty proper subsets of [n] implicitly, so
-graphs with 2^n - 2 vertices stay cheap until an algorithm genuinely needs
-the vertex set in memory. There is one materialized graph kind,
-``DenseGraph``: adjacency bitsets together with the masks they join, so
-every graph carries the containment order its solvers read.
+the other. Generic mode holds a complete ideal family (a distributive
+lattice with the empty set and S), Boolean mode represents all nonempty
+proper subsets of [n] implicitly, so graphs with 2^n - 2 vertices stay
+cheap until an algorithm genuinely needs the vertex set in memory. There is
+one materialized graph kind, ``DenseGraph``: adjacency bitsets together
+with the masks they join, so every graph carries the containment order its
+solvers read.
 """
 
 from __future__ import annotations
@@ -167,10 +168,10 @@ def _meets(codes: list[int], cols: dict[int, int], highest: bool = False) -> lis
     """For each code in turn, the AND of ``cols[b]`` over its set bits b
     (``cols[0]``, the AND over no bits, is every position).
 
-    The ANDs are memoised per code, and a code's is one AND on the stored
-    one of the code with its lowest bit cleared, or its highest when
-    ``highest``; in a sorted family of down-sets that one is always stored
-    (see ``containment_adjacency``). A code that misses it ANDs its columns.
+    The ANDs are memoised per code, and a code's is one AND on that of its
+    parent, the code with its lowest bit cleared, or its highest when
+    ``highest``, which a sorted family of down-sets always lists earlier
+    (see ``containment_adjacency``); a code without one raises RuntimeError.
     """
     memo = {0: cols[0]}
     get = memo.get
@@ -179,11 +180,8 @@ def _meets(codes: list[int], cols: dict[int, int], highest: bool = False) -> lis
         b = 1 << code.bit_length() >> 1 if highest else code & -code
         x = get(code ^ b)
         if x is None:
-            x = cols[0]
-            for e in bits(code):
-                x &= cols[1 << e]
-        else:
-            x &= cols[b]
+            raise RuntimeError(f"code {code:#x} has no stored parent {code ^ b:#x}")
+        x &= cols[b]
         memo[code] = x
         out.append(x)
     return out
@@ -192,16 +190,15 @@ def _meets(codes: list[int], cols: dict[int, int], highest: bool = False) -> lis
 def containment_adjacency(codes) -> list[int]:
     """Adjacency bitsets of strict containment among distinct codes.
 
-    The codes are a family's masks, or the J-codes of left ideals (see
-    ``enumerate_left_ideals``), which contain each other as the ideals do.
-    One ``transpose`` gives each bit's column; the codes containing a code
-    are those in every column of its bits, the codes inside it those in no
-    column outside it (see ``_meets``), taken in index order and in reverse.
-
-    When the bits are a linear extension of a poset and the codes its
-    nonempty proper down-sets sorted by size, as in every ideal family and
-    Boolean family, clearing a code's highest bit or adding the lowest bit
-    outside it gives a code done already: one AND per code and side.
+    The codes are the nonempty proper down-sets, sorted by size, of a poset
+    on bits in linear-extension order: a complete ideal family's J-codes
+    (see ``enumerate_left_ideals``), or a Boolean family's masks. One
+    ``transpose`` gives each bit's column; the codes containing a code are
+    those in every column of its bits, the codes inside it those in no
+    column outside it (see ``_meets``), taken in index order and in
+    reverse. Clearing a code's highest bit or adding the lowest bit outside
+    it gives a code done already: one AND per code and side. Any other list
+    of codes raises RuntimeError.
     """
     columns = transpose(codes)
     everyone = (1 << len(codes)) - 1
@@ -222,22 +219,26 @@ def _mask_sort_key(mask: int) -> tuple[int, int]:
 
 
 class InclusionGraph:
-    """Inclusion graph over set masks, in ``boolean`` or ``generic`` mode."""
+    """Inclusion graph over set masks, in ``boolean`` mode or ``generic`` mode
+    from a complete ideal family: always a distributive lattice without its
+    bottom and top, so with no 5-chain it has at most 30 vertices (see
+    ``invariants.planarity``); a bare ``DenseGraph`` may be any comparability
+    graph."""
 
     def __init__(self, mode: str, n: int | None = None,
-                 vertices: tuple[int, ...] | None = None):
+                 family: IdealFamily | None = None):
         if mode == "boolean":
             if n is None:
                 raise ValueError("boolean mode needs n")
             self.n = n
-            self._vertices = None
+            self.family = self._vertices = None
         elif mode == "generic":
             self.n = None
-            self._vertices = tuple(sorted(set(vertices or ()), key=_mask_sort_key))
+            self.family = family
+            self._vertices = family.masks  # in vertex order
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        self._codes: tuple[int, ...] | None = None  # the masks' J-codes, if from a family
         self._index: dict[int, int] | None = None
         self._dense: DenseGraph | None = None
 
@@ -340,7 +341,8 @@ class InclusionGraph:
         self.check_cap()
         if self._dense is None:
             masks = tuple(self.vertices())
-            self._dense = DenseGraph(containment_adjacency(self._codes or masks), masks)
+            codes = masks if self.family is None else self.family.codes
+            self._dense = DenseGraph(containment_adjacency(codes), masks)
         return self._dense
 
 
@@ -348,9 +350,7 @@ def build_from_family(family: IdealFamily) -> InclusionGraph:
     """One vertex per nontrivial left ideal, edges by containment of J-codes."""
     if family.truncated:
         raise TruncatedFamilyError("family was truncated; graph would be incomplete")
-    g = InclusionGraph("generic", vertices=family.masks)  # already in vertex order
-    g._codes = family.codes
-    return g
+    return InclusionGraph("generic", family=family)
 
 
 def build_boolean(n: int) -> InclusionGraph:
@@ -368,7 +368,8 @@ def minimal_ideal_coordinates(family: IdealFamily) -> tuple[int, tuple[int, ...]
     ideals, i.e. the family does not live in the Boolean model.
     An ideal is a union of minimal ideals, the one-bit codes, iff its code
     has no other bit, so the family is Boolean iff its codes use as many
-    bits as it has minimal ideals; the coordinates drop the unused bits.
+    bits as it has minimal ideals, the lowest bits (each member of J but S
+    is a vertex, and S sorts last): the codes are the coordinates.
     """
     codes = family.codes
     n = len(family.minimal_indices)
@@ -376,8 +377,7 @@ def minimal_ideal_coordinates(family: IdealFamily) -> tuple[int, tuple[int, ...]
         minimal = reduce(or_, map(codes.__getitem__, family.minimal_indices), 0)
         bad = next(i for i, c in zip(family.ideals, codes) if c & ~minimal)
         raise ValueError(f"ideal {bad.members:#x} is not a union of minimal ideals")
-    coords = transpose(list(filter(None, transpose(codes))))
-    return n, tuple(sorted(coords, key=_mask_sort_key))
+    return n, tuple(sorted(codes, key=_mask_sort_key))
 
 
 def _vertex_name(mask: int, boolean_n: int | None) -> str:

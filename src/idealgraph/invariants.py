@@ -553,9 +553,10 @@ def planarity(g) -> PlanarityResult:
     bounded: the left ideals of S with the empty set and S are closed under
     union and intersection, a distributive lattice. Without a 5-chain of
     vertices it has length at most 5, hence at most 2^5 elements (Birkhoff),
-    so a graph built from a table or ``--n`` that reaches path addition has
-    at most 30 vertices. Every witness is checked edge by edge before it is
-    reported.
+    so an ``InclusionGraph``, which is always such a lattice, reaches path
+    addition with at most 30 vertices; a bare ``DenseGraph`` may be any
+    comparability graph, of any size. Every witness is checked edge by edge
+    before it is reported.
     """
     dense = _dense(g)
     if max(dense.containment.down, default=0) >= 5:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CorpusLoadError
-from .graph import (InclusionGraph, bits, build_boolean, build_from_family,
+from .graph import (DenseGraph, bits, build_boolean, build_from_family,
                     command_vertex_cap, minimal_ideal_coordinates, transpose)
 from .invariants import (chromatic_number, clique_number, connectivity,
                          domination_number, girth, independence_number,
@@ -367,7 +367,7 @@ class _Case(NamedTuple):
 
     table: CayleyTable
     family: IdealFamily
-    graph: InclusionGraph | None = None
+    graph: DenseGraph | None = None
     components: int = 0
     diameter: float = 0
     girth: float = 0
@@ -380,15 +380,14 @@ def _case(t: CayleyTable) -> _Case:
     fam = enumerate_left_ideals(t)
     if fam.truncated or not fam.ideals:
         return _Case(t, fam)
-    g = build_from_family(fam)
-    dense = g.dense()
-    order = dense.containment
-    minimals = tuple(m for m, b in zip(dense.masks, order.below) if not b)
+    g = build_from_family(fam).dense()
+    order = g.containment
+    minimals = tuple(m for m, b in zip(g.masks, order.below) if not b)
     union = 0
     for m in minimals:
         union |= m
     return _Case(t, fam, g, *connectivity(g), girth(g), minimals,
-                 frozenset(m for m, a in zip(dense.masks, order.above) if not a), union)
+                 frozenset(m for m, a in zip(g.masks, order.above) if not a), union)
 
 
 # Each predicate returns None when its row does not apply to the case, else
@@ -419,8 +418,7 @@ def _maximality(c: _Case) -> str | None:
 
 
 def _family_union_closed(c: _Case) -> str | None:
-    dense = c.graph.dense()
-    if not _union_closed(dense.masks, c.table.full_mask, dense.containment.below):
+    if not _union_closed(c.graph.masks, c.table.full_mask, c.graph.containment.below):
         return "union escapes"
     return ""
 
@@ -429,7 +427,7 @@ def _two_minimal_iff(c: _Case) -> str | None:
     disconnected = c.components >= 2
     n_min = len(c.minimals)
     char_union = n_min == 2 and c.union == c.table.full_mask
-    min_and_max = n_min >= 2 and n_min == len(c.maximals) == c.graph.vertex_count
+    min_and_max = n_min >= 2 and n_min == len(c.maximals) == c.graph.size
     if disconnected == char_union == min_and_max:
         return ""
     return (f"disconnected={disconnected}, two-minimal-union={char_union}, "
@@ -437,7 +435,7 @@ def _two_minimal_iff(c: _Case) -> str | None:
 
 
 def _disconnected_edgeless(c: _Case) -> str | None:
-    if c.components >= 2 and c.graph.edge_count() != 0:
+    if c.components >= 2 and any(c.graph.adj):
         return "disconnected with edges"
     return ""
 
@@ -461,9 +459,9 @@ def _no_45_girth(c: _Case) -> str | None:
 
 
 def _perfect_bounded(c: _Case) -> str | None:
-    if c.graph.vertex_count > 20:
+    if c.graph.size > 20:
         return None
-    verdict, witness = perfectness(c.graph, c.graph.vertex_count)
+    verdict, witness = perfectness(c.graph, c.graph.size)
     return "" if verdict is True else f"witness {witness}"
 
 

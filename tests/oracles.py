@@ -5,7 +5,10 @@ an ideal family by a scan of every pair of members, tables relabeled by
 a permutation of their elements, the nontrivial left ideals of a table
 by closing its principal left ideals under union, the containment order
 of a family of masks by a test of every pair and its longest chains by a
-dynamic program over the masks in order of size, graphs with any
+dynamic program over the masks in order of size, the inclusion graph of
+any family of masks, lattice or not (``pairwise_inclusion_graph``; the
+package builds them only from lattices) and a family with a hole, which
+it refuses to build, graphs with any
 adjacency (``adj_from_edges``; the package builds only inclusion graphs),
 the diameter and girth by a BFS from every vertex, Hopcroft-Karp and König
 over adjacency lists,
@@ -25,10 +28,11 @@ import math
 import random
 from collections import deque
 
-from idealgraph import (CayleyTable, null_semigroup, rectangular_band,
-                        right_zero_with_identity)
+from idealgraph import (CayleyTable, enumerate_left_ideals, null_semigroup, rectangular_band,
+                        right_zero, right_zero_with_identity)
 from idealgraph.catalog import _consistent
-from idealgraph.graph import bits
+from idealgraph.graph import DenseGraph, bits
+from idealgraph.semigroup import IdealFamily
 from idealgraph.symmetry import _orbits
 
 
@@ -132,6 +136,19 @@ def shuffled_tables():
         for seed in range(4)]
 
 
+def holed_right_zero_4():
+    """Right-zero of order 4 has every proper subset as a left ideal; without
+    {0, 1} the family is not closed under the union of {0} and {1}. The
+    codes are the complete family's, so the code of {0, 1, 2} has no parent
+    and the package builds no graph of it."""
+    family = enumerate_left_ideals(right_zero(4))
+    kept = [k for k, i in enumerate(family.ideals) if i.members != 0b0011]
+    ideals = tuple(family.ideals[k] for k in kept)
+    return IdealFamily(4, ideals, tuple(range(4)),
+                       tuple(k for k, i in enumerate(ideals) if i.size == 3), False,
+                       tuple(family.codes[k] for k in kept))
+
+
 def left_ideals_by_union_closure(t):
     """(masks, minimal indices, maximal indices) of the nontrivial left
     ideals of ``t``, masks sorted by (size, mask): the union closure of the
@@ -173,6 +190,15 @@ def containment_by_pairwise_scan(masks):
     below = [sum(1 << j for j, v in enumerate(masks) if v != u and v & u == v) for u in masks]
     above = [sum(1 << j for j, v in enumerate(masks) if v != u and v & u == u) for u in masks]
     return below, above
+
+
+def pairwise_inclusion_graph(masks):
+    """The inclusion graph of any family of masks (a fence, an antichain, a
+    family with a hole): a ``DenseGraph`` over the distinct masks sorted by
+    (popcount, mask), with adjacency from ``containment_by_pairwise_scan``."""
+    masks = tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+    below, above = containment_by_pairwise_scan(masks)
+    return DenseGraph([b | a for b, a in zip(below, above)], masks)
 
 
 def longest_chain_levels(masks):

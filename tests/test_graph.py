@@ -1,5 +1,6 @@
 """Inclusion graph construction, degrees, the Boolean bridge, and export."""
 
+import functools
 import itertools
 import json
 import math
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from idealgraph import (
     CayleyTable,
     DenseGraph,
-    InclusionGraph,
     OutOfRangeError,
     TooLargeError,
     TruncatedFamilyError,
@@ -29,9 +29,11 @@ from idealgraph import (
 )
 from idealgraph import graph
 from idealgraph.graph import _meets, bits, command_vertex_cap, containment_adjacency, transpose
+from idealgraph.semigroup import IdealFamily, LeftIdeal
 from idealgraph.theorems import builtin_corpus
 from oracles import (containment_by_pairwise_scan, export_dot_document, export_json_document,
-                     longest_chain_levels, shuffled_table, shuffled_tables)
+                     holed_right_zero_4, longest_chain_levels, pairwise_inclusion_graph,
+                     shuffled_table, shuffled_tables)
 
 
 def test_build_from_family_null_semigroup_is_path():
@@ -152,6 +154,11 @@ def test_boolean_bridge_rectangular_band():
     got_n, coords = minimal_ideal_coordinates(fam)
     assert got_n == 3
     assert coords == tuple(build_boolean(3).vertices())
+    # Relabeled, as well.
+    for a, b in ((2, 3), (3, 4)):
+        for seed in range(4):
+            fam = enumerate_left_ideals(shuffled_table(rectangular_band(a, b), seed))
+            assert minimal_ideal_coordinates(fam) == (b, tuple(build_boolean(b).vertices()))
 
 
 def test_boolean_bridge_rejects_non_boolean_families():
@@ -222,39 +229,58 @@ def test_dense_graph_requires_masks():
     assert DenseGraph(adj=dense.adj, masks=dense.masks).containment == dense.containment
 
 
-def pairwise_adjacency(masks):
-    """Oracle: two distinct masks are adjacent iff one contains the other."""
-    return [sum(1 << j for j, v in enumerate(masks) if j != i and u & v in (u, v))
-            for i, u in enumerate(masks)]
+@st.composite
+def down_set_codes(draw):
+    """The nonempty proper down-sets, sorted by (popcount, code), of a random
+    poset on up to seven bits, each bit above only lower ones: the codes of
+    a complete ideal family over its join-irreducibles."""
+    below = []
+    for j in range(draw(st.integers(min_value=0, max_value=7))):
+        lower = draw(st.integers(min_value=0, max_value=(1 << j) - 1))
+        below.append(functools.reduce(int.__or__, (below[i] for i in bits(lower)), lower))
+    full = (1 << len(below)) - 1
+    return tuple(sorted((c for c in range(1, full) if all(below[j] & ~c == 0 for j in bits(c))),
+                        key=lambda c: (c.bit_count(), c)))
 
 
-def union_closure(generators):
-    family = set(generators)
-    frontier = list(family)
-    while frontier:
-        x = frontier.pop()
-        for p in generators:
-            if x | p not in family:
-                family.add(x | p)
-                frontier.append(x | p)
-    return family
-
-
-masks_st = st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), max_size=40)
+def ring_family(ring):
+    """The nonempty members of a ring of sets (closed under union and
+    intersection, so a distributive lattice) as the complete ideal family of
+    a semigroup in which every element outside their union, one at least,
+    generates S: J is the join-irreducible members, each member's code the
+    members of J inside it, and the extremes come from the pairwise scan."""
+    masks = tuple(sorted(ring, key=lambda m: (m.bit_count(), m)))
+    below, above = containment_by_pairwise_scan(masks)
+    joins = [m for m, b in zip(masks, below)
+             if m != functools.reduce(int.__or__, (masks[i] for i in bits(b)), 0)]
+    order = functools.reduce(int.__or__, masks, 0).bit_length() + 1
+    return IdealFamily(order, tuple(LeftIdeal(m, m.bit_count(), True) for m in masks),
+                       tuple(i for i, b in enumerate(below) if not b),
+                       tuple(i for i, a in enumerate(above) if not a), False,
+                       tuple(sum(1 << k for k, j in enumerate(joins) if j & m == j)
+                             for m in masks))
 
 
 @settings(max_examples=150, deadline=None)
-@given(masks_st)
-def test_dense_matches_pairwise_scan(masks):
-    dense = InclusionGraph("generic", vertices=tuple(masks)).dense()
-    assert dense.adj == pairwise_adjacency(dense.masks)
+@given(down_set_codes())
+def test_dense_matches_pairwise_scan(codes):
+    assert containment_adjacency(codes) == pairwise_inclusion_graph(codes).adj
+    assert column_reads(codes) == [len(codes) + 1] * 2
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=(1 << 8) - 1), min_size=1, max_size=6))
+@given(st.lists(st.integers(min_value=1, max_value=(1 << 6) - 1), min_size=1, max_size=5))
 def test_dense_matches_pairwise_scan_on_union_closed_families(generators):
-    dense = InclusionGraph("generic", vertices=tuple(union_closure(generators))).dense()
-    assert dense.adj == pairwise_adjacency(dense.masks)
+    # The generators closed under union and intersection, so the members are
+    # element masks and the codes come from the join-irreducibles among them.
+    ring = set(generators)
+    while (grown := ring | {a | b for a in ring for b in ring}
+           | {a & b for a in ring for b in ring} - {0}) != ring:
+        ring = grown
+    fam = ring_family(ring)
+    dense = build_from_family(fam).dense()
+    assert dense.masks == fam.masks
+    assert dense.adj == pairwise_inclusion_graph(fam.masks).adj
 
 
 def test_boolean_dense_matches_adjacent():
@@ -280,20 +306,28 @@ def test_export_json_matches_json_dumps_boolean(n):
     assert export_graph(g, "json") == export_json_document(g)
 
 
-def test_export_json_matches_json_dumps_edge_cases():
+def edge_case_graphs():
+    """The empty graph of a group and the edgeless one of right-zero 2."""
     empty = build_from_family(enumerate_left_ideals(cyclic_group(3)))
-    assert empty.vertex_count == 0
-    antichain = InclusionGraph("generic", vertices=(0b0011, 0b0101, 0b1001, 0b0110))
-    assert antichain.edge_count() == 0
-    for g in (empty, antichain):
+    edgeless = build_from_family(enumerate_left_ideals(right_zero(2)))
+    assert (empty.vertex_count, edgeless.vertex_count, edgeless.edge_count()) == (0, 2, 0)
+    return empty, edgeless
+
+
+def test_export_json_matches_json_dumps_edge_cases():
+    for g in edge_case_graphs():
         assert export_graph(g, "json") == export_json_document(g)
 
 
-@settings(max_examples=150, deadline=None)
-@given(masks_st)
-def test_export_json_matches_json_dumps_mask_families(masks):
-    g = InclusionGraph("generic", vertices=tuple(masks))
-    assert export_graph(g, "json") == export_json_document(g)
+def lattice_graphs():
+    """The graphs of ``lattice_families`` and Boolean n = 2..6."""
+    return ([build_from_family(fam) for fam in lattice_families()]
+            + [build_boolean(n) for n in range(2, 7)])
+
+
+def test_export_json_matches_json_dumps_mask_families():
+    for g in lattice_graphs():
+        assert export_graph(g, "json") == export_json_document(g)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -305,33 +339,27 @@ def test_export_dot_matches_per_edge_writer_boolean(n):
 
 
 def test_export_dot_matches_per_edge_writer_edge_cases():
-    empty = build_from_family(enumerate_left_ideals(cyclic_group(3)))
-    antichain = InclusionGraph("generic", vertices=(0b0011, 0b0101, 0b1001, 0b0110))
-    for g in (empty, antichain):
+    for g in edge_case_graphs():
         assert export_graph(g, "dot") == export_dot_document(g)
 
 
-@settings(max_examples=150, deadline=None)
-@given(masks_st)
-def test_export_dot_matches_per_edge_writer_mask_families(masks):
-    g = InclusionGraph("generic", vertices=tuple(masks))
-    assert export_graph(g, "dot") == export_dot_document(g)
+def test_export_dot_matches_per_edge_writer_mask_families():
+    for g in lattice_graphs():
+        assert export_graph(g, "dot") == export_dot_document(g)
 
 
 # --- the containment order ---------------------------------------------------
 
 def check_containment_order(masks):
-    """The builders on ``masks`` as given, and the order of their graph with
-    its chain levels, against the pairwise scan and the longest-chain DP."""
-    below, above = containment_by_pairwise_scan(masks)
+    """``transpose`` of ``masks`` as given, and the order of their inclusion
+    graph with its chain levels, against the pairwise scan and the
+    longest-chain DP."""
     columns = transpose(masks)
     assert columns == [sum(1 << i for i, m in enumerate(masks) if m >> e & 1)
                        for e in range(max(masks, default=0).bit_length())]
-    assert containment_adjacency(masks) == [b | a for b, a in zip(below, above)]
-    dense = InclusionGraph("generic", vertices=masks).dense()
+    dense = pairwise_inclusion_graph(masks)
     order = dense.containment
     assert (order.below, order.above) == containment_by_pairwise_scan(dense.masks)
-    assert dense.adj == [b | a for b, a in zip(order.below, order.above)]
     assert (order.down, order.up) == longest_chain_levels(dense.masks)
 
 
@@ -369,11 +397,16 @@ def test_containment_order_matches_oracles_with_repeated_columns(masks, width):
 def test_containment_order_matches_oracles_on_fences(zigzags):
     masks = fence(zigzags)
     check_containment_order(masks)
-    # No lattice: from 2 zigzags on, codes of the subsets pass miss and AND
-    # their own columns.
-    assert (column_reads(masks)[1] > len(masks) + 1) == (zigzags >= 2)
-    order = InclusionGraph("generic", vertices=masks).dense().containment
+    order = pairwise_inclusion_graph(masks).containment
     assert sorted(order.down) == [1] * (zigzags + 1) + [2] * zigzags
+    # Passed as codes, a fence of two zigzags or more is no family of
+    # down-sets: {2} with the lowest element outside it, {0, 2}, is no
+    # member, so the subsets pass finds no parent and the build refuses.
+    if zigzags >= 2:
+        with pytest.raises(RuntimeError, match="has no stored parent"):
+            containment_adjacency(masks)
+    else:
+        assert containment_adjacency(masks) == pairwise_inclusion_graph(masks).adj
 
 
 def lattice_families():
@@ -384,34 +417,43 @@ def lattice_families():
 
 
 def test_containment_order_of_tables_and_boolean_families():
-    # Ideal families passed as their element masks, not their codes, and a
-    # family with a hole: right-zero 4 without {0, 1}.
-    families = [enumerate_left_ideals(t).masks for t in (
+    # Ideal families, built on their codes, against the pairwise scan of
+    # their element masks; Boolean families, whose masks are their codes;
+    # and a family with a hole, which has no graph of its own.
+    families = [enumerate_left_ideals(t) for t in (
         rectangular_band(3, 4), null_semigroup(5), right_zero(5))]
-    families += [fam.masks for fam in lattice_families()]
-    families += [tuple(build_boolean(n).vertices()) for n in (2, 3, 6)]
-    families.append(tuple(m for m in enumerate_left_ideals(right_zero(4)).masks if m != 0b11))
-    assert len(families) == 3 + 228 + 12 + 3 + 1
-    for masks in families:
+    families += lattice_families()
+    assert len(families) == 3 + 228 + 12
+    for fam in families:
+        assert build_from_family(fam).dense().adj == pairwise_inclusion_graph(fam.masks).adj
+        check_containment_order(fam.masks)
+    for n in (2, 3, 6):
+        masks = tuple(build_boolean(n).vertices())
+        assert containment_adjacency(masks) == pairwise_inclusion_graph(masks).adj
         check_containment_order(masks)
+    holed = holed_right_zero_4()
+    with pytest.raises(RuntimeError, match="code 0x7 has no stored parent 0x3"):
+        containment_adjacency(holed.codes)
+    check_containment_order(holed.masks)
 
 
 def test_containment_order_of_empty_and_one_vertex_families():
     assert containment_adjacency(()) == []
     assert transpose(()) == []
+    assert containment_adjacency((0b1,)) == [0]
+    # The null semigroup of order 2 has one nontrivial left ideal, {0}.
+    one = build_from_family(enumerate_left_ideals(null_semigroup(2))).dense()
+    assert (one.masks, one.containment) == ((0b1,), ([0], [0], [1], [1]))
     for mask in (0, 0b1, 0b10110):
-        assert containment_adjacency((mask,)) == [0]
-        order = InclusionGraph("generic", vertices=(mask,)).dense().containment
-        assert order == ([0], [0], [1], [1])
+        assert pairwise_inclusion_graph((mask,)).containment == ([0], [0], [1], [1])
     empty = build_from_family(enumerate_left_ideals(cyclic_group(3))).dense()
     assert empty.containment == ([], [], [], [])
 
 
 class CountingColumns(dict):
     """Columns that count their reads. ``_meets`` reads ``cols[0]`` once to
-    start, one column for each code one AND from a stored code, and
-    ``cols[0]`` with every column of a code that misses, three or more; so
-    a pass reads len(codes) + 1 columns iff no code misses."""
+    start and one column for each code, one AND on its parent's: a pass
+    reads len(codes) + 1 columns."""
 
     reads = 0
 
@@ -420,8 +462,8 @@ class CountingColumns(dict):
         return super().__getitem__(bit)
 
 
-def column_reads(masks) -> list[int]:
-    """The columns ``containment_adjacency(masks)`` reads in its supersets
+def column_reads(codes) -> list[int]:
+    """The columns ``containment_adjacency(codes)`` reads in its supersets
     and its subsets pass."""
     reads = []
 
@@ -433,47 +475,48 @@ def column_reads(masks) -> list[int]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graph, "_meets", counting)
-        containment_adjacency(masks)
+        containment_adjacency(codes)
     return reads
 
 
-def check_chain(masks, codes):
-    """A chain of masks, each one larger than the last, and its codes: the
-    chain's down-sets, so the i-th code is the lowest i + 1 bits. The
-    masks, passed as codes, and the codes give the chain's adjacency (every
-    other vertex, which the pairwise scan also gives), and the codes cost
-    one column read per code and side."""
-    width = len(masks)
+def check_chain(fam):
+    """A chain family, each ideal one element larger than the last: J is
+    the whole chain, so the i-th code is the lowest i + 1 bits. Its graph
+    joins every vertex to every other (as the pairwise scan also gives),
+    and its codes cost one column read per code and side."""
+    width = len(fam.codes)
     everyone = (1 << width) - 1
-    assert codes == tuple((2 << i) - 1 for i in range(width))
-    for adj in (containment_adjacency(masks), containment_adjacency(codes)):
-        order = DenseGraph(adj, masks).containment
-        for i in range(width):
-            assert adj[i] == everyone ^ (1 << i)
-            assert order.below[i] == (1 << i) - 1
-        assert order.down == list(range(1, width + 1))
-        assert order.up == list(range(width, 0, -1))
-    assert column_reads(codes) == [width + 1] * 2
+    assert fam.codes == tuple((2 << i) - 1 for i in range(width))
+    dense = build_from_family(fam).dense()
+    order = dense.containment
+    for i in range(width):
+        assert dense.adj[i] == everyone ^ (1 << i)
+        assert order.below[i] == (1 << i) - 1
+    assert order.down == list(range(1, width + 1))
+    assert order.up == list(range(width, 0, -1))
+    assert column_reads(fam.codes) == [width + 1] * 2
 
 
-def chain_of(elements):
-    """The chain that adds ``elements`` one at a time, and its down-set
-    codes."""
+def chain_family(elements):
+    """The chain that adds ``elements`` one at a time, as the ideal family of
+    a semigroup with one more element, which generates it."""
     masks = tuple(itertools.accumulate(1 << e for e in elements))
-    return masks, tuple((2 << i) - 1 for i in range(len(masks)))
+    return IdealFamily(len(masks) + 1, tuple(LeftIdeal(m, m.bit_count(), True) for m in masks),
+                       (0,), (len(masks) - 1,), False,
+                       tuple((2 << i) - 1 for i in range(len(masks))))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_containment_order_of_a_chain_over_1000_columns(reverse):
     # Both orders of adding the elements: lowest first, where the masks are
     # the codes, and highest first.
-    check_chain(*chain_of(range(999, -1, -1) if reverse else range(1000)))
+    check_chain(chain_family(range(999, -1, -1) if reverse else range(1000)))
 
 
 def test_containment_order_of_a_shuffled_chain():
     elements = list(range(1000))
     random.Random(5).shuffle(elements)
-    check_chain(*chain_of(elements))
+    check_chain(chain_family(elements))
 
 
 def test_containment_order_of_a_chain_table():
@@ -485,9 +528,8 @@ def test_containment_order_of_a_chain_table():
                                             for a in range(m))), 7)
     fam = enumerate_left_ideals(t)
     assert len(fam.ideals) == m - 1
-    assert containment_adjacency(fam.masks) == containment_adjacency(fam.codes) == [
-        b | a for b, a in zip(*containment_by_pairwise_scan(fam.masks))]
-    check_chain(fam.masks, fam.codes)
+    assert containment_adjacency(fam.codes) == pairwise_inclusion_graph(fam.masks).adj
+    check_chain(fam)
 
 
 @pytest.mark.parametrize("n", [3, 8, 11])

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from idealgraph import (
     DenseGraph,
-    InclusionGraph,
     TooLargeError,
     build_boolean,
     build_from_family,
@@ -51,6 +50,7 @@ from oracles import (
     exact_chromatic,
     girth_per_vertex_bfs,
     max_clique_bb,
+    pairwise_inclusion_graph,
     raw_graph_numbers,
 )
 
@@ -59,7 +59,7 @@ INF = math.inf
 
 def to_nx(g):
     """The networkx graph of an inclusion graph or of adjacency bitsets."""
-    adj = g.dense().adj if hasattr(g, "dense") else getattr(g, "adj", g)
+    adj = g if isinstance(g, list) else invariants._dense(g).adj
     G = nx.Graph()
     G.add_nodes_from(range(len(adj)))
     G.add_edges_from((u, v) for u, a in enumerate(adj) for v in bits(a) if u < v)
@@ -130,13 +130,13 @@ def test_connectivity_property_raw_graphs(adj):
 @settings(max_examples=100, deadline=None)
 @given(mask_families)
 def test_connectivity_property_mask_families(masks):
-    check_connectivity_against_networkx(InclusionGraph("generic", vertices=tuple(masks)))
+    check_connectivity_against_networkx(pairwise_inclusion_graph(masks))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=(1 << 8) - 1), min_size=1, max_size=6))
 def test_connectivity_property_union_closed_families(generators):
-    g = InclusionGraph("generic", vertices=tuple(union_closed(generators)))
+    g = pairwise_inclusion_graph(union_closed(generators))
     check_connectivity_against_networkx(g)
 
 
@@ -144,7 +144,7 @@ def check_diameter_routes(g):
     """connectivity equals the per-source oracle, and on a connected graph
     that is not complete the extremes give a witness pair at that
     distance."""
-    dense = g.dense()
+    dense = invariants._dense(g)
     want = diameter_per_source(dense.adj)
     assert connectivity(g)[1] == want
     found = invariants._diameter_extremes(dense)
@@ -156,7 +156,7 @@ def check_diameter_routes(g):
 
 
 def check_girth_routes(g):
-    dense = g.dense()
+    dense = invariants._dense(g)
     want = girth_per_vertex_bfs(dense.adj)
     assert girth(g) == invariants._girth_bfs(dense.adj) == want
 
@@ -176,14 +176,13 @@ thin_families = st.lists(st.integers(min_value=0, max_value=7),
 def fence(k):
     """{0} < {0,1} > {1} < {1,2} > ... on k + 1 points: a path of 2k + 1
     vertices."""
-    return InclusionGraph("generic", vertices=tuple(
-        [1 << i for i in range(k + 1)] + [3 << i for i in range(k)]))
+    return pairwise_inclusion_graph([1 << i for i in range(k + 1)] + [3 << i for i in range(k)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(mask_families, thin_families))
 def test_extremes_diameter_matches_oracle_on_mask_families(masks):
-    g = InclusionGraph("generic", vertices=tuple(masks))
+    g = pairwise_inclusion_graph(masks)
     check_diameter_routes(g)
     check_girth_routes(g)
 
@@ -191,7 +190,7 @@ def test_extremes_diameter_matches_oracle_on_mask_families(masks):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=(1 << 8) - 1), min_size=1, max_size=6))
 def test_extremes_diameter_matches_oracle_on_union_closed_families(generators):
-    g = InclusionGraph("generic", vertices=tuple(union_closed(generators)))
+    g = pairwise_inclusion_graph(union_closed(generators))
     check_diameter_routes(g)
     check_girth_routes(g)
 
@@ -222,11 +221,11 @@ def test_fence_of_diameter_200_through_connectivity():
 
 
 def test_connectivity_of_empty_and_disconnected_families():
-    assert connectivity(InclusionGraph("generic", vertices=())) == (0, INF)
+    assert connectivity(pairwise_inclusion_graph(())) == (0, INF)
     # {1} < {1,2}, {4} < {4,8}, and {16}: three components.
-    g = InclusionGraph("generic", vertices=(1, 3, 4, 12, 16))
+    g = pairwise_inclusion_graph((1, 3, 4, 12, 16))
     assert connectivity(g) == (3, INF)
-    assert invariants._diameter_extremes(g.dense()) is None
+    assert invariants._diameter_extremes(g) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -298,10 +297,10 @@ def test_containment_order_against_masks():
     graphs = [build_boolean(n) for n in (2, 3, 4, 5)] + sample_graphs()[4:]
     for _ in range(20):
         universe = (1 << rng.randint(3, 7)) - 1
-        graphs.append(InclusionGraph("generic", vertices=tuple(
-            {rng.randint(1, universe - 1) for _ in range(rng.randint(2, 20))})))
+        graphs.append(pairwise_inclusion_graph(
+            {rng.randint(1, universe - 1) for _ in range(rng.randint(2, 20))}))
     for g in graphs:
-        dense = g.dense()
+        dense = invariants._dense(g)
         masks = dense.masks
         order = dense.containment
         inside = [{j for j, mj in enumerate(masks) if mj & mi == mj and mj != mi}
@@ -554,7 +553,7 @@ def test_domination_deeper_than_the_recursion_limit():
     # 1,100 vertices with no edges need all of them: the search goes 1,100
     # levels deep, on an inclusion graph (an antichain of singletons) and in
     # the kernel on bare adjacency.
-    antichain = InclusionGraph("generic", vertices=tuple(1 << i for i in range(1100)))
+    antichain = pairwise_inclusion_graph(1 << i for i in range(1100))
     gamma, witness = domination_number(antichain)
     assert gamma == len(witness) == 1100
     assert invariants._dominating_set([0] * 1100) == list(range(1100))
@@ -597,7 +596,7 @@ def test_flags_against_networkx():
 def test_flags_from_the_order_match_networkx_on_mask_families(masks):
     # Bipartite iff no 3-chain, triangulated iff every vertex is on one: the
     # order's verdicts against networkx's BFS colouring and triangle scan.
-    check_flags_against_networkx(InclusionGraph("generic", vertices=tuple(masks)))
+    check_flags_against_networkx(pairwise_inclusion_graph(masks))
 
 
 # --- planarity ------------------------------------------------------------------
@@ -717,7 +716,7 @@ def test_planarity_path_addition_witness_check(monkeypatch):
     # bad input.
     singletons = [1 << i for i in range(5)]
     pairs = sorted(a | b for a, b in itertools.combinations(singletons, 2))
-    g = InclusionGraph("generic", vertices=tuple(singletons + pairs))
+    g = pairwise_inclusion_graph(singletons + pairs)
     res = planarity(g)
     assert (res.planar, res.method, res.kuratowski_kind) == (False, "path-addition", "K5")
     assert res.kuratowski_edges == tuple((s, p) for s in singletons for p in pairs if s & p)
@@ -787,13 +786,13 @@ def test_planarity_property_mask_families(masks, plant_chain):
     masks = [m | 0b10000 if plant_chain else m & 0b1111 or 1 for m in masks]
     if plant_chain:
         masks += [0b1, 0b11, 0b111, 0b1111, 0b11111]
-    g = InclusionGraph("generic", vertices=tuple(masks))
+    g = pairwise_inclusion_graph(masks)
     res = planarity(g)
     if plant_chain:
         assert res.method == "k5-chain"
     elif (k33 := first_k33_subgraph(to_nx(g))) is not None:
         assert (res.method, res.kuratowski_kind) == ("k33-subgraph", "K3,3")
-        masks = g.dense().masks
+        masks = g.masks
         assert res.kuratowski_edges == tuple((masks[u], masks[v]) for u, v in k33)
     else:
         assert res.method == "path-addition"
@@ -803,7 +802,7 @@ def test_planarity_property_mask_families(masks, plant_chain):
 def check_planarity_against_networkx(g, res):
     """The verdict equals left-right's; an embedding passes networkx's
     structure check; a witness is a Kuratowski subgraph of g."""
-    dense = g.dense() if hasattr(g, "dense") else g
+    dense = invariants._dense(g)
     assert res.planar == nx.check_planarity(to_nx(dense))[0]
     if res.planar:
         check_embedding_with_networkx(dense, res.embedding)
@@ -838,15 +837,15 @@ def test_planarity_k33_subgraph_avoids_counterexample_search(monkeypatch):
     monkeypatch.setattr(planar, "embedding", refuse)
     monkeypatch.setattr(planar, "kuratowski_edges", refuse)
     masks = [m for m in range(1, 1 << 8) if m.bit_count() <= 4]
-    g = InclusionGraph("generic", vertices=tuple(masks))
-    assert (g.vertex_count, g.edge_count()) == (162, 1372)
+    g = pairwise_inclusion_graph(masks)
+    assert (g.size, sum(map(int.bit_count, g.adj)) // 2) == (162, 1372)
     t0 = time.perf_counter()
     res = planarity(g)
     assert time.perf_counter() - t0 < 0.5
     assert (res.planar, res.method, res.kuratowski_kind) == (False, "k33-subgraph", "K3,3")
     assert len(res.kuratowski_edges) == 9
     for u, v in res.kuratowski_edges:
-        assert g.adjacent(u, v)
+        assert g.adj[g.masks.index(u)] >> g.masks.index(v) & 1
 
 
 def test_planarity_matches_left_right_on_corpus_and_boolean_models():
@@ -976,7 +975,7 @@ def test_perfect_verdict_routes():
     # Every graph the package builds is an inclusion graph, perfect by
     # comparability, lattice or not; the odd-hole kernel under perfectness
     # finds the hole of a C5, which no inclusion graph is.
-    for g in (build_boolean(7), fence(5), InclusionGraph("generic", vertices=(1, 2, 5, 11))):
+    for g in (build_boolean(7), fence(5), pairwise_inclusion_graph((1, 2, 5, 11))):
         assert invariants.perfect_verdict(g) is True
     c5 = adj_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert sorted(invariants._odd_hole(c5, 5)) == [0, 1, 2, 3, 4]
@@ -985,8 +984,8 @@ def test_perfect_verdict_routes():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=(1 << 6) - 1), min_size=1, max_size=14))
 def test_report_perfect_matches_exhaustive_hole_search(masks):
-    g = InclusionGraph("generic", vertices=tuple(masks))
-    verdict, _ = perfectness(g, g.vertex_count)
+    g = pairwise_inclusion_graph(masks)
+    verdict, _ = perfectness(g, g.size)
     assert compute_report(g).perfect is verdict is True
 
 
@@ -1122,15 +1121,13 @@ def test_report_identities_and_edge_cover_undefined():
 def test_random_subset_families_cross_solvers():
     # Random containment families: the chain/Dilworth solvers check their
     # own witnesses inside the ops, and networkx supplies a second opinion.
-    from idealgraph import InclusionGraph
-
     rng = random.Random(31415)
     for _ in range(40):
         m = rng.randint(3, 8)
         universe = (1 << m) - 1
         masks = {rng.randint(1, universe - 1)
                  for _ in range(rng.randint(2, 24))}
-        g = InclusionGraph("generic", vertices=tuple(masks))
+        g = pairwise_inclusion_graph(masks)
         G = to_nx(g)
         omega, chain = clique_number(g)
         assert omega == max((len(c) for c in nx.find_cliques(G)), default=0)

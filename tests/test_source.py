@@ -87,3 +87,33 @@ def test_public_names_resolve_to_their_defining_modules():
     assert "__version__" in dir(idealgraph)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         idealgraph.no_such_name
+
+
+def inclusion_graph_callers(source: str) -> list[str]:
+    """The top-level function around each ``InclusionGraph(...)`` call, or
+    ``<module>`` for a call outside any function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "attr", getattr(child.func, "id", None)) == "InclusionGraph":
+                found.append(owner)
+            visit(child, child.name if owner == "<module>" and isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_inclusion_graphs_come_only_from_complete_families_and_n():
+    # Every generic graph comes from a complete ideal family, a distributive
+    # lattice, which is what the containment build and the planarity bound
+    # rely on: only the two builders construct an InclusionGraph.
+    assert inclusion_graph_callers(
+        "def f():\n    return g.InclusionGraph('boolean', n=2)\n"
+        "class C:\n    def m(self):\n        InclusionGraph()\nInclusionGraph()\n"
+    ) == ["f", "C", "<module>"]
+    found = {f"{path.name}:{owner}" for path in sorted(PACKAGE.glob("*.py"))
+             for owner in inclusion_graph_callers(path.read_text(encoding="utf-8"))}
+    assert found == {"graph.py:build_boolean", "graph.py:build_from_family"}

@@ -3,6 +3,7 @@
 import functools
 import gc
 import itertools
+import types
 import weakref
 from pathlib import Path
 
@@ -10,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealgraph import (InclusionGraph, catalog, connectivity, cyclic_group,
-                        enumerate_left_ideals, girth, graph, right_zero, run_suite, theorems)
+from idealgraph import (catalog, connectivity, cyclic_group, enumerate_left_ideals, girth,
+                        graph, right_zero, run_suite, theorems)
 from idealgraph.cli import main
 from idealgraph.graph import DenseGraph, build_boolean
-from idealgraph.semigroup import IdealFamily
 from idealgraph.theorems import REGISTRY, builtin_corpus
 from oracles import (containment_by_pairwise_scan, enumerate_associative_tables,
-                     union_closed_pairwise)
+                     holed_right_zero_4, pairwise_inclusion_graph, union_closed_pairwise)
 
 MANIFEST = Path(__file__).parent / "data" / "theorem_manifest.txt"
 
@@ -64,7 +64,7 @@ def test_empty_graph_corpus_is_vacuous():
 def graph_case(masks):
     """The corpus case of the inclusion graph of ``masks``, with no table
     behind it: the distance and girth rows read only the graph's numbers."""
-    g = InclusionGraph("generic", vertices=tuple(masks))
+    g = pairwise_inclusion_graph(masks)
     return theorems._Case(None, None, g, *connectivity(g), girth(g))
 
 
@@ -84,21 +84,44 @@ def test_girth_rows_report_a_four_cycle():
     assert theorems._girth_class(c) == theorems._no_45_girth(c) == "girth 4"
 
 
+def test_edgeless_row_reports_a_disconnected_graph_with_an_edge():
+    # {1} < {1,2} and {4}: two components, one of them an edge.
+    c = graph_case((0b1, 0b11, 0b100))
+    assert c.components == 2
+    assert theorems._disconnected_edgeless(c) == "disconnected with edges"
+    assert theorems._disconnected_edgeless(graph_case((0b1, 0b10))) == ""
+
+
 def test_union_escaping_the_family_is_a_counterexample(monkeypatch):
-    # Right-zero of order 4 has every proper subset as a left ideal; without
-    # {0, 1} the family is not closed under the union of {0} and {1}.
-    family = enumerate_left_ideals(right_zero(4))
-    kept = [k for k, i in enumerate(family.ideals) if i.members != 0b0011]
-    ideals = tuple(family.ideals[k] for k in kept)
-    holed = IdealFamily(4, ideals, tuple(range(4)),
-                        tuple(k for k, i in enumerate(ideals) if i.size == 3), False,
-                        tuple(family.codes[k] for k in kept))
+    # The package builds no graph of a family with a hole; the test's own
+    # graph of its masks stands in for it.
+    holed = holed_right_zero_4()
+    case = theorems._Case(right_zero(4), holed, pairwise_inclusion_graph(holed.masks))
+    assert theorems._family_union_closed(case) == "union escapes"
     monkeypatch.setattr(theorems, "enumerate_left_ideals", lambda t: holed)
+    monkeypatch.setattr(theorems, "build_from_family", lambda fam: types.SimpleNamespace(
+        dense=lambda: pairwise_inclusion_graph(fam.masks)))
     result = run_suite(corpus=[right_zero(4)], corpus_label="holed")
     row, = (c for c in result.checks if c.check_id == "semigroup-family-union-closed")
     assert row.verdict == "fail"
     assert row.computed == ("counterexample: order 4: union escapes in "
                             "[[0,1,2,3],[0,1,2,3],[0,1,2,3],[0,1,2,3]]")
+
+
+def test_family_with_a_hole_is_an_internal_failure(monkeypatch, tmp_path, capsys):
+    # The codes of a family with a hole are no family of down-sets: the
+    # containment build raises, naming the code, and verify exits 3 with
+    # one line on stderr.
+    holed = holed_right_zero_4()
+    with pytest.raises(RuntimeError, match="^code 0x7 has no stored parent 0x3$"):
+        graph.containment_adjacency(holed.codes)
+    (tmp_path / "right_zero_4.txt").write_text("4\n" + "0 1 2 3\n" * 4)
+    monkeypatch.setattr(theorems, "enumerate_left_ideals", lambda t: holed)
+    assert main(["verify", "--corpus", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal failure: RuntimeError: "
+                            "code 0x7 has no stored parent 0x3\n")
 
 
 def unions(generators):
@@ -141,7 +164,7 @@ def test_join_irreducible_union_check_reads_a_graphs_order():
     verdicts = set()
     for masks in families:
         if masks:
-            dense = InclusionGraph("generic", vertices=masks).dense()
+            dense = pairwise_inclusion_graph(masks)
             want = union_closed_pairwise(dense.masks, FULL)
             assert theorems._union_closed(dense.masks, FULL, dense.containment.below) == want
             verdicts.add(want)
@@ -209,7 +232,8 @@ def test_default_suite_emits_every_registered_row():
 
 
 def test_corpus_pass_holds_one_graph_at_a_time(monkeypatch):
-    # Each new build finds every earlier table's graph already collected.
+    # Each new build finds every earlier table's materialized graph, which
+    # its case holds, already collected.
     real = theorems.build_from_family
     built = []
     alive_at_build = []
@@ -218,7 +242,7 @@ def test_corpus_pass_holds_one_graph_at_a_time(monkeypatch):
         gc.collect()
         alive_at_build.append(sum(ref() is not None for ref in built))
         g = real(family)
-        built.append(weakref.ref(g))
+        built.append(weakref.ref(g.dense()))
         return g
 
     monkeypatch.setattr(theorems, "build_from_family", recording)
