@@ -27,11 +27,12 @@ _SUBMODULE = {
                    "UnknownVertexError"),
         "graph": ("DenseGraph", "InclusionGraph", "build_boolean", "build_from_family",
                   "export_graph", "minimal_ideal_coordinates"),
-        "invariants": ("InvariantReport", "PlanarityResult", "chromatic_number",
+        "invariants": ("PlanarityResult", "chromatic_number",
                        "clique_number", "compute_report", "connectivity",
                        "domination_number", "girth", "independence_number",
                        "maximum_matching", "perfectness", "planarity",
                        "structural_flags"),
+        "report": ("InvariantReport",),
         "semigroup": ("CayleyTable", "IdealFamily", "LClass", "LeftIdeal",
                       "enumerate_left_ideals", "is_completely_simple",
                       "is_left_ideal", "is_maximal_left_ideal", "l_classes",

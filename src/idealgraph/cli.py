@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .errors import IdealGraphError, NotAssociativeError
 
+# The selecting flags of ``invariants``, as ``report.SELECTIONS`` lists them.
 INVARIANT_FLAGS = ("diameter", "girth", "clique", "chromatic", "independence",
                    "matching", "domination", "planarity", "perfect", "flags")
 
@@ -153,45 +154,16 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    from . import invariants
     g = _load_graph(args)
+    select = () if args.all else {k for k in INVARIANT_FLAGS if getattr(args, k)}
+    if g.mode == "boolean":
+        from . import boolean
+        if g.n >= boolean.MIN_N:  # from the masks: no adjacency, no search to cap
+            _print_json(boolean.report_document(g, select))
+            return 0
+    from . import invariants
     cap = invariants.DOMINATION_CAP if args.domination_cap is None else args.domination_cap
-    selected = {k for k in INVARIANT_FLAGS if getattr(args, k)}
-    if args.all or not selected:
-        report = invariants.compute_report(g, domination_cap=cap)
-        _print_json(report.to_jsonable())
-        return 0
-    out: dict = {}
-    if "diameter" in selected:
-        components, diameter = invariants.connectivity(g)
-        out["components"] = components
-        out["diameter"] = "inf" if diameter == float("inf") else diameter
-    if "girth" in selected:
-        gv = invariants.girth(g)
-        out["girth"] = "inf" if gv == float("inf") else gv
-    if "clique" in selected:
-        out["clique_number"], _ = invariants.clique_number(g)
-    if "chromatic" in selected:
-        out["chromatic_number"], _ = invariants.chromatic_number(g)
-    if "independence" in selected:
-        out["independence_number"], _ = invariants.independence_number(g)
-    if "matching" in selected:
-        size, _, perfect = invariants.maximum_matching(g)
-        out["matching_number"] = size
-        out["perfect_matching"] = perfect
-    if "domination" in selected:
-        out["domination_number"], _ = invariants.domination_number(g, cap=cap)
-    if "planarity" in selected:
-        res = invariants.planarity(g)
-        out["planar"] = res.planar
-        if not res.planar:
-            out["kuratowski_kind"] = res.kuratowski_kind
-    if "perfect" in selected:
-        out["perfect"] = invariants.perfect_verdict(g)
-    if "flags" in selected:
-        eul, bip, tri = invariants.structural_flags(g)
-        out.update(eulerian=eul, bipartite=bip, triangulated=tri)
-    _print_json(out)
+    _print_json(invariants.report_document(g, select, domination_cap=cap))
     return 0
 
 

@@ -4,7 +4,7 @@ Layer ``k`` means all k-element subsets of [n]; consecutive layers induce a
 biregular bipartite graph under containment. These routines build concrete
 certificates: layer matchings saturating the smaller prescribed side, a
 middle-layer normalization of independent sets, a perfect matching of the
-whole graph, and canonical dominating sets and chains.
+whole graph (from symmetric chains), and canonical dominating sets and chains.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
+from . import boolean
 from .bipartite import hopcroft_karp
 from .errors import NotIndependentError, OutOfRangeError
 
@@ -177,64 +178,13 @@ def normalize_independent_set(n: int, vertices) -> frozenset[int]:
 
 
 def perfect_matching(n: int) -> list[tuple[int, int]]:
-    """A perfect matching of the Boolean inclusion graph, 2^(n-1) - 1 edges.
-
-    Odd n: match layer k to layer n-k by containment for each k < n/2 (the
-    mirror layers have equal size and the containment graph between them is
-    biregular, so a perfect matching exists). Even n: seed with the edge
-    ({1}, [n] minus the last element), then stitch saturating matchings
-    between consecutive layers on the not-yet-matched remainders.
-    """
+    """A perfect matching of the Boolean inclusion graph, 2^(n-1) - 1 edges,
+    sorted: consecutive pairs along symmetric chains, checked edge by edge
+    (``boolean.perfect_matching``, the matching ``invariants --n N``
+    reports)."""
     if n < 3:
         raise OutOfRangeError("need n >= 3")
-    full = (1 << n) - 1
-    pairs: list[tuple[int, int]] = []
-    if n % 2 == 1:
-        for k in range(1, n // 2 + 1):
-            lower = layer(n, k)
-            upper = layer(n, n - k)
-            upper_index = {m: i for i, m in enumerate(upper)}
-            adj = []
-            for m in lower:
-                rest = full & ~m
-                row = 0
-                t = rest
-                while t:
-                    cand = m | t
-                    if cand in upper_index:
-                        row |= 1 << upper_index[cand]
-                    t = (t - 1) & rest
-                adj.append(row)
-            size, match_l, _ = hopcroft_karp(len(lower), len(upper), adj)
-            if size != len(lower):
-                raise RuntimeError("mirror-layer matching failed to saturate")
-            pairs.extend((lower[i], upper[match_l[i]]) for i in range(len(lower)))
-    else:
-        seed_lo = 1
-        seed_hi = full & ~(1 << (n - 1))
-        pairs.append((seed_lo, seed_hi))
-        matched = {seed_lo, seed_hi}
-        dom = [m for m in layer(n, 1) if m != seed_lo]
-        for k in range(1, n - 1):
-            codomain = [m for m in layer(n, k + 1)
-                        if not (k == n - 2 and m == seed_hi)]
-            got = _saturating_matching(n, dom, codomain, True)
-            pairs.extend(got)
-            for a, b in got:
-                matched.add(a)
-                matched.add(b)
-            dom = [m for m in layer(n, k + 1) if m not in matched]
-    pairs.sort()
-    expected = (1 << (n - 1)) - 1
-    seen: set[int] = set()
-    for a, b in pairs:
-        if a & b != a or a == b or a in seen or b in seen:
-            raise RuntimeError("constructed matching is not a matching of containments")
-        seen.add(a)
-        seen.add(b)
-    if len(pairs) != expected or len(seen) != (1 << n) - 2:
-        raise RuntimeError("constructed matching is not perfect")
-    return pairs
+    return boolean.perfect_matching(n)
 
 
 def canonical_dominating_set(n: int) -> tuple[int, int]:

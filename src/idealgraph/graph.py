@@ -369,7 +369,11 @@ def minimal_ideal_coordinates(family: IdealFamily) -> tuple[int, tuple[int, ...]
     An ideal is a union of minimal ideals, the one-bit codes, iff its code
     has no other bit, so the family is Boolean iff its codes use as many
     bits as it has minimal ideals, the lowest bits (each member of J but S
-    is a vertex, and S sorts last): the codes are the coordinates.
+    is a vertex, and S sorts last): the codes are the coordinates. They are
+    in canonical order already: the minimal left ideals are disjoint and of
+    one size, so an ideal's size is its code's popcount times that size, and
+    two unions of them compare as masks as their codes compare, by the
+    highest minimal ideal in one and not the other (J is sorted by mask).
     """
     codes = family.codes
     n = len(family.minimal_indices)
@@ -377,7 +381,7 @@ def minimal_ideal_coordinates(family: IdealFamily) -> tuple[int, tuple[int, ...]
         minimal = reduce(or_, map(codes.__getitem__, family.minimal_indices), 0)
         bad = next(i for i, c in zip(family.ideals, codes) if c & ~minimal)
         raise ValueError(f"ideal {bad.members:#x} is not a union of minimal ideals")
-    return n, tuple(sorted(codes, key=_mask_sort_key))
+    return n, tuple(codes)
 
 
 def _vertex_name(mask: int, boolean_n: int | None) -> str:

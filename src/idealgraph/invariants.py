@@ -31,8 +31,7 @@ from .bipartite import hopcroft_karp, koenig_cover
 from .errors import TooLargeError
 from .graph import DenseGraph, bits
 from .matching import matching_edges, maximum_matching_adj
-
-INFINITY = math.inf
+from .report import INFINITY, InvariantReport, selected_document
 
 DOMINATION_CAP = 1 << 16
 
@@ -772,40 +771,6 @@ def _check_hole(adj: list[int], cycle: list[int]) -> None:
 # the aggregate report
 
 
-class InvariantReport(NamedTuple):
-    vertex_count: int
-    edge_count: int
-    connected: bool
-    components: int
-    diameter: int | float
-    girth: int | float
-    clique_number: int
-    chromatic_number: int
-    independence_number: int
-    vertex_cover_number: int
-    matching_number: int
-    edge_cover_number: int | None
-    domination_number: int
-    eulerian: bool
-    bipartite: bool
-    triangulated: bool
-    planar: bool
-    perfect: bool
-    witnesses: dict
-    methods: dict
-
-    def to_jsonable(self) -> dict:
-        """Stable-key-order dict, so identical runs serialize identically.
-        The witnesses are the report's own: JSON writes their int mask keys
-        as strings and their tuples as lists."""
-        doc = self._asdict()
-        for key in ("diameter", "girth"):
-            if doc[key] is INFINITY:
-                doc[key] = "inf"
-        doc["methods"] = dict(sorted(self.methods.items()))
-        return doc
-
-
 def perfect_verdict(g) -> bool:
     """Whether the inclusion graph g is perfect: True, with no search.
 
@@ -888,3 +853,36 @@ def compute_report(g, *, domination_cap: int = DOMINATION_CAP) -> InvariantRepor
     if report.clique_number > report.chromatic_number:
         raise RuntimeError("identity failed: clique number exceeds chromatic number")
     return report
+
+
+def report_document(g, select=frozenset(), *, domination_cap: int = DOMINATION_CAP) -> dict:
+    """The ``invariants`` document of the inclusion graph g: the whole
+    report, or the values of the ``select``ed flags (see
+    ``report.SELECTIONS``), each computed only when selected."""
+    if not select:
+        return compute_report(g, domination_cap=domination_cap).to_jsonable()
+    values: dict = {}
+    if "diameter" in select:
+        values["components"], values["diameter"] = connectivity(g)
+    if "girth" in select:
+        values["girth"] = girth(g)
+    if "clique" in select:
+        values["clique_number"], _ = clique_number(g)
+    if "chromatic" in select:
+        values["chromatic_number"], _ = chromatic_number(g)
+    if "independence" in select:
+        values["independence_number"], _ = independence_number(g)
+    if "matching" in select:
+        values["matching_number"], _, values["perfect_matching"] = maximum_matching(g)
+    if "domination" in select:
+        values["domination_number"], _ = domination_number(g, cap=domination_cap)
+    if "planarity" in select:
+        res = planarity(g)
+        values["planar"] = res.planar
+        if not res.planar:
+            values["kuratowski_kind"] = res.kuratowski_kind
+    if "perfect" in select:
+        values["perfect"] = perfect_verdict(g)
+    if "flags" in select:
+        values["eulerian"], values["bipartite"], values["triangulated"] = structural_flags(g)
+    return selected_document(values, select)

@@ -2,8 +2,9 @@
 layer's associativity test, every labeled semigroup table of a small order
 (against which the isomorphism classes are checked), the union closure of
 an ideal family by a scan of every pair of members, tables relabeled by
-a permutation of their elements, the nontrivial left ideals of a table
-by closing its principal left ideals under union, the containment order
+a permutation of their elements (among them the benchmark's tables), the
+nontrivial left ideals of a table by closing its principal left ideals
+under union, the containment order
 of a family of masks by a test of every pair and its longest chains by a
 dynamic program over the masks in order of size, the inclusion graph of
 any family of masks, lattice or not (``pairwise_inclusion_graph``; the
@@ -134,6 +135,15 @@ def shuffled_tables():
     return [shuffled_table(t, seed) for t in (
         rectangular_band(3, 4), null_semigroup(6), right_zero_with_identity(4))
         for seed in range(4)]
+
+
+def benchmark_tables(seeds=(101, 102)):
+    """Seeded relabelings of the band, right-zero and null tables the
+    benchmark's corpus builds."""
+    return [shuffled_table(t, seed) for t in (
+        rectangular_band(12, 8), rectangular_band(3, 10), rectangular_band(40, 5),
+        rectangular_band(6, 6), right_zero(9), right_zero_with_identity(8),
+        null_semigroup(10)) for seed in seeds]
 
 
 def holed_right_zero_4():

@@ -453,14 +453,17 @@ def band_corpus(tmp_path):
 # The package modules each benchmark command loads besides the package and
 # its CLI; networkx would be listed too. A command compiles only what it runs:
 # the semigroup layer only where it reads a table, path addition (planar) only
-# where a graph has neither a 5-chain nor a K3,3. No command loads
+# where a graph has neither a 5-chain nor a K3,3, and the dense solvers and
+# their matching kernels not for Boolean invariants from n = 6 on, which come
+# from the masks (``boolean``). No command loads
 # dataclasses or inspect, and none loads json: the graph export and the JSON
 # writer (jsontext, loaded by the commands that print a JSON document) write
 # their text themselves, and the writer imports json only for a string that
 # needs escaping.
 TABLE_ONLY = ["errors", "semigroup"]
 GRAPH = ["errors", "graph"]
-SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching"]
+SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching", "report"]
+MASKS = ["boolean", "errors", "graph", "report"]
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -469,13 +472,14 @@ SOLVERS = ["bipartite", "errors", "graph", "invariants", "matching"]
     (["ideals", "{band}"], TABLE_ONLY + ["jsontext"]),
     (["graph", "--n", "11"], GRAPH),
     (["aut", "--n", "7"], GRAPH + ["jsontext", "symmetry"]),
-    (["invariants", "--n", "11", "--all"], SOLVERS + ["jsontext"]),
+    (["invariants", "--n", "11", "--all"], MASKS + ["jsontext"]),
     (["invariants", "--n", "12", "--clique", "--chromatic", "--independence"],
-     SOLVERS + ["jsontext"]),
+     MASKS + ["jsontext"]),
+    (["invariants", "--n", "5", "--all"], SOLVERS + ["boolean", "jsontext"]),
     (["invariants", "{band}", "--all"], SOLVERS + ["jsontext", "semigroup"]),
     (["verify", "--corpus", "{corpus}"], SOLVERS + ["semigroup", "theorems"]),
-    (["verify"], SOLVERS + ["catalog", "constructions", "planar", "semigroup", "symmetry",
-                            "theorems"]),
+    (["verify"], SOLVERS + ["boolean", "catalog", "constructions", "planar", "semigroup",
+                            "symmetry", "theorems"]),
     (["graph", "--n", "11", "--format", "dot"], GRAPH),
 ])
 def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):

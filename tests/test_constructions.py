@@ -146,7 +146,7 @@ def test_perfect_matching_small_cases():
 
     pairs = perfect_matching(4)
     assert len(pairs) == 7
-    assert (0b0001, 0b0111) in pairs  # the seeded edge ({1}, {1,2,3})
+    assert (0b0001, 0b1011) in pairs  # the stitch edge ({1}, {1,2,4}) between the halves
 
 
 def test_perfect_matching_properties():

@@ -28,12 +28,13 @@ from idealgraph import (
     right_zero,
 )
 from idealgraph import graph
+from idealgraph.catalog import small_semigroup_corpus
 from idealgraph.graph import _meets, bits, command_vertex_cap, containment_adjacency, transpose
 from idealgraph.semigroup import IdealFamily, LeftIdeal
 from idealgraph.theorems import builtin_corpus
-from oracles import (containment_by_pairwise_scan, export_dot_document, export_json_document,
-                     holed_right_zero_4, longest_chain_levels, pairwise_inclusion_graph,
-                     shuffled_table, shuffled_tables)
+from oracles import (benchmark_tables, containment_by_pairwise_scan, export_dot_document,
+                     export_json_document, holed_right_zero_4, longest_chain_levels,
+                     pairwise_inclusion_graph, shuffled_table, shuffled_tables)
 
 
 def test_build_from_family_null_semigroup_is_path():
@@ -159,6 +160,23 @@ def test_boolean_bridge_rectangular_band():
         for seed in range(4):
             fam = enumerate_left_ideals(shuffled_table(rectangular_band(a, b), seed))
             assert minimal_ideal_coordinates(fam) == (b, tuple(build_boolean(b).vertices()))
+
+
+def test_boolean_families_list_their_codes_in_canonical_order():
+    # minimal_ideal_coordinates returns a Boolean family's codes as the family
+    # lists them: in (popcount, code) order, the order of Boolean vertices.
+    tables = [t for t, _ in small_semigroup_corpus(4)] + benchmark_tables(seeds=(101,))
+    boolean_ns = []
+    for t in tables:
+        fam = enumerate_left_ideals(t)
+        try:
+            n, coords = minimal_ideal_coordinates(fam)
+        except ValueError:
+            continue
+        boolean_ns.append(n)
+        assert coords == tuple(fam.codes) == tuple(
+            sorted(fam.codes, key=lambda c: (c.bit_count(), c)))
+    assert (len(tables), len(boolean_ns), max(boolean_ns)) == (225, 54, 10)
 
 
 def test_boolean_bridge_rejects_non_boolean_families():

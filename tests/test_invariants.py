@@ -664,9 +664,14 @@ def test_planarity_decided_by_chain_without_networkx(monkeypatch):
 def check_wrong_witness_fails(argv, match, capsys, solver=planarity):
     """A wrong witness raises RuntimeError from the solver (by default a
     wrong Kuratowski witness from planarity), and the CLI turns it into
-    exit 3 with one stderr line."""
+    exit 3 with one stderr line. ``argv`` names a Boolean n or a table file."""
+    if argv[1] == "--n":
+        g = build_boolean(int(argv[2]))
+    else:
+        g = build_from_family(enumerate_left_ideals(
+            parse_cayley_table(Path(argv[1]).read_text(encoding="utf-8"))))
     with pytest.raises(RuntimeError, match=match):
-        solver(build_boolean(int(argv[2])))
+        solver(g)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -675,9 +680,12 @@ def check_wrong_witness_fails(argv, match, capsys, solver=planarity):
 
 
 def test_planarity_chain_witness_check_is_a_real_check(monkeypatch, capsys):
-    # Boolean n=6 is decided from a 5-chain. Five singletons are no chain
-    # (no edge among them), and a real 4-chain is a K4, not a K5.
-    argv = ["invariants", "--n", "6", "--planarity"]
+    # The 2x6 band, the Boolean model on 6 points as a table (the CLI answers
+    # Boolean n=6 from its masks, see tests/test_boolean.py), is decided from
+    # a 5-chain. Five singletons are no chain (no edge among them), and a
+    # real 4-chain is a K4, not a K5.
+    argv = ["invariants", str(Path(__file__).parent / "data" / "rectangular_band_2x6.txt"),
+            "--planarity"]
     real = invariants._chain
     monkeypatch.setattr(invariants, "_chain", lambda dense, length: [0, 1, 2, 3, 4])
     check_wrong_witness_fails(argv, "witness edge .* is not an edge", capsys)

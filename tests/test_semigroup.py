@@ -30,10 +30,10 @@ from idealgraph import (
 from idealgraph.catalog import small_semigroup_corpus
 from idealgraph.graph import containment_adjacency
 from idealgraph.theorems import builtin_corpus
-from oracles import (containment_by_pairwise_scan, enumerate_associative_tables,
-                     enumerate_by_full_recheck, first_nonassociative_triple,
-                     left_ideals_by_union_closure, magma_closure, shuffled_table,
-                     shuffled_tables)
+from oracles import (benchmark_tables, containment_by_pairwise_scan,
+                     enumerate_associative_tables, enumerate_by_full_recheck,
+                     first_nonassociative_triple, left_ideals_by_union_closure, magma_closure,
+                     shuffled_table, shuffled_tables)
 
 
 def brute_left_ideals(t):
@@ -334,15 +334,6 @@ def check_walk(t):
             int.__or__, (p for i, p in enumerate(joins) if code >> i & 1), 0)
     below, above = containment_by_pairwise_scan(fam.masks)
     assert containment_adjacency(fam.codes) == [b | a for b, a in zip(below, above)]
-
-
-def benchmark_tables():
-    """Two seeded relabelings each of the band, right-zero and null tables
-    the benchmark's corpus builds."""
-    return [shuffled_table(t, seed) for t in (
-        rectangular_band(12, 8), rectangular_band(3, 10), rectangular_band(40, 5),
-        rectangular_band(6, 6), right_zero(9), right_zero_with_identity(8),
-        null_semigroup(10)) for seed in (101, 102)]
 
 
 def test_walk_matches_union_closure():
