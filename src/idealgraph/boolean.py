@@ -43,19 +43,26 @@ def _comparable(a: int, b: int) -> bool:
 
 def symmetric_chains(n: int) -> list[list[int]]:
     """A symmetric chain decomposition of all subsets of [n], by de
-    Bruijn's recursion: each chain c_1 ⊂ ... ⊂ c_t of [n-1] gives
-    c_1 ⊂ ... ⊂ c_t ⊂ c_t + {n} and, if t > 1, c_1 + {n} ⊂ ... ⊂
-    c_{t-1} + {n}. The first chain runs from ∅ to [n] through the prefixes."""
+    Bruijn's recursion (``de_bruijn_step``) from the one chain of ∅. The
+    first chain runs from ∅ to [n] through the prefixes."""
     chains = [[0]]
     for e in range(n):
-        bit = 1 << e
-        grown = []
-        for c in chains:
-            grown.append(c + [c[-1] | bit])
-            if len(c) > 1:
-                grown.append([m | bit for m in c[:-1]])
-        chains = grown
+        chains = de_bruijn_step(chains, e)
     return chains
+
+
+def de_bruijn_step(chains: list[list[int]], e: int) -> list[list[int]]:
+    """The symmetric chains of the subsets of [e + 1] grown from ``chains``,
+    those of [e]: each chain c_1 ⊂ ... ⊂ c_t gives c_1 ⊂ ... ⊂ c_t ⊂
+    c_t + {e + 1} and, if t > 1, c_1 + {e + 1} ⊂ ... ⊂ c_{t-1} + {e + 1}.
+    ``chains`` are left as they are."""
+    bit = 1 << e
+    grown = []
+    for c in chains:
+        grown.append(c + [c[-1] | bit])
+        if len(c) > 1:
+            grown.append([m | bit for m in c[:-1]])
+    return grown
 
 
 def check_chain_partition(chains, n: int) -> None:
@@ -79,9 +86,11 @@ def check_chain_partition(chains, n: int) -> None:
             f"{marks.count(1)} distinct vertices, not each of the {full - 1} once")
 
 
-def perfect_matching(n: int) -> list[tuple[int, int]]:
+def perfect_matching(n: int, chains: list[list[int]] | None = None) -> list[tuple[int, int]]:
     """A perfect matching of the Boolean inclusion graph (n >= 3), sorted and
-    checked edge by edge: consecutive pairs along symmetric chains.
+    checked edge by edge: consecutive pairs along the symmetric ``chains``,
+    ``symmetric_chains(n)`` for odd n and ``symmetric_chains(n - 1)`` for
+    even n, built if not given.
 
     Odd n: every chain of ``symmetric_chains(n)`` has an even number of
     members once the first loses ∅ and [n]. Even n: the halves without and
@@ -91,13 +100,15 @@ def perfect_matching(n: int) -> list[tuple[int, int]]:
     the one edge ({1}, [n] ∖ {n-1}) joins what they leave.
     """
     full = (1 << n) - 1
+    if chains is None:
+        chains = symmetric_chains(n if n % 2 else n - 1)
     if n % 2:
-        first, *rest = symmetric_chains(n)
+        first, *rest = chains
         chains = [first[1:-1], *rest]
         pairs = []
     else:
         bit = 1 << (n - 1)
-        first, *rest = symmetric_chains(n - 1)
+        first, *rest = chains
         chains = [first[2:], *rest, [m | bit for m in first[:-2]],
                   *([m | bit for m in c] for c in rest)]
         pairs = [(1, full ^ (bit >> 1))]
@@ -200,12 +211,22 @@ class _Masks:
         return colouring
 
     @cached_property
+    def lower_chains(self) -> list[list[int]]:
+        """``symmetric_chains(n - 1)``, the one recursion of a report."""
+        return symmetric_chains(self.n - 1)
+
+    @cached_property
+    def chains(self) -> list[list[int]]:
+        """``symmetric_chains(n)``, one de Bruijn step from ``lower_chains``."""
+        return de_bruijn_step(self.lower_chains, self.n - 1)
+
+    @cached_property
     def antichain(self) -> tuple[int, ...]:
         """The layer of size ⌈n/2⌉, as many vertices as the symmetric chains
         that partition the vertices: a largest antichain."""
         k = (self.n + 1) // 2
         layer = tuple(m for m in self.vertices if m.bit_count() == k)
-        first, *rest = symmetric_chains(self.n)
+        first, *rest = self.chains
         chains = [first[1:-1], *rest]
         check_chain_partition(chains, self.n)
         if len(chains) != len(layer) or len(set(layer)) != len(layer):
@@ -310,7 +331,7 @@ def report_document(g, select=frozenset()) -> dict:
     if "independence" in wanted:
         values["independence_number"] = len(m.antichain)
     if "matching" in wanted:
-        pairs = perfect_matching(m.n)
+        pairs = perfect_matching(m.n, m.chains if m.n % 2 else m.lower_chains)
         values["matching_number"] = len(pairs)
         values["perfect_matching"] = 2 * len(pairs) == m.full - 1
     if "domination" in wanted:

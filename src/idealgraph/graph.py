@@ -16,7 +16,7 @@ import os
 from contextlib import contextmanager
 from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import or_
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OutOfRangeError, TooLargeError, TruncatedFamilyError, UnknownVertexError
@@ -398,22 +398,79 @@ def _vertex_name(mask: int, boolean_n: int | None) -> str:
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _edge_parts(adj: list[int], heads: list[str], tails: list[str], sep: str) -> list[str]:
+def _adjacency_rows(adj: list[int], tails: list[str]):
+    """(i, the tails of i's upper neighbours in index order) for each row i
+    of ``adj`` with one, last row first.
+
+    No object is made per edge: a row's upper neighbours become 0/1 selector
+    bytes, and ``compress`` picks their tails.
+    """
+    for i in range(len(adj) - 1, -1, -1):
+        up = adj[i] >> (i + 1)
+        if up:
+            yield i, compress(tails[i + 1:], bin(up)[:1:-1].encode().translate(_BITS))
+
+
+def boolean_upper_rows(n: int, masks: tuple[int, ...]):
+    """(i, the masks of vertex i's upper neighbours in index order) for each
+    vertex of the Boolean model on [n] with one, last vertex first; ``masks``
+    are the vertices in index order.
+
+    The upper neighbours of u with complement c, |c| = k >= 2, are u | t for
+    the nonempty proper subsets t of c. As u | t and u | t' compare as t and
+    t' do, their index order is the (popcount, mask) order of the k-bit
+    patterns of t in c: one ``itemgetter`` per k over the Boolean k-vertex
+    order picks it from D_c, the list of u | t over every t inside c in
+    pattern order. With h the highest bit of c, c ^ h is the complement of
+    u | h, and D_c doubles that vertex's list: D_(c^h) with h cleared (the
+    patterns without h), then D_(c^h) itself. Walked last to first, the rows
+    come in layers of growing |c|, and only the lists of the previous layer
+    that a list of the next doubles are kept: those of c without element n.
+    """
+    full = (1 << n) - 1
+    top = 1 << (n - 1)
+    picks = {k: itemgetter(*build_boolean(k).vertices()) for k in range(2, n)}
+    prev, layer, size = {}, {0: [full]}, 0
+    for i in range(len(masks) - 1, -1, -1):
+        c = full ^ masks[i]
+        k = c.bit_count()
+        if k != size:
+            prev, layer, size = layer, {}, k
+        h = 1 << (c.bit_length() - 1)
+        parent = prev[c ^ h]
+        d = [x ^ h for x in parent] + parent
+        if c < top:
+            layer[c] = d
+        if k > 1:
+            yield i, picks[k](d)
+
+
+def _rows(g: InclusionGraph, masks: tuple[int, ...], tails: list[str]):
+    """The edge rows of ``g`` for ``_edge_parts``, with ``tails`` by vertex
+    index: read off the masks in Boolean mode, off the adjacency in generic
+    mode."""
+    if g.mode == "generic":
+        return _adjacency_rows(g.dense().adj, tails)
+    by_mask = [""] * (1 << g.n)
+    for m, t in zip(masks, tails):
+        by_mask[m] = t
+    # each row has at least two upper neighbours, so itemgetter gives a tuple
+    return ((i, itemgetter(*up)(by_mask)) for i, up in boolean_upper_rows(g.n, masks))
+
+
+def _edge_parts(rows, heads: list[str], sep: str) -> list[str]:
     """Every edge i < j written as ``heads[i] + tails[j] + sep``, in (i, j)
     order, as pieces whose concatenation is the text: three per row with an
-    edge (head, the row's remaining edges, sep).
-
-    No object is made per edge: each row's upper neighbours become 0/1
-    selector bytes, ``compress`` picks their tails, and one join per row
-    writes them.
+    edge (head, the row's remaining edges, sep). ``rows`` gives each such
+    row, last first, as i and the tails of its upper neighbours in index
+    order; one join per row writes them, and the pieces, gathered back to
+    front, are reversed once.
     """
     parts = []
-    for i, a in enumerate(adj):
-        up = a >> (i + 1)
-        if up:
-            head = heads[i]
-            parts += (head, (sep + head).join(
-                compress(tails[i + 1:], bin(up)[:1:-1].encode().translate(_BITS))), sep)
+    for i, tails in rows:
+        head = heads[i]
+        parts += (sep, (sep + head).join(tails), head)
+    parts.reverse()
     return parts
 
 
@@ -426,10 +483,12 @@ def export_graph(g: InclusionGraph, fmt: str = "json") -> str:
     pure-Python encoder, which dominates the export of large graphs. In both
     formats the edges are written row by row (see ``_edge_parts``), each
     vertex's index or name formatted once, and the text is one join of the
-    header, vertex and edge pieces.
+    header, vertex and edge pieces. A Boolean graph's rows come from its
+    masks (``boolean_upper_rows``), with no adjacency; a generic graph's from
+    its dense adjacency. Both refuse graphs above the vertex cap.
     """
-    dense = g.dense()
-    masks = dense.masks
+    g.check_cap()
+    masks = tuple(g.vertices())
     if fmt == "json":
         parts = ['{\n  "mode": "%s",\n  "n": %s,\n  "vertices": ['
                  % (g.mode, "null" if g.n is None else g.n)]
@@ -441,8 +500,8 @@ def export_graph(g: InclusionGraph, fmt: str = "json") -> str:
         else:
             parts.append("]")
         idx = range(len(masks))
-        edges = _edge_parts(dense.adj, ["    [\n      %d,\n      " % i for i in idx],
-                            ["%d\n    ]" % j for j in idx], ",\n")
+        edges = _edge_parts(_rows(g, masks, ["%d\n    ]" % j for j in idx]),
+                            ["    [\n      %d,\n      " % i for i in idx], ",\n")
         if edges:
             edges[-1] = "\n  ]"  # the last edge's separator closes the list
             parts.append(',\n  "edges": [\n')
@@ -454,8 +513,8 @@ def export_graph(g: InclusionGraph, fmt: str = "json") -> str:
     if fmt == "dot":
         names = [_vertex_name(m, g.n) for m in masks]
         parts = ["graph In {\n", *[f"  {name};\n" for name in names]]
-        parts += _edge_parts(dense.adj, [f"  {name} -- " for name in names],
-                             [f"{name};" for name in names], "\n")
+        parts += _edge_parts(_rows(g, masks, [f"{name};" for name in names]),
+                             [f"  {name} -- " for name in names], "\n")
         parts.append("}\n")
         return "".join(parts)
     raise ValueError(f"unknown format {fmt!r}")

@@ -435,10 +435,10 @@ def domination_number(g, cap: int = DOMINATION_CAP) -> tuple[int, tuple]:
     The witness is checked before it is returned: the union of its closed
     neighbourhoods must be every vertex.
     """
-    dense = _dense(g)
-    n = dense.size
-    if n > cap:
+    n = g.size if isinstance(g, DenseGraph) else g.vertex_count
+    if n > cap:  # before the build, which takes about n²/8 bytes
         raise TooLargeError(f"{n} vertices exceed the domination cap {cap}")
+    dense = _dense(g)
     if n == 0:
         return 0, ()
     witness = _dominating_set(dense.adj)

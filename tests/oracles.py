@@ -402,7 +402,7 @@ def edges_by_pairwise_scan(masks):
 
 def export_json_document(g):
     """The JSON export of ``g`` by ``json.dumps`` of the whole document."""
-    masks = g.dense().masks
+    masks = tuple(g.vertices())
     doc = {
         "mode": g.mode,
         "n": g.n,
@@ -427,7 +427,7 @@ def dot_vertex_name(mask, boolean_n):
 
 def export_dot_document(g):
     """The DOT export of ``g``, one line per vertex and then one per edge."""
-    masks = g.dense().masks
+    masks = tuple(g.vertices())
     lines = ["graph In {"]
     for m in masks:
         lines.append(f"  {dot_vertex_name(m, g.n)};")

@@ -124,6 +124,20 @@ def test_checks_reject_corrupted_witnesses(flags):
     ]
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_one_chain_recursion_per_report(n, monkeypatch, capsys):
+    # The antichain's decomposition of [n] is one de Bruijn step from that of
+    # [n - 1]; the matching pairs along one of the two.
+    calls = []
+    real = boolean.symmetric_chains
+    monkeypatch.setattr(boolean, "symmetric_chains", lambda k: calls.append(k) or real(k))
+    assert main(["invariants", "--n", str(n), "--all"]) == 0
+    assert calls == [n - 1]
+    assert json.loads(capsys.readouterr().out)["witnesses"]["matching"] == [
+        list(p) for p in boolean.perfect_matching(n)]
+    assert calls == [n - 1, n if n % 2 else n - 1]
+
+
 def test_a_failed_check_exits_3(monkeypatch, capsys):
     # Symmetric chains short of one chain leave vertices unmatched and
     # uncovered: the CLI exits 3 with one stderr line.

@@ -318,10 +318,40 @@ def test_degree_closed_form_for_huge_layers():
     assert g.degree(0b1) == (2 ** 1 - 2) + (2 ** 61 - 2)
 
 
+def refuse_dense(monkeypatch):
+    """Make ``InclusionGraph.dense`` raise: a Boolean export reads the masks."""
+    def refuse(self):
+        raise AssertionError("a Boolean export built the adjacency")
+
+    monkeypatch.setattr(graph.InclusionGraph, "dense", refuse)
+
+
 @pytest.mark.parametrize("n", range(2, 10))
-def test_export_json_matches_json_dumps_boolean(n):
+def test_export_json_matches_json_dumps_boolean(n, monkeypatch):
+    refuse_dense(monkeypatch)
     g = build_boolean(n)
     assert export_graph(g, "json") == export_json_document(g)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_boolean_upper_rows_are_the_containment_rows(n):
+    # Each row's superset masks, as indices, are the set bits of above[i] in
+    # index order; rows come last first, one for each vertex with a superset.
+    g = build_boolean(n)
+    masks = tuple(g.vertices())
+    index = {m: i for i, m in enumerate(masks)}
+    rows = list(graph.boolean_upper_rows(n, masks))
+    above = g.dense().containment.above
+    assert [i for i, _ in rows] == [i for i in reversed(range(len(masks))) if above[i]]
+    for i, up in rows:
+        assert [index[m] for m in up] == bits(above[i])
+
+
+def test_boolean_export_keeps_the_vertex_cap():
+    with command_vertex_cap(5), pytest.raises(TooLargeError):
+        export_graph(build_boolean(4))
+    with command_vertex_cap(5), pytest.raises(TooLargeError):
+        export_graph(build_boolean(4), "dot")
 
 
 def edge_case_graphs():
@@ -349,9 +379,10 @@ def test_export_json_matches_json_dumps_mask_families():
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-def test_export_dot_matches_per_edge_writer_boolean(n):
+def test_export_dot_matches_per_edge_writer_boolean(n, monkeypatch):
     # From n = 10 on, the member labels of a name are joined by "_". Compared
     # as lists of lines: pytest's diff of two megabyte strings takes minutes.
+    refuse_dense(monkeypatch)
     g = build_boolean(n)
     assert export_graph(g, "dot").splitlines(True) == export_dot_document(g).splitlines(True)
 

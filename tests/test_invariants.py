@@ -561,8 +561,13 @@ def test_domination_deeper_than_the_recursion_limit():
 
 
 def test_domination_cap():
-    with pytest.raises(TooLargeError):
-        domination_number(build_boolean(5), cap=10)
+    # The cap is checked before the adjacency (about V²/8 bytes) is built.
+    g = build_boolean(5)
+    with pytest.raises(TooLargeError, match="30 vertices exceed the domination cap 10"):
+        domination_number(g, cap=10)
+    assert g._dense is None
+    with pytest.raises(TooLargeError, match="30 vertices exceed the domination cap 29"):
+        domination_number(build_boolean(5).dense(), cap=29)
 
 
 # --- structural flags ----------------------------------------------------------
