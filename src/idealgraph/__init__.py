@@ -18,9 +18,8 @@ _SUBMODULE = {
     for module, names in {
         "catalog": ("cyclic_group", "left_zero", "null_semigroup", "rectangular_band",
                     "right_zero", "right_zero_with_identity"),
-        "constructions": ("LayerGraph", "LayerMatching", "canonical_dominating_set",
-                          "canonical_maximum_chain", "layer_graph", "layer_matching",
-                          "normalize_independent_set", "perfect_matching"),
+        "boolean": ("LayerMatching", "canonical_dominating_set", "canonical_maximum_chain",
+                    "layer_matching", "normalize_independent_set", "perfect_matching"),
         "errors": ("CorpusLoadError", "IdealGraphError", "NotAPermutationError",
                    "NotAssociativeError", "NotIndependentError", "OutOfRangeError",
                    "TableSyntaxError", "TooLargeError", "TruncatedFamilyError",

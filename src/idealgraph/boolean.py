@@ -20,6 +20,10 @@ Schweitzer 2011). So nothing here builds the V²/8-byte adjacency of
 - Diameter 3, girth 3, the K5 on the chain, the flags and perfectness
   follow from the order as the dense solvers read them.
 
+The same builders and checkers give ``construct`` its certificates: the
+chain, the dominating pair, the perfect matching, and the matchings between
+layers k and k + 1 (the k- and (k+1)-subsets), read off the symmetric chains.
+
 Every check raises RuntimeError. Below ``MIN_N`` the canonical chain has
 fewer than five vertices, and the dense solvers answer (at most 30
 vertices).
@@ -29,7 +33,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from math import comb
+from typing import NamedTuple
 
+from .errors import NotIndependentError, OutOfRangeError
+from .graph import build_boolean
 from .report import INFINITY, SELECTIONS, InvariantReport, selected_document
 
 MIN_N = 6
@@ -86,11 +94,16 @@ def check_chain_partition(chains, n: int) -> None:
             f"{marks.count(1)} distinct vertices, not each of the {full - 1} once")
 
 
+def _need_three(n: int) -> None:
+    if n < 3:
+        raise OutOfRangeError(f"need n >= 3, got {n}")
+
+
 def perfect_matching(n: int, chains: list[list[int]] | None = None) -> list[tuple[int, int]]:
     """A perfect matching of the Boolean inclusion graph (n >= 3), sorted and
     checked edge by edge: consecutive pairs along the symmetric ``chains``,
     ``symmetric_chains(n)`` for odd n and ``symmetric_chains(n - 1)`` for
-    even n, built if not given.
+    even n, built within the range and the vertex cap if not given.
 
     Odd n: every chain of ``symmetric_chains(n)`` has an even number of
     members once the first loses ∅ and [n]. Even n: the halves without and
@@ -99,8 +112,10 @@ def perfect_matching(n: int, chains: list[list[int]] | None = None) -> list[tupl
     ∖ {n-1} above (without [n]). These two are paired from the other end, and
     the one edge ({1}, [n] ∖ {n-1}) joins what they leave.
     """
+    _need_three(n)
     full = (1 << n) - 1
     if chains is None:
+        build_boolean(n).check_cap()
         chains = symmetric_chains(n if n % 2 else n - 1)
     if n % 2:
         first, *rest = chains
@@ -155,22 +170,24 @@ def check_colouring(colouring: dict, n: int, colours: int) -> None:
                            f"{full - 1} vertices coloured")
 
 
-def check_domination(pair: tuple[int, int], witnesses: dict, n: int) -> None:
-    """Check that ``pair`` dominates every vertex and that each vertex v has
-    ``witnesses[v]``, a vertex incomparable to it, so that no one vertex
-    dominates."""
+def check_domination(pair: tuple[int, int], witnesses, n: int) -> None:
+    """Check that ``pair`` dominates every vertex and that ``witnesses``,
+    pairs (v, w), give each vertex v a vertex w incomparable to it, so that
+    no one vertex dominates. The pairs are read once, so they may stream."""
     full = (1 << n) - 1
     s, r = pair
-    if len(witnesses) != full - 1:
-        raise RuntimeError(f"domination certificate failed: {len(witnesses)} of "
-                           f"{full - 1} vertices have an incomparable witness")
-    for v, w in witnesses.items():
+    marks = bytearray(full + 1)
+    for v, w in witnesses:
         if not (0 < v < full and 0 < w < full) or w == v or _comparable(v, w):
             raise RuntimeError(
                 f"domination certificate failed: {w} is no vertex incomparable to {v}")
         if v != s and v != r and not (_comparable(v, s) or _comparable(v, r)):
             raise RuntimeError(
                 f"domination certificate failed: {pair} leaves {v} undominated")
+        marks[v] = 1
+    if marks.count(1) != full - 1:
+        raise RuntimeError(f"domination certificate failed: {marks.count(1)} of "
+                           f"{full - 1} vertices have an incomparable witness")
 
 
 def check_far_pair(u: int, v: int, vertices) -> None:
@@ -238,8 +255,8 @@ class _Masks:
     def dominating_set(self) -> tuple[int, int]:
         pair = (1, self.full ^ 1)
         # v less its lowest member, plus its lowest non-member
-        check_domination(pair, {v: v ^ (v & -v) ^ (~v & (v + 1)) for v in self.vertices},
-                         self.n)
+        check_domination(pair, ((v, v ^ (v & -v) ^ (~v & (v + 1)))
+                                for v in range(1, self.full)), self.n)
         return pair
 
     @cached_property
@@ -293,6 +310,100 @@ class _Masks:
         eulerian = self.diameter < INFINITY and all(
             ((1 << k) - 2 + (1 << (n - k)) - 2) % 2 == 0 for k in sizes)
         return eulerian, max(sizes) <= 2, all(k + (n - k) >= 4 for k in sizes)
+
+
+class LayerMatching(NamedTuple):
+    """A matching of covers between layers k and k + 1 that saturates one of
+    them: ``covers`` is "lower" when every k-subset is matched, "upper" when
+    every (k+1)-subset is."""
+
+    n: int
+    k: int
+    covers: str
+    pairs: tuple[tuple[int, int], ...]  # (k-subset, (k+1)-superset), sorted
+
+
+def certificates(n: int) -> _Masks:
+    """The certificates of the Boolean graph on n points, each built and
+    checked when first read; OutOfRangeError outside [2, ``MAX_BOOLEAN_N``]
+    and TooLargeError past the vertex cap, as for a command's graph."""
+    g = build_boolean(n)
+    g.check_cap()
+    return _Masks(g)
+
+
+def canonical_maximum_chain(n: int) -> list[int]:
+    """The canonical chain {1} ⊂ {1, 2} ⊂ ... ⊂ [n-1], a maximum clique."""
+    return certificates(n).chain
+
+
+def canonical_dominating_set(n: int) -> tuple[int, int]:
+    """{1} and [n] ∖ {1}, a smallest dominating set (n >= 3)."""
+    _need_three(n)
+    return certificates(n).dominating_set
+
+
+def layer_matching(n: int, k: int) -> LayerMatching:
+    """The consecutive pairs (a, b) of the symmetric chains with |a| = k,
+    sorted and checked by ``check_layer_matching``.
+
+    A chain runs from size i to n - i. Through layer k with k < ⌊n/2⌋ it
+    also passes layer k + 1 (k + 1 <= n - k - 1 <= n - i), and through
+    layer k + 1 with k >= ⌊n/2⌋ it also passes layer k (i <= n - k - 1 <=
+    k). So the pairs saturate layer k in the first case, layer k + 1 in the
+    second.
+    """
+    if not 1 <= k <= n - 2:
+        raise OutOfRangeError(f"need 1 <= k <= n-2, got n={n} k={k}")
+    pairs = []
+    for c in certificates(n).chains:
+        i = k - c[0].bit_count()  # the index of the chain's k-subset
+        if 0 <= i < len(c) - 1:
+            pairs.append((c[i], c[i + 1]))
+    pairs.sort()
+    matching = LayerMatching(n, k, "lower" if k < n // 2 else "upper", tuple(pairs))
+    check_layer_matching(matching)
+    return matching
+
+
+def check_layer_matching(matching: LayerMatching) -> None:
+    """Check that ``matching`` pairs k-subsets with (k+1)-supersets, no mask
+    twice, and saturates the layer prescribed for (n, k): layer k when k <
+    ⌊n/2⌋, layer k + 1 otherwise."""
+    n, k, covers, pairs = matching
+    full = (1 << n) - 1
+    marks = bytearray(full + 1)
+    for a, b in pairs:
+        if not (0 < a < b < full and a & b == a and a.bit_count() == k
+                and b.bit_count() == k + 1) or marks[a] or marks[b]:
+            raise RuntimeError(f"layer matching certificate failed: the pair ({a}, {b}) "
+                               f"is no cover from layer {k} or meets another pair")
+        marks[a] = marks[b] = 1
+    side, size = ("lower", comb(n, k)) if k < n // 2 else ("upper", comb(n, k + 1))
+    if covers != side or len(pairs) != size:
+        raise RuntimeError(f"layer matching certificate failed: {len(pairs)} pairs "
+                           f"covering the {covers} side, not the {size} of the {side}")
+
+
+def normalize_independent_set(n: int, vertices) -> frozenset[int]:
+    """An independent set of the same size in layer ⌊n/2⌋: each member
+    goes to the member of that size on its symmetric chain. A chain holds at
+    most one member of an antichain, so no two members share an image, and
+    distinct sets of one size are independent."""
+    members = frozenset(vertices)
+    full = (1 << n) - 1
+    for m in members:
+        if not 0 < m < full:
+            raise OutOfRangeError(f"mask {m} is not a nonempty proper subset")
+    if any(_comparable(a, b) for a, b in combinations(members, 2)):
+        raise NotIndependentError("input is not an antichain")
+    p = n // 2
+    image = frozenset(c[p - c[0].bit_count()] for c in certificates(n).chains
+                      if not members.isdisjoint(c))
+    if len(image) != len(members) or any(m.bit_count() != p for m in image):
+        raise RuntimeError(f"normalization failed: {len(members)} members map to "
+                           f"{len(image)} sets, not all of size {p}")
+    return image
 
 
 _METHODS = {

@@ -192,16 +192,16 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    from . import constructions
+    from . import boolean  # each builder refuses n past the range or the vertex cap
     n = args.n
     if args.perfect_matching:
-        doc = {"perfect_matching": constructions.perfect_matching(n)}
+        doc = {"perfect_matching": boolean.perfect_matching(n)}
     elif args.dominating_set:
-        doc = {"dominating_set": list(constructions.canonical_dominating_set(n))}
+        doc = {"dominating_set": list(boolean.canonical_dominating_set(n))}
     elif args.max_chain:
-        doc = {"maximum_chain": constructions.canonical_maximum_chain(n)}
+        doc = {"maximum_chain": boolean.canonical_maximum_chain(n)}
     else:
-        lm = constructions.layer_matching(n, args.layer_matching)
+        lm = boolean.layer_matching(n, args.layer_matching)
         doc = {"layer": lm.k, "covers": lm.covers,
                "pairs": [list(p) for p in lm.pairs]}
     _print_json(doc)

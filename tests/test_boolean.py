@@ -69,6 +69,8 @@ other = next(m for c in chains if len(c) > 1 for m in c if m.bit_count() == n //
 pairs = boolean.perfect_matching(n)
 colouring = {m: m.bit_count() for m in range(1, full)}
 swap = {v: v ^ (v & -v) ^ (~v & (v + 1)) for v in range(1, full)}
+lower = boolean.layer_matching(n, 2)  # saturates layer 2
+upper = boolean.layer_matching(n, 3)  # saturates layer 4
 cases = {
     "partition drops a vertex": lambda: boolean.check_chain_partition(chains[1:], n),
     "partition repeats a vertex": lambda: boolean.check_chain_partition(
@@ -79,13 +81,21 @@ cases = {
         [(b, a) if i == 0 else (a, b) for i, (a, b) in enumerate(pairs)], n),
     "matching pair twice": lambda: boolean.check_matching(pairs[:-1] + pairs[:1], n),
     "comparable 'incomparable' witness": lambda: boolean.check_domination(
-        (1, full ^ 1), {**swap, 1: 3}, n),
-    "undominated vertex": lambda: boolean.check_domination((1, 2), swap, n),
+        (1, full ^ 1), {**swap, 1: 3}.items(), n),
+    "undominated vertex": lambda: boolean.check_domination((1, 2), swap.items(), n),
+    "vertex with no witness": lambda: boolean.check_domination(
+        (1, full ^ 1), list(swap.items())[1:], n),
     "nested sets in one colour class": lambda: boolean.check_colouring(
         {**colouring, 3: 1}, n, n - 1),
     "too many colours": lambda: boolean.check_colouring(colouring, n, n - 2),
     "far pair adjacent": lambda: boolean.check_far_pair(1, 3, range(1, full)),
     "far pair with a common neighbour": lambda: boolean.check_far_pair(1, 2, range(1, full)),
+    "layer pair not a cover": lambda: boolean.check_layer_matching(lower._replace(
+        pairs=((3, 0b11100),) + lower.pairs[1:])),  # {1, 2} not in {3, 4, 5}
+    "layer side unsaturated": lambda: boolean.check_layer_matching(upper._replace(
+        pairs=upper.pairs[:-1])),
+    "layer side not the prescribed one": lambda: boolean.check_layer_matching(upper._replace(
+        covers="lower")),
 }
 for name, case in cases.items():
     try:
@@ -96,9 +106,11 @@ for name, case in cases.items():
         print(name, "| accepted")
 boolean.check_chain_partition(chains, n)
 boolean.check_matching(pairs, n)
-boolean.check_domination((1, full ^ 1), swap, n)
+boolean.check_domination((1, full ^ 1), swap.items(), n)
 boolean.check_colouring(colouring, n, n - 1)
 boolean.check_far_pair(1, full ^ 1, range(1, full))
+boolean.check_layer_matching(lower)
+boolean.check_layer_matching(upper)
 print("intact witnesses pass")
 """
 
@@ -116,10 +128,14 @@ def test_checks_reject_corrupted_witnesses(flags):
         "matching pair twice | matching certificate failed",
         "comparable 'incomparable' witness | domination certificate failed",
         "undominated vertex | domination certificate failed",
+        "vertex with no witness | domination certificate failed",
         "nested sets in one colour class | colouring certificate failed",
         "too many colours | colouring certificate failed",
         "far pair adjacent | diameter certificate failed",
         "far pair with a common neighbour | diameter certificate failed",
+        "layer pair not a cover | layer matching certificate failed",
+        "layer side unsaturated | layer matching certificate failed",
+        "layer side not the prescribed one | layer matching certificate failed",
         "intact witnesses pass",
     ]
 

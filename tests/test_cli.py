@@ -172,6 +172,28 @@ def test_construct_outputs(capsys):
     assert doc["covers"] == "lower" and len(doc["pairs"]) == 4
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["--n", "24", "--perfect-matching"], "16777214 vertices exceed the cap of 1000"),
+    (["--n", "28", "--dominating-set"], "268435454 vertices exceed the cap of 1000"),
+    (["--n", "40", "--layer-matching", "20"], "1099511627774 vertices exceed the cap of 1000"),
+    (["--n", "100", "--max-chain"], "n must be in [2, 62], got 100"),
+    (["--n", "2", "--perfect-matching"], "need n >= 3, got 2"),
+    (["--n", "5", "--layer-matching", "4"], "need 1 <= k <= n-2, got n=5 k=4"),
+])
+def test_construct_refuses_past_the_cap_and_the_range(argv, err, monkeypatch, capsys):
+    # Refused before any certificate is built: no symmetric chain, no vertex.
+    from idealgraph import boolean
+
+    def refuse(*args):
+        raise AssertionError("certificate built past the cap")
+    monkeypatch.setattr(boolean, "symmetric_chains", refuse)
+    monkeypatch.setattr(boolean, "_Masks", refuse)
+    assert main(["--max-vertices", "1000", "construct", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_verify_boolean_range(capsys):
     assert main(["verify", "--boolean", "2..4"]) == 0
     out = capsys.readouterr().out
@@ -454,8 +476,8 @@ def band_corpus(tmp_path):
 # its CLI; networkx would be listed too. A command compiles only what it runs:
 # the semigroup layer only where it reads a table, path addition (planar) only
 # where a graph has neither a 5-chain nor a K3,3, and the dense solvers and
-# their matching kernels not for Boolean invariants from n = 6 on, which come
-# from the masks (``boolean``). No command loads
+# their matching kernels not for Boolean invariants from n = 6 on nor for
+# ``construct``, which come from the masks (``boolean``). No command loads
 # dataclasses or inspect, and none loads json: the graph export and the JSON
 # writer (jsontext, loaded by the commands that print a JSON document) write
 # their text themselves, and the writer imports json only for a string that
@@ -478,8 +500,12 @@ MASKS = ["boolean", "errors", "graph", "report"]
     (["invariants", "--n", "5", "--all"], SOLVERS + ["boolean", "jsontext"]),
     (["invariants", "{band}", "--all"], SOLVERS + ["jsontext", "semigroup"]),
     (["verify", "--corpus", "{corpus}"], SOLVERS + ["semigroup", "theorems"]),
-    (["verify"], SOLVERS + ["boolean", "catalog", "constructions", "planar", "semigroup",
-                            "symmetry", "theorems"]),
+    (["verify"], SOLVERS + ["boolean", "catalog", "planar", "semigroup", "symmetry",
+                            "theorems"]),
+    (["construct", "--n", "6", "--perfect-matching"], MASKS + ["jsontext"]),
+    (["construct", "--n", "6", "--dominating-set"], MASKS + ["jsontext"]),
+    (["construct", "--n", "6", "--max-chain"], MASKS + ["jsontext"]),
+    (["construct", "--n", "6", "--layer-matching", "2"], MASKS + ["jsontext"]),
     (["graph", "--n", "11", "--format", "dot"], GRAPH),
 ])
 def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):

@@ -1,4 +1,5 @@
-"""Layer matchings, the middle-layer normalization, and canonical objects."""
+"""Layer matchings, the middle-layer normalization, and canonical objects
+of the Boolean model (``idealgraph.boolean``)."""
 
 import math
 import random
@@ -11,28 +12,15 @@ from idealgraph import (
     canonical_dominating_set,
     canonical_maximum_chain,
     clique_number,
-    layer_graph,
     layer_matching,
     normalize_independent_set,
     perfect_matching,
 )
-from idealgraph.constructions import layer
 
 
-def test_layer_graph_biregular():
-    for n in (4, 5, 6):
-        for k in range(1, n - 1):
-            lg = layer_graph(n, k)
-            assert len(lg.lower) == math.comb(n, k)
-            assert len(lg.upper) == math.comb(n, k + 1)
-            degree_low = {m: 0 for m in lg.lower}
-            degree_high = {m: 0 for m in lg.upper}
-            for a, b in lg.edges():
-                assert a & b == a and b.bit_count() == a.bit_count() + 1
-                degree_low[a] += 1
-                degree_high[b] += 1
-            assert set(degree_low.values()) == {n - k}
-            assert set(degree_high.values()) == {k + 1}
+def layer(n, k):
+    """All k-subsets of [n] as masks."""
+    return [m for m in range(1 << n) if m.bit_count() == k]
 
 
 def test_layer_matching_examples():
@@ -96,20 +84,6 @@ def test_normalize_examples():
     out = normalize_independent_set(5, [0b01111])
     assert len(out) == 1
     assert next(iter(out)).bit_count() == 2
-
-
-def test_normalize_checks_the_layer_matching(monkeypatch):
-    # The matching's covering side is checked with a raise, not an assert,
-    # so the check survives python -O.
-    from idealgraph import constructions
-
-    def flipped(n, k):
-        phi = layer_matching(n, k)
-        return phi._replace(covers="upper" if phi.covers == "lower" else "lower")
-
-    monkeypatch.setattr(constructions, "layer_matching", flipped)
-    with pytest.raises(RuntimeError, match="does not cover"):
-        normalize_independent_set(6, [0b000001])
 
 
 def test_normalize_rejects_non_antichain():

@@ -227,6 +227,20 @@ def test_corrupted_expected_fails_only_that_check(monkeypatch):
     assert result.exit_code == 1
 
 
+def test_broken_layer_matching_fails_its_row(monkeypatch):
+    # The row runs the layer matching's checker: a matching that drops a
+    # pair fails the row, and the suite still runs to the end.
+    from idealgraph import boolean
+    real = boolean.check_layer_matching
+    monkeypatch.setattr(boolean, "check_layer_matching",
+                        lambda lm: real(lm._replace(pairs=lm.pairs[:-1])))
+    result = run_suite(boolean_ns=range(5, 6), corpus=[])
+    bad = [c for c in result.checks if c.verdict == "fail"]
+    assert [c.check_id for c in bad] == ["boolean-layer-matchings"]
+    assert bad[0].computed.startswith("layer matching certificate failed: ")
+    assert result.exit_code == 1
+
+
 def test_default_suite_emits_every_registered_row():
     assert {c.check_id for c in run_suite().checks} == set(REGISTRY)
 
