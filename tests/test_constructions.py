@@ -86,6 +86,22 @@ def test_normalize_examples():
     assert next(iter(out)).bit_count() == 2
 
 
+def test_normalize_checks_the_layer_matching(monkeypatch):
+    # The normalization steps each member along its symmetric chain, whose
+    # consecutive pairs are the layer matchings. A chain that skips a layer
+    # is caught with a raise, not an assert, so the check survives python -O.
+    from types import SimpleNamespace
+
+    from idealgraph import boolean
+
+    member = 0b000001
+    chains = [[m for i, m in enumerate(c) if i == 0 or c[i - 1] != member]
+              for c in boolean.certificates(6).chains]
+    monkeypatch.setattr(boolean, "certificates", lambda n: SimpleNamespace(chains=chains))
+    with pytest.raises(RuntimeError, match="normalization failed"):
+        normalize_independent_set(6, [member])
+
+
 def test_normalize_rejects_non_antichain():
     with pytest.raises(NotIndependentError):
         normalize_independent_set(4, [0b0001, 0b0011])
