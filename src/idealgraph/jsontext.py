@@ -3,11 +3,12 @@
 With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder, one
 generator step per token. The documents the CLI prints are mostly lists of
 ints, which this writer joins in C: a list of ints is one join over
-``int.__repr__``, a list of equal-length rows of ints (and a dict of ints
-keyed by ints) one ``%`` template per row, and only dicts and mixed lists
-recurse. Other scalars and non-str keys are written as ``json`` writes
-them. Only the commands that print a JSON document import this module, and
-it imports ``json`` only for a string that needs escaping.
+``int.__repr__``, a list of equal-length rows of ints, a list of dicts with
+the same str keys and int values (and a dict of ints keyed by ints) one
+``%`` template per row, and only other dicts and mixed lists recurse.
+Other scalars and non-str keys are written as ``json`` writes them. Only
+the commands that print a JSON document import this module, and it imports
+``json`` only for a string that needs escaping.
 """
 
 from __future__ import annotations
@@ -57,6 +58,19 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
+def _dict_row(dicts: list[dict], nl: str) -> str | None:
+    """The ``%`` template of each of ``dicts`` at the indent that ``nl``
+    gives, when they have the same str keys in the same order and only exact
+    ints as values; else None."""
+    keys = tuple(dicts[0])
+    if (not keys or set(map(tuple, dicts)) != {keys} or set(map(type, keys)) != {str}
+            or set(map(type, chain.from_iterable(map(dict.values, dicts)))) != {int}):
+        return None
+    cell = "," + nl + "  "
+    return ("{" + cell[1:] + cell.join([_quote(k).replace("%", "%%") + ": %d" for k in keys])
+            + nl + "}")
+
+
 def _text(obj, nl: str) -> str:
     """``obj`` written at the indent that ``nl`` (a newline and the
     indent) gives its closing bracket."""
@@ -76,6 +90,8 @@ def _text(obj, nl: str) -> str:
             cell = "," + inner + "  "
             row = "[" + cell[1:] + cell.join(["%d"] * len(obj[0])) + inner + "]"
             body = sep.join(map(row.__mod__, map(tuple, obj)))
+        elif kinds == {dict} and (row := _dict_row(obj, inner)) is not None:
+            body = sep.join([row % tuple(d.values()) for d in obj])
         else:
             body = sep.join([_text(x, inner) for x in obj])
         return "[" + inner + body + nl + "]"

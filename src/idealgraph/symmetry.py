@@ -3,13 +3,24 @@
 For the Boolean model the full group is generated by bit relabelings and
 set complementation; this module builds those maps explicitly, computes the
 automorphism group of an inclusion graph exactly, and decides vertex and
-edge transitivity from the computed orbits. The search is a stabilizer
+edge transitivity from the computed orbits.
+
+A table's graph (and Boolean n = 2) goes through a search: a stabilizer
 chain whose levels individualise the fixed vertices and refine the
 colouring, with an explicit-stack bitset search for each witness map; the
 order is the product of the coset counts. It and the transitivity count
-read only adjacency bitsets (``_stabilizer_chain``, ``_transitivity``);
-``automorphism_group`` adds the vertex masks and, in the Boolean model,
-each generator's decomposition.
+read only adjacency bitsets (``_stabilizer_chain``, ``_transitivity``).
+
+The Boolean model from n = 3 on takes no search and builds no adjacency
+(``_boolean_group``). Its group is certified from the masks, each step
+checked with a raise: the vertices of largest degree are exactly M, the
+singletons and co-singletons, so every automorphism permutes M; each vertex
+has its own set of neighbours in M, so an automorphism is fixed by its
+action on M and |Aut(G)| <= |Aut(G[M])|; ``_stabilizer_chain`` on the 2n
+vertices of that crown graph gives 2·n!, which a transposition, an n-cycle
+and the complement already generate. Transitivity reads the vertex orbits
+off those three maps and the edge classes off the layer sizes
+(``_boolean_transitivity``).
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ class GraphAutomorphism(NamedTuple):
 class AutGroupReport(NamedTuple):
     order: int
     generators: tuple[GraphAutomorphism, ...]
-    structure: str  # "trivial", "S<n> x Z2", or "other"
+    structure: str  # "trivial", "S<n> x Z2" (Boolean n >= 3), or "other"
     vertex_masks: tuple[int, ...] | None = None
 
 
@@ -205,22 +216,86 @@ def _find_extension(adj: list[int], later: list[list[int]], cell_of: list[int],
 
 
 def automorphism_group(g: InclusionGraph, cap: int = DEFAULT_AUT_CAP) -> AutGroupReport:
-    """Exact automorphism group of an inclusion graph: generators and order
-    (``_stabilizer_chain``). In the Boolean model each generator records its
-    decomposition into a relabeling and a complement flag."""
+    """Exact automorphism group of an inclusion graph: generators and order.
+    The Boolean model from n = 3 on takes the crown certificate
+    (``_boolean_group``); any other graph the search (``_stabilizer_chain``),
+    where a Boolean generator records its decomposition into a relabeling and
+    a complement flag."""
     n = g.vertex_count
     if n > cap:
         raise TooLargeError(f"{n} vertices exceed the automorphism cap {cap}")
-    dense = g.dense()
     boolean_n = g.n
+    if boolean_n is not None and boolean_n >= 3:
+        return _boolean_group(g)
+    dense = g.dense()
     order, perms = _stabilizer_chain(dense.adj)
     gens = tuple(_decorate(perm, boolean_n, dense.masks) for perm in perms)
-    structure = "trivial" if order == 1 else "other"
-    if boolean_n is not None and order == 2 * factorial(boolean_n):
-        if all(a.base_perm is not None for a in gens):
-            structure = f"S{boolean_n} x Z2"
     return AutGroupReport(order=order, generators=gens,
-                          structure=structure, vertex_masks=dense.masks)
+                          structure="trivial" if order == 1 else "other",
+                          vertex_masks=dense.masks)
+
+
+def _neighbours_in(u: int, crown) -> int:
+    """The bitset of the positions in ``crown`` of the masks comparable to
+    ``u``: distinct from it, one inside the other."""
+    sig = 0
+    for t, m in enumerate(crown):
+        c = u & m
+        if u != m and (c == u or c == m):
+            sig |= 1 << t
+    return sig
+
+
+def _boolean_group(g: InclusionGraph) -> AutGroupReport:
+    """The automorphism group of the Boolean graph g (n >= 3), certified from
+    its masks with no adjacency over V and no search there; each failed step
+    raises RuntimeError.
+
+    - A vertex of size k has 2^k - 2 neighbours below and 2^(n-k) - 2 above,
+      a degree checked to be largest exactly on M, the n singletons and n
+      co-singletons. So every automorphism permutes M.
+    - No two vertices have the same neighbours in M (one set of signatures
+      over V). An automorphism that fixes M pointwise keeps each vertex's
+      neighbours in M, so it fixes every vertex: restriction to M embeds
+      Aut(G) in Aut(G[M]).
+    - G[M] is the crown graph, K_{n,n} less a perfect matching:
+      ``_stabilizer_chain`` on its 2n vertices must give 2·n!.
+    - The relabelings by the transposition of elements 0 and 1 and by the
+      n-cycle i -> i + 1 (mod n) generate S_n, and the complement commutes
+      with them and is none of them, so these three, each checked vertex by
+      vertex through ``decompose_boolean``, generate a group of order 2·n!:
+      the bound is reached.
+    """
+    g.check_cap()
+    n = g.n
+    full = (1 << n) - 1
+    masks = tuple(g.vertices())
+    degree = {k: (1 << k) - 2 + (1 << (n - k)) - 2 for k in range(1, n)}
+    top = max(degree.values())
+    crown = [m for m, k in zip(masks, map(int.bit_count, masks)) if degree[k] == top]
+    if crown != [1 << i for i in range(n)] + [full ^ 1 << i for i in range(n - 1, -1, -1)]:
+        raise RuntimeError(f"automorphism certificate failed: the {len(crown)} vertices "
+                           f"of degree {top} are not the singletons and co-singletons")
+    if len({_neighbours_in(u, crown) for u in masks}) != len(masks):
+        raise RuntimeError("automorphism certificate failed: two vertices have the same "
+                           "neighbours among the singletons and co-singletons")
+    order, _ = _stabilizer_chain([_neighbours_in(u, crown) for u in crown])
+    if order != 2 * factorial(n):
+        raise RuntimeError(f"automorphism certificate failed: the crown graph on "
+                           f"{2 * n} vertices has {order} automorphisms, not 2·{n}!")
+    gens = (relabel_automorphism(n, [1, 0, *range(2, n)]),
+            relabel_automorphism(n, [*range(1, n), 0]),
+            complement_automorphism(n))
+    for a in gens:
+        try:
+            got = decompose_boolean(n, a.images, masks)
+        except ValueError as e:
+            raise RuntimeError(f"automorphism certificate failed: {e}") from None
+        if got != (a.base_perm, a.complemented):
+            raise RuntimeError(f"automorphism certificate failed: a generator decomposes "
+                               f"as {got}, not {(a.base_perm, a.complemented)}")
+    return AutGroupReport(order=order, generators=gens, structure=f"S{n} x Z2",
+                          vertex_masks=masks)
 
 
 def _stabilizer_chain(adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
@@ -290,8 +365,37 @@ def _orbits(n_points: int, maps: list[tuple[int, ...]]) -> list[int]:
 
 def transitivity(g: InclusionGraph, report: AutGroupReport) -> tuple[bool, bool]:
     """(vertex transitive, edge transitive) of the inclusion graph g, whose
-    full automorphism group ``report`` holds (``_transitivity``)."""
-    return _transitivity(g.dense().adj, [a.images for a in report.generators])
+    full automorphism group ``report`` holds: from the masks for Boolean
+    n >= 3 (``_boolean_transitivity``), else ``_transitivity``."""
+    maps = [a.images for a in report.generators]
+    if g.n is not None and g.n >= 3:
+        return _boolean_transitivity(g.n, report.vertex_masks, maps)
+    return _transitivity(g.dense().adj, maps)
+
+
+def _boolean_transitivity(n: int, masks: tuple[int, ...],
+                          maps: list[tuple[int, ...]]) -> tuple[bool, bool]:
+    """(vertex transitive, edge transitive) of the Boolean graph on ``masks``
+    under the group the vertex maps ``maps`` generate, with no edge list.
+
+    One union-find over the vertices gives the orbits, each layer (the sets
+    of one size) checked to lie in one. Any two layers a < b are joined by
+    edges, so the edges fall into the classes {orbit of layer a, orbit of
+    layer b}, and each edge orbit lies in one class. Two classes, as at every
+    n >= 4 (layers 1 and n - 1 share an orbit, layer 2 lies in another),
+    rule out edge transitivity; one class (n = 3, where every vertex is in
+    M) leaves it to ``_transitivity`` on the subset predicate's adjacency.
+    """
+    orbit_of: dict[int, int] = {}
+    for m, r in zip(masks, _orbits(len(masks), maps)):
+        if orbit_of.setdefault(m.bit_count(), r) != r:
+            raise RuntimeError(f"transitivity certificate failed: layer {m.bit_count()} "
+                               "meets two vertex orbits")
+    classes = {frozenset((orbit_of[a], orbit_of[b]))
+               for a in range(1, n) for b in range(a + 1, n)}
+    if len(classes) > 1:
+        return len(set(orbit_of.values())) == 1, False
+    return _transitivity([_neighbours_in(u, masks) for u in masks], maps)
 
 
 def _transitivity(adj: list[int], maps: list[tuple[int, ...]]) -> tuple[bool, bool]:

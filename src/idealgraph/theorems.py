@@ -13,7 +13,7 @@ per-table case (the family and, for a complete nonempty family, the graph
 with its distances, girth and extremes). One pass over the corpus builds
 each case, runs every row on it and drops it, so one graph is alive at a time.
 
-The Boolean constructions (``boolean``), the automorphism search and the
+The Boolean constructions (``boolean``), the automorphism group and the
 catalog are imported by the Boolean and named-instance checks that use them,
 so a corpus-only run does not load them.
 """
@@ -307,7 +307,11 @@ def _boolean_symmetry_checks(n: int, g, checks: list[TheoremCheck], inst: str) -
           "all generators decompose",
           "all generators decompose" if decomposed else "some generator resists")
 
-    span = _closure_size([swap.images, cycle.images, comp.images])
+    # The group acts faithfully on the singletons and co-singletons, so its
+    # order is that of the maps restricted to them.
+    crown = [i for i, m in enumerate(dense.masks) if m.bit_count() in (1, n - 1)]
+    at = {v: t for t, v in enumerate(crown)}
+    span = _closure_size([tuple(at[a.images[v]] for v in crown) for a in (swap, cycle, comp)])
     _emit(checks, "boolean-generators-span-group", inst, "theory",
           str(expected_order), str(span))
 

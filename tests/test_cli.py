@@ -241,8 +241,16 @@ scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | 
 keys = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | specials
 ints = st.integers(-(1 << 70), 1 << 70)
 # The shapes the writer templates: int lists, equal-length int rows (lists,
-# tuples or both), int -> int dicts, each also with a bool mixed in.
-templated = (st.lists(ints | st.booleans())
+# tuples or both), int -> int dicts, lists of dicts with the same str keys
+# and int values, each also with a bool mixed in (and the dicts' keys also
+# in another order).
+row_keys = st.lists(st.text(max_size=3) | st.sampled_from(["%d", "%", 'q"', "\u00e9"]),
+                    max_size=3, unique=True)
+dict_rows = row_keys.flatmap(lambda ks: st.lists(st.tuples(
+    st.just(ks) | st.permutations(ks), st.lists(ints, min_size=len(ks), max_size=len(ks))
+    | st.lists(ints | st.booleans(), min_size=len(ks), max_size=len(ks))).map(
+        lambda row: dict(zip(*row))), max_size=6))
+templated = (st.lists(ints | st.booleans()) | dict_rows
              | st.integers(0, 3).flatmap(lambda k: st.lists(
                  st.lists(ints, min_size=k, max_size=k)
                  | st.tuples(*[ints] * k) | st.lists(ints | st.booleans(), min_size=k,
@@ -259,6 +267,22 @@ documents = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(documents)
 def test_json_text_is_json_dumps_with_indent(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"ideals": [{"mask": 3, "size": 2}, {"mask": 12, "size": 2}, {"mask": 15, "size": 4}]},
+    # keys that need escaping, or a % sign in the template
+    [{'say "hi"': 1, "\u00e9": -2, "a\\b": 3, "%d%%": 4, "\t": 5}] * 3,
+    # the same keys in another order
+    [{"mask": 3, "size": 2}, {"size": 2, "mask": 12}],
+    # a bool among the values, or as every value
+    [{"mask": 3, "size": 2}, {"mask": 12, "size": True}],
+    [{"a": False, "b": True}, {"a": True, "b": False}],
+    # other keys, no keys, a subclass of int
+    [{"mask": 3}, {"mask": 12, "size": 2}], [{}, {}], [{"a": LoudInt(7)}, {"a": 1}],
+])
+def test_json_text_writes_dict_rows_as_json_dumps(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
@@ -429,6 +453,25 @@ def test_perfect_flag_builds_no_graph(monkeypatch, capsys):
     assert main(["invariants", "--n", "15", "--perfect"]) == 0
     assert json.loads(capsys.readouterr().out) == {"perfect": True}
     assert [g.vertex_count for g in loaded] == [32766]
+    assert loaded[0]._dense is None
+
+
+def test_aut_builds_no_adjacency(monkeypatch, capsys):
+    # The Boolean group comes from the masks: at n=12 (4,094 vertices) no
+    # dense() call, no search over the vertices.
+    from idealgraph import cli
+    loaded = []
+    real = cli._load_graph
+
+    def recording(args):
+        loaded.append(real(args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_graph", recording)
+    assert main(["aut", "--n", "12"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["order"], doc["structure"]) == (958003200, "S12 x Z2")
+    assert [g.vertex_count for g in loaded] == [4094]
     assert loaded[0]._dense is None
 
 

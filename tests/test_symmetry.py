@@ -1,5 +1,7 @@
 """Automorphisms: explicit maps, the full group, decomposition, transitivity."""
 
+import subprocess
+import sys
 from itertools import islice
 from math import factorial
 
@@ -23,6 +25,7 @@ from idealgraph import (
     relabel_automorphism,
     transitivity,
 )
+from idealgraph.graph import bits
 from idealgraph.symmetry import _stabilizer_chain, _transitivity
 from oracles import adj_from_edges, automorphism_group_by_extension, transitivity_by_edge_orbits
 
@@ -356,13 +359,66 @@ def test_group_order_matches_networkx_isomorphism_count(graph):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_boolean_group_matches_extension_oracle(n):
+    # The crown certificate's order and transitivity are the search's; its
+    # three generators are automorphisms of the adjacency.
     g = build_boolean(n)
     report = automorphism_group(g)
+    verdicts = transitivity(g, report)
     adj = g.dense().adj
-    maps = [a.images for a in report.generators]
-    assert (report.order, maps) == automorphism_group_by_extension(adj)
+    order, maps = automorphism_group_by_extension(adj)
+    assert report.order == order
+    assert verdicts == transitivity_by_edge_orbits(adj, maps)
     assert all(a.base_perm is not None for a in report.generators)
-    assert transitivity(g, report) == transitivity_by_edge_orbits(adj, maps)
+    for a in report.generators:
+        assert sorted(a.images) == list(range(len(adj)))
+        assert all(sum(1 << a.images[j] for j in bits(adj[i])) == adj[a.images[i]]
+                   for i in range(len(adj)))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_boolean_route_matches_the_search(n):
+    g = build_boolean(n)
+    report = automorphism_group(g)
+    verdicts = transitivity(g, report)
+    assert (g._dense is None) == (n >= 3)
+    adj = g.dense().adj
+    order, maps = _stabilizer_chain(adj)
+    assert (report.order, verdicts) == (order, _transitivity(adj, maps))
+    if n >= 3:
+        assert report.structure == f"S{n} x Z2"
+        assert [(a.base_perm, a.complemented) for a in report.generators] == [
+            ((1, 0, *range(2, n)), False), ((*range(1, n), 0), False),
+            (tuple(range(n)), True)]
+
+
+@pytest.mark.parametrize("corruption,match", [
+    ("symmetry.complement_automorphism = corrupt", "breaks the decomposition"),
+    ("symmetry._stabilizer_chain = lambda adj: (1, [])", "has 1 automorphisms, not 2·5!"),
+    ("symmetry._neighbours_in = lambda u, crown: 0", "two vertices have the same neighbours"),
+    ("symmetry._orbits = lambda n, maps: list(range(n))",
+     "transitivity certificate failed: layer 1 meets two vertex orbits"),
+])
+def test_aut_certificate_checks_survive_python_O(corruption, match):
+    # Each corrupted step of the crown certificate raises RuntimeError, so
+    # ``aut`` exits 3, also when python -O strips assert statements.
+    script = (
+        "import sys\n"
+        "from idealgraph import symmetry\n"
+        "from idealgraph.cli import main\n"
+        "real = symmetry.complement_automorphism\n"
+        "def corrupt(n):\n"
+        "    a = real(n)\n"
+        "    images = list(a.images)\n"
+        "    images[0], images[1] = images[1], images[0]\n"
+        "    return a._replace(images=tuple(images))\n"
+        f"{corruption}\n"
+        "print(sys.flags.optimize)\n"
+        "sys.exit(main(['aut', '--n', '5']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "1\n")
+    assert proc.stderr.startswith("error: internal failure: RuntimeError: ")
+    assert match in proc.stderr
 
 
 def test_transitivity_matches_edge_orbits_on_named_graphs():
