@@ -25,17 +25,17 @@ _SUBMODULE = {
                    "TableSyntaxError", "TooLargeError", "TruncatedFamilyError",
                    "UnknownVertexError"),
         "graph": ("DenseGraph", "InclusionGraph", "build_boolean", "build_from_family",
-                  "export_graph", "minimal_ideal_coordinates"),
+                  "build_from_table", "export_graph"),
         "invariants": ("PlanarityResult", "chromatic_number",
                        "clique_number", "compute_report", "connectivity",
                        "domination_number", "girth", "independence_number",
                        "maximum_matching", "perfectness", "planarity",
                        "structural_flags"),
         "report": ("InvariantReport",),
-        "semigroup": ("CayleyTable", "IdealFamily", "LClass", "LeftIdeal",
-                      "enumerate_left_ideals", "is_completely_simple",
-                      "is_left_ideal", "is_maximal_left_ideal", "l_classes",
-                      "parse_cayley_table", "principal_left_ideal",
+        "semigroup": ("CayleyTable", "IdealFamily", "JoinIrreducibles", "LClass",
+                      "LeftIdeal", "enumerate_left_ideals", "is_completely_simple",
+                      "is_left_ideal", "is_maximal_left_ideal", "join_irreducibles",
+                      "l_classes", "parse_cayley_table", "principal_left_ideal",
                       "serialize_cayley_table"),
         "symmetry": ("AutGroupReport", "GraphAutomorphism", "automorphism_group",
                      "complement_automorphism", "compose", "decompose_boolean",

@@ -89,11 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(args):
-    from .graph import build_boolean, build_from_family
+    from .graph import build_boolean, build_from_table
     if args.n is not None:
         return build_boolean(args.n)
-    from .semigroup import enumerate_left_ideals
-    return build_from_family(enumerate_left_ideals(_load_table(args.file)))
+    return build_from_table(_load_table(args.file))
 
 
 def _load_table(path: str):
@@ -154,16 +153,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    g = _load_graph(args)
+    from .report import invariants_document
+    table = None if args.n is not None else _load_table(args.file)
     select = () if args.all else {k for k in INVARIANT_FLAGS if getattr(args, k)}
-    if g.mode == "boolean":
-        from . import boolean
-        if g.n >= boolean.MIN_N:  # from the masks: no adjacency, no search to cap
-            _print_json(boolean.report_document(g, select))
-            return 0
-    from . import invariants
-    cap = invariants.DOMINATION_CAP if args.domination_cap is None else args.domination_cap
-    _print_json(invariants.report_document(g, select, domination_cap=cap))
+    _print_json(invariants_document(args.n, table, select, args.domination_cap))
     return 0
 
 

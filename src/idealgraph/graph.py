@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, repeat
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OutOfRangeError, TooLargeError, TruncatedFamilyError, UnknownVertexError
 
 if TYPE_CHECKING:  # annotations only: a Boolean graph needs no semigroup code
-    from .semigroup import IdealFamily
+    from .semigroup import CayleyTable, IdealFamily
 
 DEFAULT_VERTEX_CAP = 1 << 22
 MAX_BOOLEAN_N = 62
@@ -60,6 +60,13 @@ def command_vertex_cap(cap: int | None = None):
         yield
     finally:
         _command_cap = saved
+
+
+def check_vertex_count(count: int) -> None:
+    """Raise TooLargeError when ``count`` vertices exceed the vertex cap."""
+    limit = vertex_cap()
+    if count > limit:
+        raise TooLargeError(f"{count} vertices exceed the cap of {limit}")
 
 
 def bits(m: int) -> list[int]:
@@ -331,10 +338,7 @@ class InclusionGraph:
     def check_cap(self) -> None:
         """Raise TooLargeError when the graph has more vertices than the
         vertex cap (see ``vertex_cap``) lets a command materialize."""
-        limit = vertex_cap()
-        if self.vertex_count > limit:
-            raise TooLargeError(
-                f"{self.vertex_count} vertices exceed the cap of {limit}")
+        check_vertex_count(self.vertex_count)
 
     def dense(self) -> DenseGraph:
         """Materialize adjacency bitsets once; refuses above the vertex cap."""
@@ -353,35 +357,28 @@ def build_from_family(family: IdealFamily) -> InclusionGraph:
     return InclusionGraph("generic", family=family)
 
 
+def build_from_table(t: CayleyTable) -> InclusionGraph:
+    """The graph of all nontrivial left ideals of ``t``.
+
+    Refuses before the walk when J has a layer of w members of one size
+    with 2^w - 2 past the ideal cap: their nonempty subsets generate 2^w - 1
+    distinct left ideals (see ``JoinIrreducibles.widest_layer``), all but
+    perhaps S nontrivial, so the walk would stop at the cap.
+    """
+    from .semigroup import DEFAULT_IDEAL_CAP, enumerate_left_ideals, join_irreducibles
+    w = join_irreducibles(t).widest_layer
+    if (1 << w) - 2 > DEFAULT_IDEAL_CAP:
+        raise TruncatedFamilyError(
+            f"{w} principal left ideals of one size give at least 2^{w} - 2 left "
+            f"ideals, past the ideal cap of {DEFAULT_IDEAL_CAP}")
+    return build_from_family(enumerate_left_ideals(t))
+
+
 def build_boolean(n: int) -> InclusionGraph:
     """Containment graph on the nonempty proper subsets of an n-element set."""
     if not 2 <= n <= MAX_BOOLEAN_N:
         raise OutOfRangeError(f"n must be in [2, {MAX_BOOLEAN_N}], got {n}")
     return InclusionGraph("boolean", n=n)
-
-
-def minimal_ideal_coordinates(family: IdealFamily) -> tuple[int, tuple[int, ...]]:
-    """Relabel each ideal as the subset of minimal ideals it is a union of.
-
-    Returns (number of minimal ideals, relabeled vertex masks in canonical
-    order). Raises ValueError when some ideal is not a union of minimal
-    ideals, i.e. the family does not live in the Boolean model.
-    An ideal is a union of minimal ideals, the one-bit codes, iff its code
-    has no other bit, so the family is Boolean iff its codes use as many
-    bits as it has minimal ideals, the lowest bits (each member of J but S
-    is a vertex, and S sorts last): the codes are the coordinates. They are
-    in canonical order already: the minimal left ideals are disjoint and of
-    one size, so an ideal's size is its code's popcount times that size, and
-    two unions of them compare as masks as their codes compare, by the
-    highest minimal ideal in one and not the other (J is sorted by mask).
-    """
-    codes = family.codes
-    n = len(family.minimal_indices)
-    if reduce(or_, codes, 0).bit_count() != n:
-        minimal = reduce(or_, map(codes.__getitem__, family.minimal_indices), 0)
-        bad = next(i for i, c in zip(family.ideals, codes) if c & ~minimal)
-        raise ValueError(f"ideal {bad.members:#x} is not a union of minimal ideals")
-    return n, tuple(codes)
 
 
 def _vertex_name(mask: int, boolean_n: int | None) -> str:

@@ -157,15 +157,22 @@ def parse_cayley_table(text: str) -> CayleyTable:
         raise TableSyntaxError("order must be positive")
     if len(data) < 1 + m:
         raise TableSyntaxError(f"expected {m} table rows, got {len(data) - 1}")
+    # Each token in its plain decimal spelling is one dict lookup; a row
+    # with any other token (``007``, ``+1``, out of range, not a number)
+    # goes through ``int``, which keeps its value and its error.
+    index = {str(x): x for x in range(m)}.__getitem__
     rows = []
     for i in range(1, 1 + m):
         toks = data[i].split()
         if len(toks) != m:
             raise TableSyntaxError(f"row {i - 1} has {len(toks)} entries, expected {m}")
         try:
-            row = tuple(map(int, toks))
-        except ValueError:
-            raise TableSyntaxError(f"row {i - 1} has a non-integer entry") from None
+            row = tuple(map(index, toks))
+        except KeyError:
+            try:
+                row = tuple(map(int, toks))
+            except ValueError:
+                raise TableSyntaxError(f"row {i - 1} has a non-integer entry") from None
         rows.append(row)
     labels = None
     rest = data[1 + m:]
@@ -178,9 +185,9 @@ def parse_cayley_table(text: str) -> CayleyTable:
 
 def serialize_cayley_table(t: CayleyTable) -> str:
     """Inverse of :func:`parse_cayley_table`, normalized to single spaces and LF."""
+    name = [str(x) for x in range(t.order)].__getitem__
     out = [str(t.order)]
-    for row in t.rows:
-        out.append(" ".join(str(x) for x in row))
+    out += [" ".join(map(name, row)) for row in t.rows]
     if t.labels is not None:
         out.append("labels: " + " ".join(t.labels))
     return "\n".join(out) + "\n"
@@ -270,17 +277,88 @@ def l_classes(t: CayleyTable) -> list[LClass]:
     return classes
 
 
+class JoinIrreducibles(NamedTuple):
+    """The join-irreducible left ideals J: the distinct principal left
+    ideals, sorted by (size, mask), a linear extension of inclusion.
+    ``below[i]`` is the bitset of the members of J strictly inside
+    ``masks[i]``, all of them before it."""
+
+    masks: tuple[int, ...]
+    below: tuple[int, ...]
+
+    @property
+    def antichain(self) -> bool:
+        """Whether no member of J is inside another. Then every down-set of J
+        is a subset of it, so the left ideals with the empty set are the
+        Boolean lattice on J: their graph is the Boolean model on |J| points."""
+        return not any(self.below)
+
+    @property
+    def widest_layer(self) -> int:
+        """The most members of J of one size. Distinct sets of one size are
+        incomparable, so w of them are an antichain, and the down-sets they
+        generate are 2^w distinct left ideals (with the empty set)."""
+        sizes = list(map(int.bit_count, self.masks))
+        return max(map(sizes.count, set(sizes)), default=0)
+
+    def unions(self):
+        """The map from a code, a set of members of J by bit, to the union of
+        those members: the OR of two precomputed unions, one of a subset of
+        each half of J.
+
+        Checked first: each member of J holds an element that no other
+        member holds, so a code's union holds exactly the members of J its
+        bits name, and the map is one-to-one and keeps inclusion both ways.
+        This holds for every antichain of principal left ideals: the
+        generator of one lies in no other, or that one would contain it."""
+        once = twice = 0
+        for m in self.masks:
+            twice |= once & m
+            once |= m
+        if any(not m & ~twice for m in self.masks):
+            raise RuntimeError("join-irreducible certificate failed: a member of J "
+                               "holds no element of its own")
+        h = len(self.masks) // 2
+        low, high = _subset_unions(self.masks[:h]), _subset_unions(self.masks[h:])
+        half = (1 << h) - 1
+        return lambda code: low[code & half] | high[code >> h]
+
+
+def _subset_unions(masks) -> list[int]:
+    """The union of each subset of ``masks``, indexed by the subset as bits."""
+    out = [0]
+    for m in masks:
+        out += [x | m for x in out]
+    return out
+
+
+def join_irreducibles(t: CayleyTable) -> JoinIrreducibles:
+    """The distinct principal left ideals of ``t``, which are the
+    join-irreducibles J of its lattice of left ideals, in (size, mask)
+    order with their ``below`` bitsets."""
+    joins = sorted(t.l_class_by_ideal, key=lambda p: (p.bit_count(), p))
+    below = []
+    for i, p in enumerate(joins):
+        low = 0
+        for j in range(i):
+            if joins[j] & p == joins[j]:
+                low |= 1 << j
+        below.append(low)
+    return JoinIrreducibles(tuple(joins), tuple(below))
+
+
 def enumerate_left_ideals(t: CayleyTable, cap: int = DEFAULT_IDEAL_CAP) -> IdealFamily:
     """All nontrivial left ideals, as the down-sets of the principal ones.
 
     The distinct principal left ideals are the join-irreducibles J of the
-    lattice of left ideals, so each left ideal is the union of one down-set
-    of J, whose bit i is set iff it holds J[i]: its J-code; all of J is S
-    (Birkhoff 1937). With J sorted by (size, mask), a linear extension, the
-    walk adds one member of J per step, after the last one held and with
-    all of J below it held, keeping those candidates as a bitset per ideal
-    (Habib, Medina, Nourine & Steiner 2001). An ideal is minimal iff it
-    holds one member of J, and maximal iff it holds all of J but one.
+    lattice of left ideals (``join_irreducibles``), so each left ideal is
+    the union of one down-set of J, whose bit i is set iff it holds J[i]:
+    its J-code; all of J is S (Birkhoff 1937). With J sorted by (size,
+    mask), a linear extension, the walk adds one member of J per step,
+    after the last one held and with all of J below it held, keeping those
+    candidates as a bitset per ideal (Habib, Medina, Nourine & Steiner
+    2001). An ideal is minimal iff it holds one member of J, and maximal iff
+    it holds all of J but one.
 
     Stops with ``truncated=True`` when there are more than ``cap`` ideals;
     the family then holds the first ``cap`` the walk reaches, each with its
@@ -288,17 +366,13 @@ def enumerate_left_ideals(t: CayleyTable, cap: int = DEFAULT_IDEAL_CAP) -> Ideal
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    joins = sorted(t.l_class_by_ideal, key=lambda p: (p.bit_count(), p))
-    # below[i]: the members of J strictly inside joins[i], all before it;
-    # above[i]: the members strictly containing it.
-    below, above = [], [[] for _ in joins]
-    for i, p in enumerate(joins):
-        low = 0
-        for j in range(i):
-            if joins[j] & p == joins[j]:
-                low |= 1 << j
-                above[j].append(i)
-        below.append(low)
+    joins, below = join_irreducibles(t)
+    above: list[list[int]] = [[] for _ in joins]  # the members strictly containing each
+    for i, low in enumerate(below):
+        while low:
+            b = low & -low
+            above[b.bit_length() - 1].append(i)
+            low ^= b
     top = (1 << len(joins)) - 1  # all of J: S itself
     found: list[tuple[int, int]] = []  # (mask, code), in the order the walk reaches them
     # (code, mask, the members of J it may add next), from the empty set

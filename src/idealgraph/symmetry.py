@@ -82,6 +82,7 @@ def _apply_bits(perm: tuple[int, ...], mask: int) -> int:
 
 
 def _boolean_index(n: int):
+    """The Boolean vertices on n points in index order, and each one's index."""
     masks = tuple(build_boolean(n).vertices())
     return masks, {m: i for i, m in enumerate(masks)}
 
@@ -92,8 +93,10 @@ def relabel_automorphism(n: int, perm) -> GraphAutomorphism:
     Bit permutations are containment-preserving bijections, hence graph
     automorphisms.
     """
-    p = _check_perm(n, perm)
-    masks, index = _boolean_index(n)
+    return _relabel(_check_perm(n, perm), *_boolean_index(n))
+
+
+def _relabel(p: tuple[int, ...], masks, index) -> GraphAutomorphism:
     images = tuple(index[_apply_bits(p, m)] for m in masks)
     return GraphAutomorphism(images=images, base_perm=p, complemented=False)
 
@@ -101,7 +104,10 @@ def relabel_automorphism(n: int, perm) -> GraphAutomorphism:
 def complement_automorphism(n: int) -> GraphAutomorphism:
     """The vertex map sending each subset to its complement; an involution
     that reverses containment, hence preserves adjacency."""
-    masks, index = _boolean_index(n)
+    return _complement(n, *_boolean_index(n))
+
+
+def _complement(n: int, masks, index) -> GraphAutomorphism:
     full = (1 << n) - 1
     images = tuple(index[full & ~m] for m in masks)
     return GraphAutomorphism(images=images, base_perm=tuple(range(n)),
@@ -116,7 +122,11 @@ def decompose_boolean(n: int, images: tuple[int, ...],
     when singletons map to (n-1)-subsets. Verifies the reconstruction on
     every vertex and raises ValueError when neither pattern holds.
     """
-    index = {m: i for i, m in enumerate(masks)}
+    return _decompose(n, images, masks, {m: i for i, m in enumerate(masks)})
+
+
+def _decompose(n: int, images: tuple[int, ...], masks,
+               index) -> tuple[tuple[int, ...], bool]:
     single_imgs = [masks[images[index[1 << i]]] for i in range(n)]
     full = (1 << n) - 1
     if all(m.bit_count() == 1 for m in single_imgs):
@@ -283,12 +293,13 @@ def _boolean_group(g: InclusionGraph) -> AutGroupReport:
     if order != 2 * factorial(n):
         raise RuntimeError(f"automorphism certificate failed: the crown graph on "
                            f"{2 * n} vertices has {order} automorphisms, not 2·{n}!")
-    gens = (relabel_automorphism(n, [1, 0, *range(2, n)]),
-            relabel_automorphism(n, [*range(1, n), 0]),
-            complement_automorphism(n))
+    index = {m: i for i, m in enumerate(masks)}
+    gens = (_relabel((1, 0, *range(2, n)), masks, index),
+            _relabel((*range(1, n), 0), masks, index),
+            _complement(n, masks, index))
     for a in gens:
         try:
-            got = decompose_boolean(n, a.images, masks)
+            got = _decompose(n, a.images, masks, index)
         except ValueError as e:
             raise RuntimeError(f"automorphism certificate failed: {e}") from None
         if got != (a.base_perm, a.complemented):

@@ -28,14 +28,14 @@ from typing import NamedTuple
 
 from .errors import CorpusLoadError
 from .graph import (DenseGraph, bits, build_boolean, build_from_family,
-                    command_vertex_cap, minimal_ideal_coordinates, transpose)
+                    command_vertex_cap, transpose)
 from .invariants import (chromatic_number, clique_number, connectivity,
                          domination_number, girth, independence_number,
                          maximum_matching, perfectness, planarity,
                          structural_flags)
 from .semigroup import (CayleyTable, IdealFamily, enumerate_left_ideals,
                         is_left_ideal, is_maximal_left_ideal, is_completely_simple,
-                        parse_cayley_table)
+                        join_irreducibles, parse_cayley_table)
 
 DEFAULT_BOOLEAN_RANGE = range(2, 9)
 AUT_CHECK_MAX_N = 6
@@ -493,15 +493,15 @@ def _planar_minimals(c: _Case) -> str | None:
 
 
 def _cs_boolean_model(c: _Case) -> str | None:
+    # The graph is nonempty, so an antichain J has n >= 2 members, and the
+    # J-codes are then the coordinates of the ideals in the Boolean model.
     if not is_completely_simple(c.table):
         return None
-    try:
-        n, coords = minimal_ideal_coordinates(c.family)
-    except ValueError as e:
-        return str(e)
-    if n < 2:
-        return f"completely simple with {n} minimal ideal but a nonempty family"
-    if coords != tuple(build_boolean(n).vertices()):
+    joins = join_irreducibles(c.table)
+    n = len(joins.masks)
+    if not joins.antichain:
+        return f"the {n} principal left ideals are not an antichain"
+    if c.family.codes != tuple(build_boolean(n).vertices()):
         return "coordinates differ"
     return ""
 
@@ -570,12 +570,13 @@ def _corpus_checks(corpus: list[tuple[CayleyTable, int]], label: str,
 def _named_checks(checks: list[TheoremCheck]) -> None:
     from . import catalog
     for n in range(3, 9):
-        fam = enumerate_left_ideals(catalog.right_zero(n))
-        got_n, coords = minimal_ideal_coordinates(fam)
-        expected = tuple(build_boolean(n).vertices())
+        t = catalog.right_zero(n)
+        joins = join_irreducibles(t)
+        same = (joins.antichain and enumerate_left_ideals(t).codes
+                == tuple(build_boolean(n).vertices()))
         _emit(checks, "right-zero-boolean-bridge", f"right-zero({n})", "derived",
               f"n={n}, all nonempty proper subsets",
-              f"n={got_n}, {'all nonempty proper subsets' if coords == expected else 'mismatch'}")
+              f"n={len(joins.masks)}, {'all nonempty proper subsets' if same else 'mismatch'}")
 
     for n in (3, 4):
         with_id = build_from_family(

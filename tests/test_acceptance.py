@@ -22,8 +22,8 @@ from idealgraph import (
     enumerate_left_ideals,
     girth,
     independence_number,
+    join_irreducibles,
     maximum_matching,
-    minimal_ideal_coordinates,
     null_semigroup,
     perfect_matching,
     perfectness,
@@ -221,10 +221,10 @@ def test_12_transitivity():
 def test_13_generic_mode_oracle():
     with criterion("generic-mode oracle: right-zero and null semigroups"):
         for n in range(3, 9):
+            joins = join_irreducibles(right_zero(n))
+            assert joins.antichain and len(joins.masks) == n
             fam = enumerate_left_ideals(right_zero(n))
-            got_n, coords = minimal_ideal_coordinates(fam)
-            assert got_n == n
-            assert coords == tuple(build_boolean(n).vertices())
+            assert fam.codes == tuple(build_boolean(n).vertices())
         for m in range(3, 7):
             t = null_semigroup(m)
             fam = enumerate_left_ideals(t)

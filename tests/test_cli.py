@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealgraph import graph, invariants, rectangular_band, semigroup, symmetry
+from idealgraph import (graph, invariants, rectangular_band, right_zero_with_identity, semigroup,
+                        serialize_cayley_table, symmetry)
 from idealgraph.cli import main
 from idealgraph.graph import DEFAULT_VERTEX_CAP, vertex_cap
 from idealgraph.jsontext import _json_text
@@ -441,15 +442,15 @@ def test_perfect_flag_takes_the_report_route(capsys):
 def test_perfect_flag_builds_no_graph(monkeypatch, capsys):
     # The verdict needs no vertex in memory, only the vertex count under
     # the cap: Boolean n=15 has 32,766 vertices, none built.
-    from idealgraph import cli
+    from idealgraph import graph
     loaded = []
-    real = cli._load_graph
+    real = graph.build_boolean
 
-    def recording(args):
-        loaded.append(real(args))
+    def recording(n):
+        loaded.append(real(n))
         return loaded[-1]
 
-    monkeypatch.setattr(cli, "_load_graph", recording)
+    monkeypatch.setattr(graph, "build_boolean", recording)
     assert main(["invariants", "--n", "15", "--perfect"]) == 0
     assert json.loads(capsys.readouterr().out) == {"perfect": True}
     assert [g.vertex_count for g in loaded] == [32766]
@@ -519,8 +520,9 @@ def band_corpus(tmp_path):
 # its CLI; networkx would be listed too. A command compiles only what it runs:
 # the semigroup layer only where it reads a table, path addition (planar) only
 # where a graph has neither a 5-chain nor a K3,3, and the dense solvers and
-# their matching kernels not for Boolean invariants from n = 6 on nor for
-# ``construct``, which come from the masks (``boolean``). No command loads
+# their matching kernels not for Boolean invariants from n = 6 on, nor for a
+# table whose J is an antichain of six or more, nor for ``construct``, which
+# come from the masks (``boolean``). No command loads
 # dataclasses or inspect, and none loads json: the graph export and the JSON
 # writer (jsontext, loaded by the commands that print a JSON document) write
 # their text themselves, and the writer imports json only for a string that
@@ -541,7 +543,7 @@ MASKS = ["boolean", "errors", "graph", "report"]
     (["invariants", "--n", "12", "--clique", "--chromatic", "--independence"],
      MASKS + ["jsontext"]),
     (["invariants", "--n", "5", "--all"], SOLVERS + ["boolean", "jsontext"]),
-    (["invariants", "{band}", "--all"], SOLVERS + ["jsontext", "semigroup"]),
+    (["invariants", "{band}", "--all"], MASKS + ["jsontext", "semigroup"]),
     (["verify", "--corpus", "{corpus}"], SOLVERS + ["semigroup", "theorems"]),
     (["verify"], SOLVERS + ["boolean", "catalog", "planar", "semigroup", "symmetry",
                             "theorems"]),
@@ -550,10 +552,16 @@ MASKS = ["boolean", "errors", "graph", "report"]
     (["construct", "--n", "6", "--max-chain"], MASKS + ["jsontext"]),
     (["construct", "--n", "6", "--layer-matching", "2"], MASKS + ["jsontext"]),
     (["graph", "--n", "11", "--format", "dot"], GRAPH),
+    (["invariants", "{chain}", "--all"], SOLVERS + ["jsontext", "semigroup"]),
 ])
 def test_each_command_loads_only_what_it_runs(argv, loaded, tmp_path):
+    # The 2x6 band's J is an antichain, so it takes the mask route; the
+    # right-zero semigroup of order 5 with an identity has S in J above the
+    # rest, so it takes the dense solvers (and has a 5-chain: no path addition).
     band, corpus = DATA / "rectangular_band_2x6.txt", band_corpus(tmp_path)
-    argv = [a.format(band=band, corpus=corpus) for a in argv]
+    chain = tmp_path / "right_zero_identity_5.txt"
+    chain.write_text(serialize_cayley_table(right_zero_with_identity(5)), encoding="utf-8")
+    argv = [a.format(band=band, corpus=corpus, chain=chain) for a in argv]
     script = (
         "import contextlib, os, sys\n"
         "from idealgraph.cli import main\n"

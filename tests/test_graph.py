@@ -22,7 +22,7 @@ from idealgraph import (
     cyclic_group,
     enumerate_left_ideals,
     export_graph,
-    minimal_ideal_coordinates,
+    join_irreducibles,
     null_semigroup,
     rectangular_band,
     right_zero,
@@ -140,49 +140,52 @@ def test_handshake():
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_count()
 
 
+def boolean_coordinates(t):
+    """(|J|, the family's J-codes) when J is an antichain, else None."""
+    joins = join_irreducibles(t)
+    if not joins.antichain:
+        return None
+    return len(joins.masks), enumerate_left_ideals(t).codes
+
+
 def test_boolean_bridge_right_zero():
     for n in range(2, 11):
-        fam = enumerate_left_ideals(right_zero(n))
-        got_n, coords = minimal_ideal_coordinates(fam)
-        assert got_n == n
-        assert coords == tuple(build_boolean(n).vertices())
+        assert boolean_coordinates(right_zero(n)) == (n, tuple(build_boolean(n).vertices()))
 
 
 def test_boolean_bridge_rectangular_band():
     # 2x3 band: 3 minimal left ideals of size 2 each; relabeled family is
     # the full Boolean model on 3 points.
-    fam = enumerate_left_ideals(rectangular_band(2, 3))
-    got_n, coords = minimal_ideal_coordinates(fam)
-    assert got_n == 3
-    assert coords == tuple(build_boolean(3).vertices())
+    assert boolean_coordinates(rectangular_band(2, 3)) == (3, tuple(build_boolean(3).vertices()))
     # Relabeled, as well.
     for a, b in ((2, 3), (3, 4)):
         for seed in range(4):
-            fam = enumerate_left_ideals(shuffled_table(rectangular_band(a, b), seed))
-            assert minimal_ideal_coordinates(fam) == (b, tuple(build_boolean(b).vertices()))
+            t = shuffled_table(rectangular_band(a, b), seed)
+            assert boolean_coordinates(t) == (b, tuple(build_boolean(b).vertices()))
 
 
 def test_boolean_families_list_their_codes_in_canonical_order():
-    # minimal_ideal_coordinates returns a Boolean family's codes as the family
-    # lists them: in (popcount, code) order, the order of Boolean vertices.
+    # When J is an antichain of one size, as in every such table here, the
+    # J-codes come in (popcount, code) order, the order of Boolean vertices:
+    # an ideal's size is its code's popcount times that size.
     tables = [t for t, _ in small_semigroup_corpus(4)] + benchmark_tables(seeds=(101,))
     boolean_ns = []
     for t in tables:
-        fam = enumerate_left_ideals(t)
-        try:
-            n, coords = minimal_ideal_coordinates(fam)
-        except ValueError:
+        found = boolean_coordinates(t)
+        if found is None:
             continue
+        n, codes = found
+        assert len(set(map(int.bit_count, join_irreducibles(t).masks))) == 1
         boolean_ns.append(n)
-        assert coords == tuple(fam.codes) == tuple(
-            sorted(fam.codes, key=lambda c: (c.bit_count(), c)))
-    assert (len(tables), len(boolean_ns), max(boolean_ns)) == (225, 54, 10)
+        assert codes == tuple(sorted(codes, key=lambda c: (c.bit_count(), c)))
+    assert (len(tables), len(boolean_ns), max(boolean_ns)) == (225, 19, 10)
 
 
 def test_boolean_bridge_rejects_non_boolean_families():
-    fam = enumerate_left_ideals(null_semigroup(3))
-    with pytest.raises(ValueError):
-        minimal_ideal_coordinates(fam)
+    joins = join_irreducibles(null_semigroup(3))
+    assert not joins.antichain
+    with pytest.raises(RuntimeError):  # {0} lies in both other members of J
+        joins.unions()
 
 
 def test_export_json_n2():

@@ -40,7 +40,7 @@ from idealgraph import invariants, planar
 from idealgraph.cli import main
 from idealgraph.graph import bits
 from idealgraph.invariants import classify_kuratowski
-from idealgraph.semigroup import parse_cayley_table
+from idealgraph.semigroup import parse_cayley_table, serialize_cayley_table
 from idealgraph.theorems import builtin_corpus
 from oracles import (
     _find_hole_of_length,
@@ -684,13 +684,14 @@ def check_wrong_witness_fails(argv, match, capsys, solver=planarity):
     assert captured.err.count("\n") == 1
 
 
-def test_planarity_chain_witness_check_is_a_real_check(monkeypatch, capsys):
-    # The 2x6 band, the Boolean model on 6 points as a table (the CLI answers
-    # Boolean n=6 from its masks, see tests/test_boolean.py), is decided from
-    # a 5-chain. Five singletons are no chain (no edge among them), and a
-    # real 4-chain is a K4, not a K5.
-    argv = ["invariants", str(Path(__file__).parent / "data" / "rectangular_band_2x6.txt"),
-            "--planarity"]
+def test_planarity_chain_witness_check_is_a_real_check(monkeypatch, capsys, tmp_path):
+    # The right-zero semigroup of order 5 with an identity (J is not an
+    # antichain, so the CLI takes the dense solvers) is decided from a
+    # 5-chain. Five singletons are no chain (no edge among them), and a real
+    # 4-chain is a K4, not a K5.
+    table = tmp_path / "right_zero_identity_5.txt"
+    table.write_text(serialize_cayley_table(right_zero_with_identity(5)), encoding="utf-8")
+    argv = ["invariants", str(table), "--planarity"]
     real = invariants._chain
     monkeypatch.setattr(invariants, "_chain", lambda dense, length: [0, 1, 2, 3, 4])
     check_wrong_witness_fails(argv, "witness edge .* is not an edge", capsys)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,47 @@ def test_parse_rejects_garbage():
         parse_cayley_table("2\n0 1 0\n1 0\n")
     with pytest.raises(TableSyntaxError):
         parse_cayley_table("2\n0 1\n1 0\nlabels: a a\n")
+
+
+def parse_by_int(text):
+    """The rows of a well-formed table text, every token read by ``int``."""
+    data = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    m = int(data[0])
+    return tuple(tuple(map(int, ln.split())) for ln in data[1:1 + m])
+
+
+@pytest.mark.parametrize("spell", [str, "0{}".format, "+{}".format, " {} ".format,
+                                   "{:_>1}".format, "{:03d}".format])
+def test_parse_reads_every_spelling_of_an_entry_as_int_does(spell):
+    # The plain spelling takes the lookup; a row with any other spelling
+    # falls back to int and gets the same values.
+    for t in (rectangular_band(3, 4), null_semigroup(5), right_zero_with_identity(11)):
+        rows = [" ".join(spell(x) for x in row) for row in t.rows]
+        text = f"{t.order}\n" + "\n".join(rows) + "\n"
+        assert parse_cayley_table(text).rows == parse_by_int(text) == t.rows
+        mixed = f"{t.order}\n" + "\n".join(
+            r if i % 2 else " ".join(map(str, t.rows[i])) for i, r in enumerate(rows)) + "\n"
+        assert parse_cayley_table(mixed).rows == t.rows
+
+
+@pytest.mark.parametrize("row,message", [
+    ("0 2", "entry 2 out of range [0, 2)"),
+    ("0 -1", "entry -1 out of range [0, 2)"),
+    ("0 +2", "entry 2 out of range [0, 2)"),
+    ("0 x", "row 1 has a non-integer entry"),
+    ("0 1.0", "row 1 has a non-integer entry"),
+    ("0 0x1", "row 1 has a non-integer entry"),
+])
+def test_parse_keeps_the_errors_of_int(row, message):
+    with pytest.raises(TableSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_cayley_table(f"2\n0 1\n{row}\n")
+
+
+def test_serialize_matches_str_of_each_entry():
+    for t in (right_zero_with_identity(11), rectangular_band(4, 5)):
+        text = serialize_cayley_table(t)
+        assert text.splitlines()[1:] == [" ".join(str(x) for x in row) for row in t.rows]
+        assert parse_cayley_table(text).rows == t.rows
 
 
 def test_not_associative_witness_is_first_triple():

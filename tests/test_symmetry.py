@@ -392,7 +392,7 @@ def test_boolean_route_matches_the_search(n):
 
 
 @pytest.mark.parametrize("corruption,match", [
-    ("symmetry.complement_automorphism = corrupt", "breaks the decomposition"),
+    ("symmetry._complement = corrupt", "breaks the decomposition"),
     ("symmetry._stabilizer_chain = lambda adj: (1, [])", "has 1 automorphisms, not 2·5!"),
     ("symmetry._neighbours_in = lambda u, crown: 0", "two vertices have the same neighbours"),
     ("symmetry._orbits = lambda n, maps: list(range(n))",
@@ -405,9 +405,9 @@ def test_aut_certificate_checks_survive_python_O(corruption, match):
         "import sys\n"
         "from idealgraph import symmetry\n"
         "from idealgraph.cli import main\n"
-        "real = symmetry.complement_automorphism\n"
-        "def corrupt(n):\n"
-        "    a = real(n)\n"
+        "real = symmetry._complement\n"
+        "def corrupt(*args):\n"
+        "    a = real(*args)\n"
         "    images = list(a.images)\n"
         "    images[0], images[1] = images[1], images[0]\n"
         "    return a._replace(images=tuple(images))\n"
