@@ -27,10 +27,8 @@ import math
 from itertools import combinations
 from typing import NamedTuple
 
-from .bipartite import hopcroft_karp, koenig_cover
 from .errors import TooLargeError
 from .graph import DenseGraph, bits
-from .matching import matching_edges, maximum_matching_adj
 from .report import INFINITY, InvariantReport, selected_document
 
 DOMINATION_CAP = 1 << 16
@@ -360,6 +358,7 @@ def independence_number(g) -> tuple[int, tuple]:
     n = dense.size
     if n == 0:
         return 0, ()
+    from .bipartite import hopcroft_karp, koenig_cover
     # Left copy u -> right copy v for every comparable pair u < v.
     above = dense.containment.above
     size, match_l, match_r = hopcroft_karp(n, n, above)
@@ -407,6 +406,7 @@ def maximum_matching(g) -> tuple[int, tuple, bool]:
     symmetric, so the pairs are disjoint, and each pair must be an edge.
     That no larger matching exists rests on the blossom search alone.
     """
+    from .matching import matching_edges, maximum_matching_adj
     dense = _dense(g)
     n = dense.size
     mate = maximum_matching_adj(n, dense.adj)

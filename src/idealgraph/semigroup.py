@@ -68,6 +68,12 @@ class CayleyTable:
             by_ideal[key] = by_ideal.get(key, 0) | (1 << a)
         return by_ideal
 
+    @cached_property
+    def join_irreducibles(self) -> JoinIrreducibles:
+        """J, the distinct principal left ideals: see ``join_irreducibles``.
+        Found once per table, as every route that reads J asks for it."""
+        return _join_irreducibles(self.l_class_by_ideal)
+
 
 def _check_associative(m: int, rows) -> None:
     """Light's associativity test over a greedy generating set.
@@ -335,8 +341,13 @@ def _subset_unions(masks) -> list[int]:
 def join_irreducibles(t: CayleyTable) -> JoinIrreducibles:
     """The distinct principal left ideals of ``t``, which are the
     join-irreducibles J of its lattice of left ideals, in (size, mask)
-    order with their ``below`` bitsets."""
-    joins = sorted(t.l_class_by_ideal, key=lambda p: (p.bit_count(), p))
+    order with their ``below`` bitsets. Cached on the table."""
+    return t.join_irreducibles
+
+
+def _join_irreducibles(principal) -> JoinIrreducibles:
+    """J from the principal left ideals, by a subset test of each pair."""
+    joins = sorted(principal, key=lambda p: (p.bit_count(), p))
     below = []
     for i, p in enumerate(joins):
         low = 0

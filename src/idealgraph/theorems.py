@@ -613,7 +613,9 @@ def builtin_corpus() -> tuple[list[tuple[CayleyTable, int]], str]:
     """(table, weight) pairs: every semigroup of order <= 4 up to
     isomorphism, as its lex-least table weighted by its orbit size m!/|Aut(S)|
     (188 classes of order 4 standing for 3,492 labeled tables), plus
-    structured named instances of weight 1."""
+    structured named instances of weight 1. The classes are read from the
+    package's class file, and every table and class count is checked on
+    each read (``catalog.small_semigroup_corpus``)."""
     from . import catalog
     classes = catalog.small_semigroup_corpus(4)
     extras = [

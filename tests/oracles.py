@@ -1,6 +1,8 @@
 """Straightforward references for the optimized kernels: the semigroup
-layer's associativity test, every labeled semigroup table of a small order
-(against which the isomorphism classes are checked), the union closure of
+layer's associativity test, the isomorphism classes of order <= 5 by
+orderly generation and the text of the package's class file written from
+them, every labeled semigroup table of a small order (against which the
+isomorphism classes are checked), the union closure of
 an ideal family by a scan of every pair of members, tables relabeled by
 a permutation of their elements (among them the benchmark's tables), the
 nontrivial left ideals of a table by closing its principal left ideals
@@ -24,6 +26,7 @@ by recursive extension, and edge transitivity by a union-find over all
 edges. The graph oracles take adjacency bitsets, ``adj[v]`` holding the
 neighbours of vertex v."""
 
+import itertools
 import json
 import math
 import random
@@ -31,7 +34,6 @@ from collections import deque
 
 from idealgraph import (CayleyTable, enumerate_left_ideals, null_semigroup, rectangular_band,
                         right_zero, right_zero_with_identity)
-from idealgraph.catalog import _consistent
 from idealgraph.graph import DenseGraph, bits
 from idealgraph.semigroup import IdealFamily
 from idealgraph.symmetry import _orbits
@@ -49,6 +51,122 @@ def first_nonassociative_triple(rows):
     return None
 
 
+def cell_consistent(table, i, j):
+    """Whether the partial table stays associative after cell (i, j) was set.
+
+    Only the triples the new cell completes are checked, the ones whose four
+    lookups xy, yz, (xy)z and x(yz) have just become defined; every other
+    defined triple passed when its last cell was set. Undefined cells are -1.
+    """
+    span = range(len(table))
+    v = table[i][j]
+    ti, tj, tv = table[i], table[j], table[v]
+    # (x, y) = (i, j): xy is the new cell.
+    for z in span:
+        yz = tj[z]
+        if yz >= 0:
+            left, right = tv[z], ti[yz]
+            if left >= 0 and right >= 0 and left != right:
+                return False
+    # (y, z) = (i, j): yz is the new cell.
+    for tx in table:
+        xy = tx[i]
+        if xy >= 0:
+            left, right = table[xy][j], tx[v]
+            if left >= 0 and right >= 0 and left != right:
+                return False
+    for y in span:
+        ty, yj = table[y], table[y][j]
+        # xy = i and z = j: (xy)z is the new cell.
+        if yj >= 0:
+            for tx in table:
+                if tx[y] == i and tx[yj] >= 0 and tx[yj] != v:
+                    return False
+        # x = i and yz = j: x(yz) is the new cell.
+        iy = ti[y]
+        if iy >= 0:
+            tiy = table[iy]
+            for z in span:
+                if ty[z] == j and tiy[z] >= 0 and tiy[z] != v:
+                    return False
+    return True
+
+
+def lex_leaders(m):
+    """One table per isomorphism class of m-element semigroups, with its
+    orbit size m!/|Aut(S)|, in lexicographic order.
+
+    Orderly generation (Distler, Jefferson, Kelsey & Kotthoff, CP 2012):
+    backtracking over the cells in row-major order keeps a partial table
+    only if no relabeling sigma gives a smaller row-major prefix. The
+    relabeled table holds sigma(T[sigma^-1 a][sigma^-1 b]) at (a, b); it is
+    compared with T cell by cell, stopping at the first cell it leaves
+    undefined. A sigma found larger stays larger in every completion and is
+    dropped; an undecided one resumes at that cell after the next
+    assignment. Each completed table is thus the least of its orbit, and the
+    sigma still equal on it are its automorphisms. Isomorphisms only: an
+    anti-isomorphism (transpose) swaps left and right ideals.
+    """
+    n = m * m
+    table = [[-1] * m for _ in range(m)]
+    flat = [-1] * n
+    cells = [(i, j) for i in range(m) for j in range(m)]
+    relabelings = []
+    for sigma in itertools.permutations(range(m)):
+        inv = sorted(range(m), key=sigma.__getitem__)
+        src = [inv[a] * m + inv[b] for a, b in cells]
+        if src != list(range(n)):
+            relabelings.append((sigma, src, 0))
+
+    def rec(k, undecided):
+        if k == n:
+            # Every sigma left compared equal on all cells: |Aut| - 1 of them.
+            automorphisms = 1 + len(undecided)
+            yield CayleyTable(m, tuple(map(tuple, table))), math.factorial(m) // automorphisms
+            return
+        i, j = cells[k]
+        for v in range(m):
+            table[i][j] = flat[k] = v
+            if not cell_consistent(table, i, j):
+                continue
+            still = []
+            for sigma, src, c in undecided:
+                while c <= k and src[c] <= k and sigma[flat[src[c]]] == flat[c]:
+                    c += 1
+                if c > k or src[c] > k:
+                    # Equal on every defined cell, or stopped at an undefined one.
+                    still.append((sigma, src, c))
+                elif sigma[flat[src[c]]] < flat[c]:
+                    break  # a smaller relabeled prefix: prune
+            else:
+                yield from rec(k + 1, still)
+        table[i][j] = flat[k] = -1
+
+    yield from rec(0, relabelings)
+
+
+CLASS_FILE_HEADER = """\
+# The semigroups of order 1 to 5 up to isomorphism, one class per line.
+# Each line is the class's orbit size m!/|Aut(S)|, a space, and the m*m
+# cells of its lexicographically least table as digits in row-major order.
+# Lines are in (order, lexicographic) order. Written by lex_leaders in
+# tests/oracles.py: orderly generation (Distler, Jefferson, Kelsey &
+# Kotthoff, CP 2012).
+"""
+
+
+def class_file_text(max_order=5):
+    """The text of the package's class file, ``idealgraph/small_semigroups.txt``,
+    from ``lex_leaders``. To rewrite the file, from the root of a checkout::
+
+        PYTHONPATH=src:tests python -c 'import oracles, sys; sys.stdout.write(
+            oracles.class_file_text())' > src/idealgraph/small_semigroups.txt
+    """
+    lines = [f"{w} {''.join(str(x) for row in t.rows for x in row)}\n"
+             for m in range(1, max_order + 1) for t, w in lex_leaders(m)]
+    return CLASS_FILE_HEADER + "".join(lines)
+
+
 def enumerate_associative_tables(m):
     """All labeled associative m x m tables, in lexicographic order, by
     backtracking in row-major order that checks only the triples each new
@@ -63,7 +181,7 @@ def enumerate_associative_tables(m):
         i, j = cells[k]
         for v in range(m):
             table[i][j] = v
-            if _consistent(table, i, j):
+            if cell_consistent(table, i, j):
                 yield from rec(k + 1)
         table[i][j] = -1
 

@@ -36,7 +36,7 @@ from idealgraph import (
     right_zero_with_identity,
     structural_flags,
 )
-from idealgraph import invariants, planar
+from idealgraph import bipartite, invariants, matching, planar
 from idealgraph.cli import main
 from idealgraph.graph import bits
 from idealgraph.invariants import classify_kuratowski
@@ -1264,7 +1264,7 @@ def test_chain_partition_certificate_is_a_real_check(monkeypatch, capsys):
     # Relink the first matched vertex, {1}, to a chain head it is not
     # comparable with. The König antichain reads only the unmatched left
     # vertices and match_r, so it still passes; the chain partition fails.
-    real = invariants.hopcroft_karp
+    real = bipartite.hopcroft_karp
     adj = build_boolean(5).dense().adj
 
     def bad_link(n_left, n_right, above):
@@ -1274,7 +1274,7 @@ def test_chain_partition_certificate_is_a_real_check(monkeypatch, capsys):
                           if match_r[w] == -1 and w != u and not adj[u] >> w & 1)
         return size, match_l, match_r
 
-    monkeypatch.setattr(invariants, "hopcroft_karp", bad_link)
+    monkeypatch.setattr(bipartite, "hopcroft_karp", bad_link)
     check_wrong_witness_fails(["invariants", "--n", "5", "--independence"],
                               "independence certificate failed", capsys,
                               independence_number)
@@ -1285,7 +1285,7 @@ def test_chain_partition_check_counts_chains_and_entries():
     # by two links even where the count of chain heads agrees.
     dense = build_boolean(4).dense()
     above = dense.containment.above
-    size, match_l, _ = invariants.hopcroft_karp(dense.size, dense.size, above)
+    size, match_l, _ = bipartite.hopcroft_karp(dense.size, dense.size, above)
     alpha = dense.size - size
     invariants._check_chain_partition(dense, match_l, alpha)
     for wrong in (alpha - 1, alpha + 1):
@@ -1309,8 +1309,8 @@ def test_chain_partition_check_counts_chains_and_entries():
     (lambda mate: [len(mate)] + mate[1:], "mate is not symmetric at 1"),
 ])
 def test_matching_certificate_is_a_real_check(monkeypatch, capsys, corrupt, match):
-    real = invariants.maximum_matching_adj
-    monkeypatch.setattr(invariants, "maximum_matching_adj",
+    real = matching.maximum_matching_adj
+    monkeypatch.setattr(matching, "maximum_matching_adj",
                         lambda n, adj: corrupt(real(n, adj)))
     check_wrong_witness_fails(["invariants", "--n", "4", "--matching"],
                               f"matching certificate failed: {match}", capsys,

@@ -201,3 +201,17 @@ def test_widest_layer_bounds_the_family():
         w = join_irreducibles(t).widest_layer
         assert (1 << w) - 2 <= len(enumerate_left_ideals(t).ideals)
     assert join_irreducibles(catalog.null_semigroup(5)).widest_layer == 4
+
+
+@pytest.mark.parametrize("argv", [["graph"], ["aut"], ["invariants", "--all"]])
+def test_j_is_found_once_per_table(argv, monkeypatch, capsys, tmp_path):
+    # The refusal, the walk and the route choice all read J; S with an
+    # identity lies above the rest of J, so invariants takes the dense route.
+    chain = tmp_path / "right_zero_identity_5.txt"
+    chain.write_text(serialize_cayley_table(right_zero_with_identity(5)), encoding="utf-8")
+    calls = []
+    real = semigroup._join_irreducibles
+    monkeypatch.setattr(semigroup, "_join_irreducibles",
+                        lambda principal: calls.append(principal) or real(principal))
+    assert main([argv[0], str(chain), *argv[1:]]) == 0
+    assert len(calls) == 1

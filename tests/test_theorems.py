@@ -350,10 +350,14 @@ def test_counterexample_names_the_table(monkeypatch):
                       + str([list(r) for r in first.rows]).replace(" ", ""))
 
 
-def test_default_verify_fails_on_a_corrupted_class_count(monkeypatch, capsys):
-    real = catalog._lex_leaders
-    monkeypatch.setattr(catalog, "_lex_leaders",
-                        lambda m: itertools.islice(real(m), 1, None) if m == 4 else real(m))
+def test_default_verify_fails_on_a_corrupted_class_count(monkeypatch, capsys, tmp_path):
+    # The class file without its first class of order 4, whose orbit has 4 tables.
+    lines = Path(catalog.CLASS_FILE).read_text(encoding="ascii").splitlines(keepends=True)
+    del lines[next(k for k, ln in enumerate(lines)
+                   if not ln.startswith("#") and len(ln.split()[1]) == 16)]
+    corrupted = tmp_path / "small_semigroups.txt"
+    corrupted.write_text("".join(lines), encoding="ascii")
+    monkeypatch.setattr(catalog, "CLASS_FILE", str(corrupted))
     assert main(["verify"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
