@@ -38,9 +38,7 @@ from typing import NamedTuple
 
 from .errors import NotIndependentError, OutOfRangeError
 from .graph import build_boolean
-from .report import INFINITY, SELECTIONS, InvariantReport, selected_document
-
-MIN_N = 6
+from .report import INFINITY, MIN_N, SELECTIONS, _assemble, selected_document
 
 
 def _comparable(a: int, b: int) -> bool:
@@ -431,49 +429,39 @@ def report_document(g, select=frozenset()) -> dict:
     m = _Masks(g)
     wanted = select or SELECTIONS
     values: dict = {}
+    witnesses: dict = {}
     if "diameter" in wanted:
         values["components"], values["diameter"] = 1, m.diameter
     if "girth" in wanted:
         values["girth"] = m.girth
     if "clique" in wanted:
         values["clique_number"] = len(m.chain)
+        witnesses["clique"] = tuple(m.chain)
     if "chromatic" in wanted:
         values["chromatic_number"] = max(m.colouring.values())
+        witnesses["coloring"] = m.colouring
     if "independence" in wanted:
         values["independence_number"] = len(m.antichain)
+        witnesses["independent_set"] = m.antichain
     if "matching" in wanted:
         pairs = perfect_matching(m.n, m.chains if m.n % 2 else m.lower_chains)
         values["matching_number"] = len(pairs)
         values["perfect_matching"] = 2 * len(pairs) == m.full - 1
+        witnesses["matching"] = tuple(pairs)
     if "domination" in wanted:
         values["domination_number"] = len(m.dominating_set)
+        witnesses["dominating_set"] = m.dominating_set
     if "planarity" in wanted:
         values["planar"], values["kuratowski_kind"] = False, m.kuratowski["kind"]
+        witnesses["kuratowski"] = m.kuratowski
     if "perfect" in wanted:
         values["perfect"] = True  # comparability graphs (see invariants.perfect_verdict)
     if "flags" in wanted:
         values["eulerian"], values["bipartite"], values["triangulated"] = m.flags
     if select:
         return selected_document(values, select)
-    vertex_count = len(m.vertices)
-    report = InvariantReport(
-        **{k: v for k, v in values.items() if k in InvariantReport._fields},
-        vertex_count=vertex_count,
+    return _assemble(
+        values, witnesses, _METHODS, vertex_count=len(m.vertices),
         # each edge counted at its upper end, a vertex of size k over 2^k - 2 others
         edge_count=sum((1 << v.bit_count()) - 2 for v in m.vertices),
-        connected=True,
-        vertex_cover_number=vertex_count - len(m.antichain),
-        edge_cover_number=vertex_count - len(pairs),
-        witnesses={
-            "clique": tuple(m.chain),
-            "coloring": m.colouring,
-            "independent_set": m.antichain,
-            "matching": tuple(pairs),
-            "dominating_set": m.dominating_set,
-            "kuratowski": m.kuratowski,
-        },
-        methods=_METHODS,
-    )
-    if report.clique_number > report.chromatic_number:
-        raise RuntimeError("identity failed: clique number exceeds chromatic number")
-    return report.to_jsonable()
+        isolated=False).to_jsonable()

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import TooLargeError
 from .graph import DenseGraph, bits
-from .report import INFINITY, InvariantReport, selected_document
+from .report import INFINITY, SELECTIONS, InvariantReport, _assemble, selected_document
 
 DOMINATION_CAP = 1 << 16
 
@@ -435,10 +435,9 @@ def domination_number(g, cap: int = DOMINATION_CAP) -> tuple[int, tuple]:
     The witness is checked before it is returned: the union of its closed
     neighbourhoods must be every vertex.
     """
-    n = g.size if isinstance(g, DenseGraph) else g.vertex_count
-    if n > cap:  # before the build, which takes about n²/8 bytes
-        raise TooLargeError(f"{n} vertices exceed the domination cap {cap}")
+    _check_domination_cap(g, cap)
     dense = _dense(g)
+    n = dense.size
     if n == 0:
         return 0, ()
     witness = _dominating_set(dense.adj)
@@ -450,6 +449,14 @@ def domination_number(g, cap: int = DOMINATION_CAP) -> tuple[int, tuple]:
             f"domination certificate failed: {_labels(dense, witness)} leaves "
             f"{dense.masks[_low(uncovered)]} undominated")
     return len(witness), _labels(dense, witness)
+
+
+def _check_domination_cap(g, cap: int) -> None:
+    """Raise TooLargeError when ``g`` has more vertices than ``cap``; read
+    off the vertex count, before the build, which takes about n²/8 bytes."""
+    n = g.size if isinstance(g, DenseGraph) else g.vertex_count
+    if n > cap:
+        raise TooLargeError(f"{n} vertices exceed the domination cap {cap}")
 
 
 def _dominating_set(adj: list[int]) -> list[int]:
@@ -785,74 +792,77 @@ def perfect_verdict(g) -> bool:
     return True
 
 
-def compute_report(g, *, domination_cap: int = DOMINATION_CAP) -> InvariantReport:
-    """Run every invariant on the inclusion graph g and bundle the results."""
-    dense = _dense(g)
-    n = dense.size
-    edge_count = sum(dense.degree(i) for i in range(n)) // 2
+def _answer(g, wanted, domination_cap: int) -> tuple[dict, dict, dict, DenseGraph | None]:
+    """(values, witnesses, methods, adjacency) of the ``wanted`` flags (see
+    ``report.SELECTIONS``) of the inclusion graph g, each solver run once.
+
+    The adjacency is fetched once, by the first flag that needs it, and is
+    None when none does (``--perfect`` builds nothing). The domination cap
+    is compared with the vertex count before any build of its own.
+    """
+    dense = g if isinstance(g, DenseGraph) else None
+
+    def adjacency() -> DenseGraph:
+        nonlocal dense
+        if dense is None:
+            dense = g.dense()
+        return dense
+
+    values: dict = {}
     witnesses: dict = {}
     methods: dict = {}
+    if "diameter" in wanted:
+        values["components"], values["diameter"] = connectivity(adjacency())
+        methods["connectivity"] = ("containment-extremes" if values["components"] == 1
+                                   else "bitset-bfs")
+    if "girth" in wanted:
+        values["girth"] = girth(adjacency())
+        methods["girth"] = "3-chain" if values["girth"] == 3 else "per-vertex-bfs"
+    if "clique" in wanted:
+        values["clique_number"], witnesses["clique"] = clique_number(adjacency())
+        methods["clique"] = "chain-dp"
+    if "chromatic" in wanted:
+        values["chromatic_number"], witnesses["coloring"] = chromatic_number(adjacency())
+        methods["chromatic"] = "chain-layering"
+    if "independence" in wanted:
+        values["independence_number"], witnesses["independent_set"] = \
+            independence_number(adjacency())
+        methods["independence"] = "dilworth-matching"
+    if "matching" in wanted:
+        values["matching_number"], witnesses["matching"], values["perfect_matching"] = \
+            maximum_matching(adjacency())
+        methods["matching"] = "blossom"
+    if "domination" in wanted:
+        _check_domination_cap(g, domination_cap)
+        values["domination_number"], witnesses["dominating_set"] = \
+            domination_number(adjacency(), cap=domination_cap)
+        methods["domination"] = "iterative-deepening-cover"
+    if "planarity" in wanted:
+        res = planarity(adjacency())
+        values["planar"] = res.planar
+        if res.planar:
+            witnesses["embedding"] = res.embedding
+        else:
+            values["kuratowski_kind"] = res.kuratowski_kind
+            witnesses["kuratowski"] = {"kind": res.kuratowski_kind,
+                                       "edges": res.kuratowski_edges}
+        methods["planarity"] = res.method
+    if "perfect" in wanted:
+        values["perfect"] = perfect_verdict(g if dense is None else dense)
+        methods["perfectness"] = "comparability"
+    if "flags" in wanted:
+        values["eulerian"], values["bipartite"], values["triangulated"] = \
+            structural_flags(adjacency())
+        methods["flags"] = "containment-order"
+    return values, witnesses, methods, dense
 
-    components, diameter = connectivity(dense)
-    methods["connectivity"] = "containment-extremes" if components == 1 else "bitset-bfs"
-    gr = girth(dense)
-    methods["girth"] = "3-chain" if gr == 3 else "per-vertex-bfs"
-    omega, clique = clique_number(dense)
-    methods["clique"] = "chain-dp"
-    witnesses["clique"] = clique
-    chi, coloring = chromatic_number(dense)
-    methods["chromatic"] = "chain-layering"
-    witnesses["coloring"] = coloring
-    alpha, antichain = independence_number(dense)
-    methods["independence"] = "dilworth-matching"
-    witnesses["independent_set"] = antichain
-    mnum, pairs, perfect_matching = maximum_matching(dense)
-    methods["matching"] = "blossom"
-    witnesses["matching"] = pairs
-    isolated = any(dense.degree(i) == 0 for i in range(n))
-    edge_cover = None if (isolated or n == 0) else n - mnum
-    gamma, dom = domination_number(dense, cap=domination_cap)
-    methods["domination"] = "iterative-deepening-cover"
-    witnesses["dominating_set"] = dom
-    eulerian, bipartite_flag, triangulated = structural_flags(dense)
-    methods["flags"] = "containment-order"
-    planar_res = planarity(dense)
-    methods["planarity"] = planar_res.method
-    if planar_res.planar:
-        witnesses["embedding"] = planar_res.embedding
-    else:
-        witnesses["kuratowski"] = {
-            "kind": planar_res.kuratowski_kind,
-            "edges": planar_res.kuratowski_edges,
-        }
-    perfect = perfect_verdict(dense)
-    methods["perfectness"] = "comparability"
 
-    report = InvariantReport(
-        vertex_count=n,
-        edge_count=edge_count,
-        connected=components <= 1,
-        components=components,
-        diameter=diameter if n > 0 else INFINITY,
-        girth=gr,
-        clique_number=omega,
-        chromatic_number=chi,
-        independence_number=alpha,
-        vertex_cover_number=n - alpha,
-        matching_number=mnum,
-        edge_cover_number=edge_cover,
-        domination_number=gamma,
-        eulerian=eulerian,
-        bipartite=bipartite_flag,
-        triangulated=triangulated,
-        planar=planar_res.planar,
-        perfect=perfect,
-        witnesses=witnesses,
-        methods=methods,
-    )
-    if report.clique_number > report.chromatic_number:
-        raise RuntimeError("identity failed: clique number exceeds chromatic number")
-    return report
+def compute_report(g, *, domination_cap: int = DOMINATION_CAP) -> InvariantReport:
+    """Run every invariant on the inclusion graph g and bundle the results."""
+    values, witnesses, methods, dense = _answer(g, SELECTIONS, domination_cap)
+    degrees = [a.bit_count() for a in dense.adj]
+    return _assemble(values, witnesses, methods, vertex_count=dense.size,
+                     edge_count=sum(degrees) // 2, isolated=0 in degrees)
 
 
 def report_document(g, select=frozenset(), *, domination_cap: int = DOMINATION_CAP) -> dict:
@@ -861,28 +871,4 @@ def report_document(g, select=frozenset(), *, domination_cap: int = DOMINATION_C
     ``report.SELECTIONS``), each computed only when selected."""
     if not select:
         return compute_report(g, domination_cap=domination_cap).to_jsonable()
-    values: dict = {}
-    if "diameter" in select:
-        values["components"], values["diameter"] = connectivity(g)
-    if "girth" in select:
-        values["girth"] = girth(g)
-    if "clique" in select:
-        values["clique_number"], _ = clique_number(g)
-    if "chromatic" in select:
-        values["chromatic_number"], _ = chromatic_number(g)
-    if "independence" in select:
-        values["independence_number"], _ = independence_number(g)
-    if "matching" in select:
-        values["matching_number"], _, values["perfect_matching"] = maximum_matching(g)
-    if "domination" in select:
-        values["domination_number"], _ = domination_number(g, cap=domination_cap)
-    if "planarity" in select:
-        res = planarity(g)
-        values["planar"] = res.planar
-        if not res.planar:
-            values["kuratowski_kind"] = res.kuratowski_kind
-    if "perfect" in select:
-        values["perfect"] = perfect_verdict(g)
-    if "flags" in select:
-        values["eulerian"], values["bipartite"], values["triangulated"] = structural_flags(g)
-    return selected_document(values, select)
+    return selected_document(_answer(g, select, domination_cap)[0], select)

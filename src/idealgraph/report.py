@@ -1,10 +1,11 @@
 """The document ``invariants`` prints, shared by its two routes.
 
 The dense solvers (``invariants``) and the Boolean model's mask route
-(``boolean``) both fill an ``InvariantReport`` for the whole document, and
-both hand ``selected_document`` the values of the invariants a command
-selects, so every route prints the same keys in the same order.
-``invariants_document`` picks the route, for a Boolean model or a table.
+(``boolean``) each answer the selected flags through one chain of their
+own. Both hand ``selected_document`` the values of the invariants a command
+selects, and ``_assemble`` the values of the whole report, so every route
+prints the same keys in the same order. ``invariants_document`` picks the
+route, for a Boolean model or a table.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from typing import NamedTuple
 
 INFINITY = math.inf
+MIN_N = 6  # the least n the mask route answers (see ``boolean``)
 
 # Each selecting flag of ``invariants`` and the keys it prints, in print order.
 SELECTIONS = {
@@ -67,6 +69,28 @@ class InvariantReport(NamedTuple):
         return doc
 
 
+def _assemble(values: dict, witnesses: dict, methods: dict, *, vertex_count: int,
+              edge_count: int, isolated: bool) -> InvariantReport:
+    """The whole report from a route's ``values`` of every flag: connected
+    from the components, the vertex cover from α, the edge cover from the
+    matching number (None with an ``isolated`` vertex or no vertex), and ω
+    checked against χ."""
+    report = InvariantReport(
+        **{k: v for k, v in values.items() if k in InvariantReport._fields},
+        vertex_count=vertex_count,
+        edge_count=edge_count,
+        connected=values["components"] <= 1,
+        vertex_cover_number=vertex_count - values["independence_number"],
+        edge_cover_number=(None if isolated or not vertex_count
+                           else vertex_count - values["matching_number"]),
+        witnesses=witnesses,
+        methods=methods,
+    )
+    if report.clique_number > report.chromatic_number:
+        raise RuntimeError("identity failed: clique number exceeds chromatic number")
+    return report
+
+
 def selected_document(values: dict, select) -> dict:
     """The document of the selected flags: each flag's keys from ``values``,
     in ``SELECTIONS`` order. A key without a value is left out (the
@@ -83,31 +107,29 @@ def invariants_document(n: int | None, table, select,
     values of the ``select``ed flags.
 
     The Boolean model is answered from its masks (``boolean``) from
-    ``boolean.MIN_N`` on, by the dense solvers below that. A table whose
-    join-irreducibles J are an antichain of w >= 2 members has the Boolean
-    model on w points as its graph (see ``JoinIrreducibles.antichain``).
-    It is answered as n = w is, with no walk and no adjacency of its own,
-    and refused past the vertex cap by its vertex count; a witness's masks,
-    codes whose bits name members of J, become the unions of those members
-    (``JoinIrreducibles.unions``). Any other table takes the dense solvers
-    on the graph of all its left ideals.
+    ``MIN_N`` on. A table whose join-irreducibles J are an antichain of w
+    >= ``MIN_N`` members has the Boolean model on w points as its graph (see
+    ``JoinIrreducibles.antichain``). It is answered as n = w is, with no
+    walk and no adjacency of its own, and refused past the vertex cap by its
+    vertex count; a witness's masks, codes whose bits name members of J,
+    become the unions of those members (``JoinIrreducibles.unions``). Every
+    other input takes the dense solvers on its own graph.
     """
     from .graph import build_boolean, build_from_table, check_vertex_count
     union = None
     if table is not None:
         from .semigroup import join_irreducibles
         joins = join_irreducibles(table)
-        if not joins.antichain or len(joins.masks) < 2:
-            return _dense_document(build_from_table(table), select, domination_cap)
         n = len(joins.masks)
+        if not joins.antichain or n < MIN_N:
+            return _dense_document(build_from_table(table), select, domination_cap)
         check_vertex_count((1 << n) - 2)
         union = joins.unions()
     g = build_boolean(n)
-    from . import boolean
-    if n >= boolean.MIN_N:  # from the masks: no adjacency, no search to cap
-        doc = boolean.report_document(g, select)
-    else:
-        doc = _dense_document(g, select, domination_cap)
+    if n < MIN_N:
+        return _dense_document(g, select, domination_cap)
+    from .boolean import report_document
+    doc = report_document(g, select)  # from the masks: no adjacency, no search to cap
     if union is not None and not select:
         doc["witnesses"] = _relabel(doc["witnesses"], union)
     return doc

@@ -29,10 +29,8 @@ from typing import NamedTuple
 from .errors import CorpusLoadError
 from .graph import (DenseGraph, bits, build_boolean, build_from_family,
                     command_vertex_cap, transpose)
-from .invariants import (chromatic_number, clique_number, connectivity,
-                         domination_number, girth, independence_number,
-                         maximum_matching, perfectness, planarity,
-                         structural_flags)
+from .invariants import (clique_number, compute_report, connectivity, girth,
+                         perfectness, planarity)
 from .semigroup import (CayleyTable, IdealFamily, enumerate_left_ideals,
                         is_left_ideal, is_maximal_left_ideal, is_completely_simple,
                         join_irreducibles, parse_cayley_table)
@@ -180,41 +178,38 @@ def _boolean_checks(n: int, checks: list[TheoremCheck]) -> None:
     _emit(checks, "boolean-degree-formula", inst, "theory", "all degrees match",
           "all degrees match" if bad is None else f"mismatch at {bad:#x}")
 
-    components, diameter = connectivity(g)
+    r = compute_report(g)
     if n == 2:
         _emit(checks, "boolean-connectivity-diameter", inst, "theory",
-              "2 components", f"{components} components")
+              "2 components", f"{r.components} components")
     else:
         _emit(checks, "boolean-connectivity-diameter", inst, "theory",
               "connected, diameter 3",
-              f"{'connected' if components == 1 else 'disconnected'}, diameter {diameter}")
+              f"{'connected' if r.connected else 'disconnected'}, diameter {r.diameter}")
 
     expected_girth = {2: "inf", 3: "6"}.get(n, "3")
-    gv = girth(g)
     _emit(checks, "boolean-girth", inst, "theory", expected_girth,
-          "inf" if gv == float("inf") else str(int(gv)))
+          "inf" if r.girth == float("inf") else str(int(r.girth)))
 
-    omega, chain = clique_number(g)
     canonical = canonical_maximum_chain(n)
-    chain_ok = list(chain)[:len(canonical)] == canonical and omega == len(canonical)
+    chain_ok = (list(r.witnesses["clique"])[:len(canonical)] == canonical
+                and r.clique_number == len(canonical))
     _emit(checks, "boolean-clique-number", inst, "theory",
           f"{n - 1} (canonical chain maximal)",
-          f"{omega} ({'canonical chain maximal' if chain_ok else 'other witness'})")
+          f"{r.clique_number} ({'canonical chain maximal' if chain_ok else 'other witness'})")
+    _emit(checks, "boolean-chromatic-number", inst, "theory", str(n - 1),
+          str(r.chromatic_number))
 
-    chi, _ = chromatic_number(g)
-    _emit(checks, "boolean-chromatic-number", inst, "theory", str(n - 1), str(chi))
-
-    eulerian, bipartite, triangulated = structural_flags(g)
     if n >= 3:
         _emit(checks, "boolean-bipartite-iff", inst, "theory",
-              str(n == 3), str(bipartite))
-    _emit(checks, "boolean-eulerian", inst, "theory", str(n >= 3), str(eulerian))
-    _emit(checks, "boolean-triangulated", inst, "theory", str(n >= 4), str(triangulated))
+              str(n == 3), str(r.bipartite))
+    _emit(checks, "boolean-eulerian", inst, "theory", str(n >= 3), str(r.eulerian))
+    _emit(checks, "boolean-triangulated", inst, "theory", str(n >= 4), str(r.triangulated))
 
-    gamma, _ = domination_number(g)
     _emit(checks, "boolean-domination-number", inst, "theory",
           "2" if n >= 3 else "2 (two isolated vertices)",
-          str(gamma) if n >= 3 else f"{gamma} (two isolated vertices)")
+          str(r.domination_number) if n >= 3
+          else f"{r.domination_number} (two isolated vertices)")
     if n >= 3:
         try:
             canonical_dominating_set(n)
@@ -224,21 +219,20 @@ def _boolean_checks(n: int, checks: list[TheoremCheck]) -> None:
         _emit(checks, "boolean-canonical-dominating-set", inst, "theory",
               "dominates", got)
 
-    alpha, antichain = independence_number(g)
     _emit(checks, "boolean-independence-number", inst, "theory",
-          str(comb(n, n // 2)), str(alpha))
+          str(comb(n, n // 2)), str(r.independence_number))
     _emit(checks, "boolean-vertex-cover", inst, "theory",
-          str((2 ** n - 2) - comb(n, n // 2)), str(g.vertex_count - alpha))
+          str((2 ** n - 2) - comb(n, n // 2)), str(r.vertex_cover_number))
 
     if n >= 3:
-        size, _, perfect = maximum_matching(g)
+        size = r.matching_number
         built = perfect_matching(n)
         _emit(checks, "boolean-matching-and-construction", inst, "theory",
               f"{2 ** (n - 1) - 1} edges, perfect, construction verifies",
-              f"{size} edges, {'perfect' if perfect else 'imperfect'}, "
+              f"{size} edges, {'perfect' if 2 * size == r.vertex_count else 'imperfect'}, "
               f"construction {'verifies' if len(built) == 2 ** (n - 1) - 1 else 'broken'}")
         _emit(checks, "boolean-edge-cover", inst, "theory",
-              str(2 ** (n - 1) - 1), str(g.vertex_count - size))
+              str(2 ** (n - 1) - 1), str(r.edge_cover_number))
 
         try:
             for k in range(1, n - 1):
@@ -249,8 +243,7 @@ def _boolean_checks(n: int, checks: list[TheoremCheck]) -> None:
         _emit(checks, "boolean-layer-matchings", inst, "theory",
               "all saturating", got)
 
-    pl = planarity(g)
-    _emit(checks, "boolean-planarity", inst, "theory", str(n <= 4), str(pl.planar))
+    _emit(checks, "boolean-planarity", inst, "theory", str(n <= 4), str(r.planar))
 
     if 3 <= n <= PERFECTNESS_CHECK_MAX_N:
         bound = g.vertex_count if g.vertex_count <= 14 else HOLE_SEARCH_BOUND

@@ -42,17 +42,20 @@ def test_mask_route_matches_the_dense_solvers(n):
     assert len(pairs) == masks["matching_number"]
     for flag, doc in selected.items():
         assert doc == dense_document(g, {flag}), flag
+    assert set(masks["methods"]) == set(dense["methods"])
 
 
 def test_each_flag_prints_the_recorded_document(capsys):
     # Recorded from the per-flag selector the report functions replaced: every
     # single flag at n = 4 and 7 and on the 2x6 band, and --all at n = 4 (n = 7
-    # and the band with --all are goldens of their own).
-    band = str(DATA / "rectangular_band_2x6.txt")
+    # and the band with --all are goldens of their own). Recorded later, before
+    # the dense route's two chains became one: every single flag and --all on
+    # right-zero 4 with an identity, whose J is not an antichain.
+    files = {"{band}": "rectangular_band_2x6.txt", "{chain}": "right_zero_identity_4.txt"}
     recorded = json.loads((DATA / "golden" / "invariants_flags.json").read_text(encoding="utf-8"))
-    assert len(recorded) == 31
+    assert len(recorded) == 42
     for key, want in recorded.items():
-        assert main([a.replace("{band}", band) for a in key.split()]) == 0
+        assert main([str(DATA / files[a]) if a in files else a for a in key.split()]) == 0
         assert capsys.readouterr().out == want, key
 
 

@@ -16,6 +16,7 @@ from idealgraph import (graph, invariants, rectangular_band, right_zero_with_ide
 from idealgraph.cli import main
 from idealgraph.graph import DEFAULT_VERTEX_CAP, vertex_cap
 from idealgraph.jsontext import _json_text
+from idealgraph.report import SELECTIONS
 from oracles import export_dot_document, first_nonassociative_triple
 
 RIGHT_ZERO_3 = "3\n0 1 2\n0 1 2\n0 1 2\n"
@@ -429,6 +430,19 @@ def test_vertex_cap_is_read_once_per_command(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: 8190 vertices exceed the cap of 5000\n"
 
 
+@pytest.mark.parametrize("select", [set(SELECTIONS), {"domination", "planarity"},
+                                    {"perfect"}, set()])
+def test_vertex_cap_is_read_once_per_report(select, monkeypatch):
+    # Outside a command, each look at the vertex cap reads the environment;
+    # a report looks once, whatever it selects: the adjacency is fetched once
+    # and handed to every solver.
+    looks = []
+    real = graph.vertex_cap
+    monkeypatch.setattr(graph, "vertex_cap", lambda: looks.append(1) or real())
+    invariants.report_document(graph.build_boolean(5), select)
+    assert looks == [1]
+
+
 def test_perfect_flag_takes_the_report_route(capsys):
     # Boolean n=6 has 62 vertices, past any exhaustive hole search; it is
     # perfect as a comparability graph, in --perfect as in --all.
@@ -523,7 +537,8 @@ def band_corpus(tmp_path):
 # (bipartite, matching) only where independence or a matching is asked for,
 # which ``verify --corpus`` never does, and the dense solvers not for Boolean
 # invariants from n = 6 on, nor for a table whose J is an antichain of six or
-# more, nor for ``construct``, which come from the masks (``boolean``). No
+# more, nor for ``construct``, which come from the masks (``boolean``); below
+# six the dense solvers answer and ``boolean`` is not loaded. No
 # command loads dataclasses or inspect, and none loads json: the graph export
 # and the JSON writer (jsontext, loaded by the commands that print a JSON
 # document) write their text themselves, and the writer imports json only for
@@ -543,7 +558,7 @@ MASKS = ["boolean", "errors", "graph", "report"]
     (["invariants", "--n", "11", "--all"], MASKS + ["jsontext"]),
     (["invariants", "--n", "12", "--clique", "--chromatic", "--independence"],
      MASKS + ["jsontext"]),
-    (["invariants", "--n", "5", "--all"], SOLVERS + ["boolean", "jsontext"]),
+    (["invariants", "--n", "5", "--all"], SOLVERS + ["jsontext"]),
     (["invariants", "{band}", "--all"], MASKS + ["jsontext", "semigroup"]),
     (["verify", "--corpus", "{corpus}"], ["errors", "graph", "invariants", "report",
                                           "semigroup", "theorems"]),

@@ -39,7 +39,9 @@ from idealgraph import (
 from idealgraph import bipartite, invariants, matching, planar
 from idealgraph.cli import main
 from idealgraph.graph import bits
+from idealgraph.catalog import small_semigroup_corpus
 from idealgraph.invariants import classify_kuratowski
+from idealgraph.report import SELECTIONS
 from idealgraph.semigroup import parse_cayley_table, serialize_cayley_table
 from idealgraph.theorems import builtin_corpus
 from oracles import (
@@ -876,7 +878,7 @@ def test_planarity_matches_left_right_on_corpus_and_boolean_models():
         fam = enumerate_left_ideals(t)
         assert not fam.truncated
         graphs.append(build_from_family(fam))
-    assert len(graphs) == 6 + 228 + 1
+    assert len(graphs) == 6 + 228 + 2
     methods = set()
     for g in graphs:
         res = planarity(g)
@@ -1177,6 +1179,29 @@ def test_perfectness_random_graphs_vs_chordless_cycles():
                 for j in range(i + 2, k):
                     if not (i == 0 and j == k - 1):
                         assert not H.has_edge(cycle[i], cycle[j])
+
+
+def flag_values(doc):
+    """The values a whole report's document gives each key of
+    ``SELECTIONS``: its own fields, with the matching's perfection and the
+    Kuratowski kind read off its numbers and witnesses."""
+    n = doc["vertex_count"]
+    values = {**doc, "perfect_matching": n > 0 and 2 * doc["matching_number"] == n}
+    if "kuratowski" in doc["witnesses"]:
+        values["kuratowski_kind"] = doc["witnesses"]["kuratowski"]["kind"]
+    return values
+
+
+@pytest.mark.parametrize("g", [build_boolean(n) for n in range(2, 6)] + [
+    build_from_family(enumerate_left_ideals(t)) for t, _ in small_semigroup_corpus(3)])
+def test_each_flag_is_the_whole_reports_keys(g):
+    # One chain answers both: each selected flag prints the keys of the
+    # whole report, on the Boolean models below the mask route and on every
+    # class of order <= 3.
+    whole = flag_values(invariants.report_document(g))
+    for flag, keys in SELECTIONS.items():
+        assert invariants.report_document(g, {flag}) == \
+            {k: whole[k] for k in keys if k in whole}, flag
 
 
 def test_report_json_stable():
